@@ -18,11 +18,10 @@ predictive distribution over the current values.
 """
 
 import math
-from itertools import product as iter_product
 
 import numpy as np
 
-from .core import EpisodeTrace, Feedback, StepRecord, decode_state, encode_state
+from .core import EpisodeTrace, Feedback, StepRecord, encode_state
 from .envs import (
     _draw_categorical,
     emit_observation,
@@ -246,41 +245,12 @@ class QTable:
         if succ_code is not None:
             self.succ[(h, qset)][code, action, succ_code] += 1
 
-    def key_indices(self, key):
-        h, qset, values, action = key
-        return h, tuple(qset), encode_state(values, self.alphabet_size), action
-
     def value_of(self, h, qset, values):
         """max_a Q at the key; H when the query set was never allocated."""
         entry = self.q.get((h, tuple(qset)))
         if entry is None:
             return float(self.horizon)
         return float(entry[encode_state(values, self.alphabet_size)].max())
-
-
-def q_backup(qt, key, c_bonus, horizon):
-    """Recompute one Q entry from its empirical statistics.
-
-    Q = min(r_hat + sum_v' P_hat(v') V(v') + c_bonus sqrt(H^2/N), H) with
-    V(v') = max_a Q at the next step (H where unvisited, 0 past the end);
-    unvisited keys stay at the optimistic H.
-    """
-    h, qset, code, action = qt.key_indices(key)
-    qt.ensure(qset)
-    n = int(qt.n[(h, qset)][code, action])
-    if n == 0:
-        value = float(horizon)
-    else:
-        r_hat = qt.rsum[(h, qset)][code, action] / n
-        pv = 0.0
-        if h < horizon:
-            counts = qt.succ[(h, qset)][code, action]
-            nxt = qt.q[(h + 1, qset)].max(axis=1)
-            for v_code in np.flatnonzero(counts):
-                pv += (counts[v_code] / n) * nxt[v_code]
-        value = min(r_hat + pv + c_bonus * math.sqrt(horizon * horizon / n), float(horizon))
-    qt.q[(h, qset)][code, action] = value
-    return value
 
 
 def greedy_action(qt, key, tie_rng=None):

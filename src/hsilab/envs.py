@@ -8,6 +8,10 @@ P_{h,i}[v, a, v'] (sub-states evolve independently).  Rewards are Bernoulli
 means r_h[s, a].  Models with partial emissions additionally carry, for
 every (step, query set), a table E[o, u] whose columns (one per joint value
 ``u`` of the unqueried sub-states) are distributions over observations.
+
+The model is also the one place that decides how likely a step's feedback
+is in each state: ``EnvModel.evidence`` caches, per (step, query set), the
+evidence kernel that the filter, the planner and policy evaluation share.
 """
 
 import hashlib
@@ -50,16 +54,22 @@ class SampleRng:
 
 
 def _draw_categorical(p, gen):
-    """One sample from a probability row using a single uniform draw."""
+    """One sample from a probability row using a single uniform draw.
+
+    When rounding leaves the row's running sum at or below the draw, the
+    sample is the last index with positive mass, never a zero-mass one.
+    """
     u = gen.random()
+    row = p.tolist() if isinstance(p, np.ndarray) else p
     acc = 0.0
-    last = 0
-    for idx, w in enumerate(p.tolist() if isinstance(p, np.ndarray) else p):
+    for idx, w in enumerate(row):
         acc += w
         if u < acc:
             return idx
-        last = idx
-    return last
+    for idx in range(len(row) - 1, 0, -1):
+        if row[idx] > 0.0:
+            return idx
+    return 0
 
 
 def canonical_state_vectors(dims):
@@ -70,17 +80,6 @@ def canonical_state_vectors(dims):
     ).reshape(dims.n_states, dims.d)
 
 
-def hidden_positions(query, d):
-    """Sub-state indices a query leaves unrevealed, ascending."""
-    qset = set(query)
-    return tuple(i for i in range(d) if i not in qset)
-
-
-def partial_value_code(vector, positions, alphabet_size):
-    """Little-endian code of the vector entries at the given positions."""
-    return encode_state([vector[p] for p in positions], alphabet_size)
-
-
 @dataclass
 class EnvModel:
     """Immutable-after-build tabular model; validate() checks all invariants.
@@ -89,6 +88,7 @@ class EnvModel:
     (H-1, d, V, A, V); exactly one is set, per ``transition_form``.
     ``emissions`` maps (h, query) -> (n_obs, n_hidden) column-stochastic
     tables, for models whose class_tag is Class2; otherwise None.
+    Per-query value codes and evidence kernels are cached on first use.
     """
 
     name: str
@@ -102,6 +102,8 @@ class EnvModel:
     product: np.ndarray | None = None
     emissions: dict | None = None
     _joint_cache: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _codes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _evidence: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n_states(self):
@@ -172,6 +174,17 @@ class EnvModel:
             raise ValueError("state vector entry outside the alphabet")
         if len(np.unique(self.state_vectors, axis=0)) != S:
             raise ValueError("state vectors must be pairwise distinct")
+        tables = {
+            "initial": self.initial,
+            "rewards": self.rewards,
+            "joint": self.joint,
+            "product": self.product,
+        }
+        for key, table in (self.emissions or {}).items():
+            tables[f"emissions {key}"] = table
+        for label, table in tables.items():
+            if table is not None and not np.isfinite(np.asarray(table, dtype=float)).all():
+                raise ValueError(f"non-finite value in {label}")
         if self.initial.shape != (S,):
             raise ValueError(f"initial shape {self.initial.shape}, want ({S},)")
         if self.initial.min() < -ATOL or abs(self.initial.sum() - 1.0) > ATOL:
@@ -237,14 +250,57 @@ class EnvModel:
             object.__setattr__(self, "_joint_cache", out)
         return self._joint_cache
 
-    def hidden_code(self, state, query):
-        """Joint code of the unqueried sub-state values of a state index."""
-        pos = hidden_positions(query, self.dims.d)
-        return partial_value_code(self.state_vectors[state], pos, self.dims.alphabet_size)
+    def query_codes(self, query):
+        """Per-state little-endian codes of the values a query reveals and
+        of the values it leaves hidden (ascending positions), cached."""
+        codes = self._codes.get(query)
+        if codes is None:
+            hidden = [i for i in range(self.dims.d) if i not in query]
+            codes = tuple(
+                self.state_vectors[:, list(pos)]
+                @ self.dims.alphabet_size ** np.arange(len(pos), dtype=np.int64)
+                for pos in (query, hidden)
+            )
+            self._codes[query] = codes
+        return codes
 
-    def queried_values(self, state, query):
-        """Tuple of revealed values of a state index under a query."""
-        return tuple(int(self.state_vectors[state][i]) for i in query)
+    def evidence(self, h, query):
+        """Evidence kernel of step-h feedback under a query, cached.
+
+        Shape (n_query_values * n_obs, S) with n_obs = max(n_observations, 1):
+        row ``v * n_obs + o`` holds, per state, 1[value code = v] times the
+        probability of emitting symbol o from the state's hidden values.  A
+        model without emissions has indicator rows at o = 0 and zero rows
+        elsewhere, so rows line up with ``TreePolicy.child``.
+        """
+        kernel = self._evidence.get((h, query))
+        if kernel is None:
+            vcode, hcode = self.query_codes(query)
+            n_obs = max(self.dims.n_observations, 1)
+            kernel = np.zeros((self.dims.n_query_values * n_obs, self.n_states))
+            rows = vcode * n_obs + np.arange(n_obs)[:, None]
+            cols = np.arange(self.n_states)
+            if self.emissions:
+                table = np.asarray(self.emissions[(h, query)], dtype=float)
+                kernel[rows, cols] = table[:, hcode]
+            else:
+                kernel[rows[0], cols] = 1.0
+            self._evidence[(h, query)] = kernel
+        return kernel
+
+    def evidence_row(self, h, feedback):
+        """Likelihood of one step's feedback (revealed values and emitted
+        symbol) in every state: one row of the evidence kernel."""
+        n_obs = max(self.dims.n_observations, 1)
+        obs = feedback.observation
+        emits = bool(self.emissions)
+        if (obs is not None) != emits or not 0 <= (obs or 0) < n_obs:
+            raise UnsupportedFeedbackError(
+                f"observation {obs!r} at step {h} does not fit model "
+                f"{self.name!r} ({self.class_tag})"
+            )
+        vcode = encode_state(feedback.values(), self.dims.alphabet_size)
+        return self.evidence(h, tuple(feedback.query))[vcode * n_obs + (obs or 0)]
 
 
 # -- sampling ---------------------------------------------------------------
@@ -296,7 +352,7 @@ def emit_observation(m, h, s, q, rng):
         raise UnsupportedFeedbackError(
             f"model {m.name!r} has no emission table for step {h}, query {q}"
         ) from None
-    return _draw_categorical(table[:, m.hidden_code(s, q)], rng.emission)
+    return _draw_categorical(table[:, m.query_codes(q)[1][s]], rng.emission)
 
 
 # -- hard-instance builders ---------------------------------------------------

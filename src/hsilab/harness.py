@@ -292,6 +292,15 @@ def _check_compatibility(spec, env, source):
         fail(f"needs an emission model (Class2), env is {env.class_tag}")
 
 
+def _check_csv_field(value, what, where):
+    """Labels and env names become CSV fields that read_results_csv must
+    split back apart: no commas, and no leading comment marker."""
+    if "," in value or value.startswith("#"):
+        raise ConfigError(
+            f"{where}: {what} {value!r} must not contain ',' or start with '#'"
+        )
+
+
 def load_config(path):
     """Parse and fully validate a config file; every invariant is checked
     (environment built, candidate classes loaded, compatibility verified)
@@ -378,6 +387,7 @@ def load_config(path):
         _section_kv(env_sec, source), _ENV_SCHEMAS[env_kind], f"env {env_kind}", source
     )
     env_model = build_env(env_kind, env_params, source)
+    _check_csv_field(env_model.name, "env name", f"{source}:{env_sec.line}")
 
     algos = []
     labels = set()
@@ -392,6 +402,7 @@ def load_config(path):
                 f"known: {', '.join(ALGO_KINDS)}"
             )
         label = sec.args.get("label", kind)
+        _check_csv_field(label, "algo label", f"{source}:{sec.line}")
         if label in labels:
             raise ConfigError(f"{source}:{sec.line}: duplicate algo label {label!r}")
         labels.add(label)
@@ -413,6 +424,11 @@ def load_config(path):
                     raise ConfigError(
                         f"{source}: candidate {cand.name!r} dimensions do not "
                         f"match env {env_model.name!r}"
+                    )
+                if cand.class_tag != "Class2":
+                    raise ConfigError(
+                        f"{source}: candidate {cand.name!r} is {cand.class_tag}; "
+                        "pors candidates must be emission models (Class2)"
                     )
             candidate_classes[label] = cands
         if kind == "fixed":

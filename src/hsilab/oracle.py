@@ -6,6 +6,13 @@ belief tree, exact evaluation of per-episode Markov policies, and regret
 accounting.  Everything here is exact-or-error: when the belief tree
 exceeds its node cap the computation raises instead of approximating.
 
+Evidence comes from the model's cached evidence kernel
+(``EnvModel.evidence``): conditioning a belief on one step's feedback
+multiplies it by a kernel row, and the feedback branches of a query are the
+nonzero rows of the belief times the kernel.  ``trace_log_likelihood`` is
+the package's only exact filter; the confidence-set learner scores its
+candidates with it.
+
 Timing convention: the feedback for a step (queried values of that step's
 state, plus any emitted observation) arrives after the step's action, so a
 step's action is chosen from the belief conditioned on feedback of earlier
@@ -16,10 +23,11 @@ deliberately ignores them as well).
 """
 
 from dataclasses import dataclass
+import math
 
 import numpy as np
 
-from .core import InfeasibleEvidenceError, OracleSizeError, encode_state
+from .core import InfeasibleEvidenceError, OracleSizeError
 
 ATOL = 1e-12
 
@@ -43,45 +51,6 @@ def initial_belief(m):
     return Belief(p=np.array(m.initial, dtype=float), h=1)
 
 
-def _queried_value_codes(m, query):
-    """Per-state little-endian code of the queried sub-state values."""
-    V = m.dims.alphabet_size
-    codes = np.zeros(m.n_states, dtype=np.int64)
-    for k, i in enumerate(query):
-        codes += m.state_vectors[:, i] * V**k
-    return codes
-
-
-def _hidden_value_codes(m, query):
-    V = m.dims.alphabet_size
-    qset = set(query)
-    codes = np.zeros(m.n_states, dtype=np.int64)
-    k = 0
-    for i in range(m.dims.d):
-        if i in qset:
-            continue
-        codes += m.state_vectors[:, i] * V**k
-        k += 1
-    return codes
-
-
-def _condition(m, h, p, query, values, observation):
-    """Multiply a belief by the evidence likelihood of one step's feedback.
-
-    Returns the unnormalized posterior and its mass (the marginal
-    probability of the feedback given the belief).
-    """
-    out = np.array(p, dtype=float)
-    if query:
-        vcodes = _queried_value_codes(m, query)
-        want = encode_state(values, m.dims.alphabet_size)
-        out[vcodes != want] = 0.0
-    if observation is not None:
-        table = m.emissions[(h, tuple(query))]
-        out *= table[observation, _hidden_value_codes(m, query)]
-    return out, float(out.sum())
-
-
 def belief_update(m, b, action, feedback):
     """Condition on one step's feedback, then push through the transition.
 
@@ -90,9 +59,8 @@ def belief_update(m, b, action, feedback):
     H = m.dims.horizon
     if not 1 <= b.h <= H - 1:
         raise ValueError(f"no belief update out of step {b.h} (horizon {H})")
-    post, mass = _condition(
-        m, b.h, b.p, feedback.query, feedback.values(), feedback.observation
-    )
+    post = b.p * m.evidence_row(b.h, feedback)
+    mass = float(post.sum())
     if mass == 0.0:
         raise InfeasibleEvidenceError(
             f"feedback at step {b.h} has probability zero under the belief"
@@ -114,11 +82,11 @@ def trace_log_likelihood(m, trace):
     total = 0.0
     H = m.dims.horizon
     for rec in trace.steps:
-        fb = rec.feedback
-        post, mass = _condition(m, rec.h, p, fb.query, fb.values(), fb.observation)
+        post = p * m.evidence_row(rec.h, rec.feedback)
+        mass = float(post.sum())
         if mass == 0.0:
             return float("-inf")
-        total += float(np.log(mass))
+        total += math.log(mass)
         if rec.h < H:
             p = (post / mass) @ m.joint_transitions()[rec.h - 1, :, rec.action, :]
     return total
@@ -131,25 +99,12 @@ def _feedback_branches(m, h, p, query):
     queried-value codes ascending, observation symbols ascending inside
     each value code.  Masses sum to 1 for a normalized belief.
     """
-    vcodes = _queried_value_codes(m, query)
-    n_obs = m.dims.n_observations if m.emissions else 0
-    ucodes = _hidden_value_codes(m, query) if n_obs else None
     branches = []
-    for v in range(m.dims.n_query_values):
-        masked = np.where(vcodes == v, p, 0.0)
-        if n_obs:
-            table = m.emissions[(h, tuple(query))]
-            for o in range(n_obs):
-                w = masked * table[o, ucodes]
-                mass = float(w.sum())
-                if mass == 0.0:
-                    continue
-                branches.append((mass, w / mass))
-        else:
-            mass = float(masked.sum())
-            if mass == 0.0:
-                continue
-            branches.append((mass, masked / mass))
+    for w in p * m.evidence(h, query):
+        mass = float(w.sum())
+        if mass == 0.0:
+            continue
+        branches.append((mass, w / mass))
     return branches
 
 
@@ -260,7 +215,7 @@ def evaluate_markov_policy(m, policy):
     total = float((mu * m.rewards[0]).sum())
     if H == 1:
         return total
-    vcode = _queried_value_codes(m, tuple(policy.query))
+    vcode = m.query_codes(tuple(policy.query))[0]
     joint = m.joint_transitions()
     for h in range(2, H + 1):
         mat = np.asarray(policy.action_matrix(h), dtype=float)[vcode]  # (S, A, A')

@@ -11,17 +11,21 @@ Policies are deterministic decision trees over feedback histories.  Feedback
 for step h (the queried values of the step-h state, plus the emitted symbol
 when the model has emissions) arrives only after the step-h action, so the
 tree branches between steps: the action and query at step h depend on
-feedback from steps 1..h-1 only.
+feedback from steps 1..h-1 only.  A tree node's children are laid out like
+the rows of the model's evidence kernel (``EnvModel.evidence``), so exact
+policy evaluation pushes each node's row times the kernel to its children,
+and likelihoods come from the one exact filter,
+``oracle.trace_log_likelihood``.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product as iter_product
 import math
 
 import numpy as np
 
 from .core import ConfigError, OracleSizeError, encode_state
-from .envs import EnvModel, hidden_positions
+from .oracle import trace_log_likelihood
 
 DEFAULT_POLICY_CAP = 4096
 DEFAULT_VALUE_CAP = 10**6
@@ -135,43 +139,16 @@ def feedback_log_likelihood(model, policy, trace):
     the reached node, or whose feedback has probability zero under the
     model, scores -inf.
     """
-    dims = model.dims
-    sv = model.state_vectors
-    p = np.asarray(model.initial, dtype=float).copy()
-    joint = model.joint_transitions() if dims.horizon > 1 else None
     node = 0
-    total = 0.0
     for rec in trace.steps:
-        h = rec.h
         fb = rec.feedback
-        query = tuple(fb.query)
-        if rec.action != policy.action_at(h, node):
+        if rec.action != policy.action_at(rec.h, node):
             return float("-inf")
-        if query != policy.query_at(h, node):
+        if tuple(fb.query) != policy.query_at(rec.h, node):
             return float("-inf")
-        values = fb.values()
-        mask = np.ones(model.n_states, dtype=bool)
-        for pos, val in fb.hsi:
-            mask &= sv[:, pos] == val
-        w = np.where(mask, p, 0.0)
-        if fb.observation is not None:
-            table = model.emissions[(h, query)]
-            hidden = hidden_positions(query, dims.d)
-            codes = np.zeros(model.n_states, dtype=np.int64)
-            scale = 1
-            for pos in hidden:
-                codes += scale * sv[:, pos]
-                scale *= dims.alphabet_size
-            w = w * table[fb.observation, codes]
-        mass = float(w.sum())
-        if mass <= 0.0:
-            return float("-inf")
-        total += math.log(mass)
-        if h < dims.horizon:
-            p = (w / mass) @ joint[h - 1, :, rec.action, :]
-        vcode = encode_state(values, dims.alphabet_size)
+        vcode = encode_state(fb.values(), model.dims.alphabet_size)
         node = policy.child(node, vcode, fb.observation)
-    return total
+    return trace_log_likelihood(model, trace)
 
 
 # -- confidence set ------------------------------------------------------------
@@ -251,32 +228,9 @@ def evaluate_policy_value(model, policy, cap=DEFAULT_VALUE_CAP):
     node x state table would exceed the cap.
     """
     dims = model.dims
-    sv = model.state_vectors
     n_states = model.n_states
     joint = model.joint_transitions() if dims.horizon > 1 else None
     b = policy.branching
-    om = policy.obs_mult
-    has_emissions = model.class_tag == "Class2"
-
-    vcode_cache = {}
-    hidden_cache = {}
-
-    def query_arrays(query):
-        if query not in vcode_cache:
-            codes = np.zeros(n_states, dtype=np.int64)
-            scale = 1
-            for pos in query:
-                codes += scale * sv[:, pos]
-                scale *= dims.alphabet_size
-            vcode_cache[query] = codes
-            hcodes = np.zeros(n_states, dtype=np.int64)
-            scale = 1
-            for pos in hidden_positions(query, dims.d):
-                hcodes += scale * sv[:, pos]
-                scale *= dims.alphabet_size
-            hidden_cache[query] = hcodes
-        return vcode_cache[query], hidden_cache[query]
-
     mu = np.asarray(model.initial, dtype=float).reshape(1, n_states).copy()
     total = 0.0
     for h in range(1, dims.horizon + 1):
@@ -298,23 +252,11 @@ def evaluate_policy_value(model, policy, cap=DEFAULT_VALUE_CAP):
             row = mu[node]
             if not row.any():
                 continue
-            action = policy.action_at(h, node)
-            query = policy.query_at(h, node)
-            vcodes, hcodes = query_arrays(query)
-            kernel = joint[h - 1, :, action, :]
-            for v in range(policy.n_value_codes):
-                sel = np.where(vcodes == v, row, 0.0)
-                if not sel.any():
-                    continue
-                if has_emissions:
-                    table = model.emissions[(h, query)]
-                    for obs in range(dims.n_observations):
-                        w = sel * table[obs, hcodes]
-                        if not w.any():
-                            continue
-                        nxt[node * b + v * om + obs] += w @ kernel
-                else:
-                    nxt[node * b + v * om] += sel @ kernel
+            kernel = joint[h - 1, :, policy.action_at(h, node), :]
+            branches = row * model.evidence(h, policy.query_at(h, node))
+            for child, w in enumerate(branches, start=node * b):
+                if w.any():
+                    nxt[child] = w @ kernel
         mu = nxt
     return total
 
@@ -375,16 +317,14 @@ def optimistic_plan(conf_set, policies, value_table):
 class PlanningContext:
     """Episode-independent planning tables, shareable across runs.
 
-    Holds the enumerated policy family, its label, the exact
-    candidate-by-policy value table, and (lazily) exact true-model values of
-    played policies for regret accounting.
+    Holds the enumerated policy family, its label and the exact
+    candidate-by-policy value table.
     """
 
     candidates: list
     policies: list
     label: str
     value_table: np.ndarray
-    true_values: dict = field(default_factory=dict)
 
     @classmethod
     def build(cls, candidates, policy_cap=DEFAULT_POLICY_CAP,
@@ -401,14 +341,6 @@ class PlanningContext:
         policies, label = enumerate_policies(dims, policy_cap)
         table = policy_value_table(candidates, policies)
         return cls(list(candidates), policies, label, table)
-
-    def true_value(self, true_model, policy_index):
-        key = (id(true_model), policy_index)
-        if key not in self.true_values:
-            self.true_values[key] = evaluate_policy_value(
-                true_model, self.policies[policy_index]
-            )
-        return self.true_values[key]
 
 
 class PorsAgent:

@@ -7,6 +7,8 @@ scored.  The PASS/FAIL lines are echoed in the terminal summary by the
 conftest hook.
 """
 
+import itertools
+import math
 import time
 
 import numpy as np
@@ -38,7 +40,6 @@ from hsilab.agents import (
 from hsilab.oracle import (
     evaluate_markov_policy,
     optimal_value,
-    trace_log_likelihood,
 )
 from hsilab.pors import (
     PlanningContext,
@@ -413,7 +414,7 @@ def test_gate_09_confidence_learner_sublinear(pors_suite):
 
 
 # ---------------------------------------------------------------------------
-# 10. the two likelihood engines agree on random models and traces
+# 10. the likelihood engine agrees with a brute-force sum over state paths
 
 
 def _random_hidden_observation_model(gen, dims):
@@ -460,6 +461,41 @@ def _play_tree_policy(env, policy, episode, rng):
     return run_episode(_Player(), env, episode, rng)
 
 
+def _transition_prob(model, h, s, a, t):
+    """P_h(t | s, a), from the per-sub-state factors in product form."""
+    if model.product is None:
+        return model.joint[h - 1, s, a, t]
+    sv = model.state_vectors
+    prob = 1.0
+    for i in range(model.dims.d):
+        prob *= model.product[h - 1, i, sv[s, i], a, sv[t, i]]
+    return prob
+
+
+def _brute_force_log_likelihood(model, trace):
+    """Log-probability of a trace's feedback: the sum, over every sequence
+    of hidden states, of the path probability times each step's chance of
+    revealing the recorded values and emitting the recorded symbol."""
+    sv = model.state_vectors
+    V = model.dims.alphabet_size
+    steps = trace.steps
+    total = 0.0
+    for path in itertools.product(range(model.n_states), repeat=len(steps)):
+        prob = model.initial[path[0]]
+        for k, (rec, s) in enumerate(zip(steps, path)):
+            fb = rec.feedback
+            if any(sv[s, i] != v for i, v in fb.hsi):
+                prob = 0.0
+                break
+            hidden = [sv[s, i] for i in range(model.dims.d) if i not in fb.query]
+            code = sum(int(v) * V**j for j, v in enumerate(hidden))
+            prob *= model.emissions[(rec.h, tuple(fb.query))][fb.observation, code]
+            if k + 1 < len(steps):
+                prob *= _transition_prob(model, rec.h, s, rec.action, path[k + 1])
+        total += prob
+    return math.log(total) if total > 0.0 else -math.inf
+
+
 def test_gate_10_likelihood_engines_agree():
     dims = Dims(2, 2, 1, 2, 2, n_observations=2)
     policies, _ = enumerate_policies(dims)
@@ -476,16 +512,16 @@ def test_gate_10_likelihood_engines_agree():
         policy = policies[int(gen.integers(len(policies)))]
         trace = _play_tree_policy(model, policy, i + 1, rng)
         a = feedback_log_likelihood(model, policy, trace)
-        b = trace_log_likelihood(model, trace)
+        b = _brute_force_log_likelihood(model, trace)
         assert np.isfinite(a) and np.isfinite(b)
         worst = max(worst, abs(a - b))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-9 and elapsed < 30.0
     _gate(
         10,
-        "likelihood engines agree",
+        "likelihood engine matches brute force",
         ok,
-        f"worst |difference| {worst:.2e} <= 1e-9 over 1000 random "
+        f"worst |filter - path sum| {worst:.2e} <= 1e-9 over 1000 random "
         f"(model, policy, trace) triples, {elapsed:.1f}s < 30s",
     )
 

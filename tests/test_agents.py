@@ -26,10 +26,9 @@ from hsilab.agents import (
     opmll_local_update,
     opmll_select_supporting,
     optll_update,
-    q_backup,
     run_episode,
 )
-from hsilab.core import Dims, EpisodeTrace, Feedback, StepRecord, decode_state
+from hsilab.core import Dims, decode_state, encode_state
 from hsilab.envs import (
     EnvModel,
     SampleRng,
@@ -279,6 +278,34 @@ def test_qtable_fresh_entries_are_optimistic():
     qset = qt.ensure((0,))
     assert np.all(qt.q[(1, qset)] == 3.0)
     assert qt.value_of(2, qset, (1,)) == 3.0
+
+
+def q_backup(qt, key, c_bonus, horizon):
+    """Reference for the vectorized sweep: recompute one Q entry from its
+    empirical statistics.
+
+    Q = min(r_hat + sum_v' P_hat(v') V(v') + c_bonus sqrt(H^2/N), H) with
+    V(v') = max_a Q at the next step (H where unvisited, 0 past the end);
+    unvisited keys stay at the optimistic H.
+    """
+    h, qset, values, action = key
+    qset = tuple(qset)
+    code = encode_state(values, qt.alphabet_size)
+    qt.ensure(qset)
+    n = int(qt.n[(h, qset)][code, action])
+    if n == 0:
+        value = float(horizon)
+    else:
+        r_hat = qt.rsum[(h, qset)][code, action] / n
+        pv = 0.0
+        if h < horizon:
+            counts = qt.succ[(h, qset)][code, action]
+            nxt = qt.q[(h + 1, qset)].max(axis=1)
+            for v_code in np.flatnonzero(counts):
+                pv += (counts[v_code] / n) * nxt[v_code]
+        value = min(r_hat + pv + c_bonus * math.sqrt(horizon * horizon / n), float(horizon))
+    qt.q[(h, qset)][code, action] = value
+    return value
 
 
 def test_q_backup_unvisited_stays_at_horizon():

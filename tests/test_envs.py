@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hsilab.core import Dims, UnsupportedFeedbackError
+from hsilab.core import Dims, Feedback, UnsupportedFeedbackError
 from hsilab.envs import (
     EnvModel,
     SampleRng,
@@ -61,6 +61,22 @@ def test_draw_categorical_deterministic_rows():
     gen = np.random.default_rng(0)
     assert _draw_categorical(np.array([1.0, 0.0]), gen) == 0
     assert _draw_categorical(np.array([0.0, 1.0]), gen) == 1
+
+
+class _FixedDraw:
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+def test_draw_categorical_fallback_skips_zero_mass():
+    # the running sum stops just short of u, so no index is hit directly
+    row = np.array([0.3, 0.7 - 1e-16, 0.0])
+    assert _draw_categorical(row, _FixedDraw(0.9999999999999999)) == 1
+    assert _draw_categorical([0.0, 0.0], _FixedDraw(0.5)) == 0
+    assert _draw_categorical(row, _FixedDraw(0.3)) == 1
 
 
 # -- two-group hard instance ------------------------------------------------------
@@ -323,6 +339,48 @@ def test_envmodel_rejects_duplicate_state_vectors():
             rewards=np.zeros((1, 2, 1)),
             state_vectors=np.array([[0, 1], [0, 1]]),
         )
+
+
+@pytest.mark.parametrize("table", ["initial", "rewards", "joint", "product", "emissions"])
+def test_envmodel_rejects_non_finite_tables(table):
+    if table == "joint":
+        m = build_hard_instance_groups(2, 0.1)
+    else:
+        m = build_controlled_drift_instance()
+    arr = m.emissions[(1, (0,))] if table == "emissions" else getattr(m, table)
+    arr.flat[0] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        m.validate()
+
+
+# -- evidence kernel ------------------------------------------------------------------
+
+
+def test_evidence_kernel_layout():
+    drift = build_controlled_drift_instance(0.8, 0.7, 0.9)
+    kernel = drift.evidence(1, (0,))
+    assert kernel.shape == (4, 4)  # (value code, symbol) rows x states
+    np.testing.assert_array_equal(kernel.sum(axis=0), np.ones(4))
+    for s, (v0, v1) in enumerate(drift.state_vectors):
+        for v in range(2):
+            for o in range(2):
+                want = (v == v0) * (0.9 if o == v1 else 1.0 - 0.9)
+                assert kernel[v * 2 + o, s] == want
+    assert drift.evidence(1, (0,)) is kernel  # cached
+    groups = build_hard_instance_groups(2, 0.1)
+    kernel = groups.evidence(2, (1,))
+    assert kernel.shape == (groups.dims.n_query_values, groups.n_states)
+    np.testing.assert_array_equal(kernel.sum(axis=0), np.ones(groups.n_states))
+    assert set(kernel.ravel()) == {0.0, 1.0}
+
+
+def test_evidence_row_rejects_mismatched_observations():
+    drift = build_controlled_drift_instance()
+    groups = build_hard_instance_groups(2, 0.1)
+    for m, obs in ((drift, None), (drift, 2), (groups, 0)):
+        fb = Feedback(query=(0,), hsi=((0, 1),), observation=obs, reward=0.0)
+        with pytest.raises(UnsupportedFeedbackError):
+            m.evidence_row(1, fb)
 
 
 # -- controlled-drift family ---------------------------------------------------------

@@ -86,6 +86,8 @@ def test_label_defaults_to_kind(tmp_path):
         (("name=op-tll", "name=warp-drive"), "unknown algorithm"),
         (("d = 2", "d = 2\nunknown-knob = 3"), "unknown-knob"),
         (("seeds = 0,1", "seeds = 0,1\nturbo = on"), "turbo"),
+        (("label=tll", "label=t,ll"), "algo label 't,ll' must not contain"),
+        (("label=uni", "label=#uni"), "algo label '#uni' must not contain"),
     ],
 )
 def test_load_config_rejects_bad_configs(tmp_path, mutation, fragment):
@@ -161,6 +163,19 @@ def test_pors_candidates_must_match_env_dims(tmp_path):
     # rebuild with mismatched horizon in the file
     dump_candidates(wide, cand_path)
     with pytest.raises(ConfigError, match="dimensions"):
+        load_config(path)
+
+
+def test_pors_candidates_must_emit(tmp_path):
+    path = _drift_config(
+        tmp_path, "[algo name=pors label=p]\ncandidates = {cands}\n"
+    )
+    drift = build_controlled_drift_instance()
+    silent = EnvModel.from_product(
+        "silent", drift.dims, "Class1", drift.initial, drift.product, drift.rewards
+    )
+    dump_candidates([drift, silent], tmp_path / "candidates.cfg")
+    with pytest.raises(ConfigError, match="'silent' is Class1"):
         load_config(path)
 
 
@@ -358,6 +373,38 @@ def test_csv_layout_and_round_trip(tmp_path):
         np.testing.assert_allclose(theirs[4:], ours[4:], rtol=1e-6)
 
 
+@pytest.mark.parametrize("label", ["a;b", "x=y", "a#b", "\u00fcn\u00ef", "1.5e3"])
+@pytest.mark.parametrize("mode", ["expected", "off"])
+def test_read_csv_round_trips_written_csv(tmp_path, label, mode):
+    text = GROUPS_CFG.replace("label=uni", f"label={label}").replace(
+        "seeds = 0,1", f"seeds = 0,1\nregret-mode = {mode}"
+    )
+    table = run_suite(load_config(_write(tmp_path, text)))
+    path = write_results_csv(table, tmp_path / "results.csv")
+    data = read_results_csv(path)
+    assert data.regret_mode == mode
+    written = [
+        row[:4] + tuple(float("%.9g" % x) for x in row[4:]) for row in table.iter_rows()
+    ]
+    assert [row[:4] for row in data.iter_rows()] == [row[:4] for row in written]
+    np.testing.assert_array_equal(
+        [row[4:] for row in data.iter_rows()], [row[4:] for row in written]
+    )
+
+
+def test_env_name_with_comma_is_rejected(tmp_path):
+    env = build_controlled_drift_instance()
+    env.name = "drift,v2"
+    model_path = tmp_path / "model.txt"
+    dump_model(env, model_path)
+    text = (
+        "[experiment]\nepisodes = 3\nseeds = 0\n\n"
+        f"[env builder=file]\npath = {model_path}\n\n[algo name=uniform]\n"
+    )
+    with pytest.raises(ConfigError, match="env name 'drift,v2'"):
+        load_config(_write(tmp_path, text))
+
+
 def test_read_csv_rejects_malformed(tmp_path):
     bad_header = tmp_path / "bad.csv"
     bad_header.write_text("algo,env\n", encoding="utf-8")
@@ -479,6 +526,20 @@ def test_cli_plot_round_trip(tmp_path):
     svg = tmp_path / "replot.svg"
     assert cli.main(["plot", str(out_dir / "results.csv"), "-o", str(svg)]) == 0
     assert svg.exists()
+
+
+def test_cli_run_rejects_file_model_with_nan(tmp_path, capsys):
+    env = build_controlled_drift_instance()
+    env.rewards[1, 0, 0] = np.nan
+    model_path = tmp_path / "model.txt"
+    dump_model(env, model_path)
+    assert "nan" in model_path.read_text()
+    text = (
+        "[experiment]\nepisodes = 3\nseeds = 0\n\n"
+        f"[env builder=file]\npath = {model_path}\n\n[algo name=uniform]\n"
+    )
+    assert cli.main(["run", _write(tmp_path, text)]) == 1
+    assert "non-finite value in rewards" in capsys.readouterr().err
 
 
 def test_cli_error_exit_codes(tmp_path, capsys):

@@ -427,16 +427,6 @@ def test_planning_context_rejects_mixed_dims():
         PlanningContext.build([a, b])
 
 
-def test_planning_context_true_values_are_cached():
-    truth = build_controlled_drift_instance()
-    context = PlanningContext.build(controlled_drift_candidates())
-    v1 = context.true_value(truth, 5)
-    v2 = context.true_value(truth, 5)
-    assert v1 == v2
-    assert v1 == evaluate_policy_value(truth, context.policies[5])
-    assert len(context.true_values) == 1
-
-
 def test_candidate_file_round_trip_preserves_value_table(tmp_path):
     candidates = controlled_drift_candidates()
     path = tmp_path / "candidates.cfg"
