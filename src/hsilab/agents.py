@@ -245,21 +245,6 @@ class QTable:
         if succ_code is not None:
             self.succ[(h, qset)][code, action, succ_code] += 1
 
-    def value_of(self, h, qset, values):
-        """max_a Q at the key; H when the query set was never allocated."""
-        entry = self.q.get((h, tuple(qset)))
-        if entry is None:
-            return float(self.horizon)
-        return float(entry[encode_state(values, self.alphabet_size)].max())
-
-
-def greedy_action(qt, key, tie_rng=None):
-    """argmax_a Q at key = (h, query set, values); ties -> lowest index."""
-    h, qset, values = key
-    qt.ensure(tuple(qset))
-    row = qt.q[(h, tuple(qset))][encode_state(values, qt.alphabet_size)]
-    return int(np.argmax(row))
-
 
 class MarkovEpisodePolicy:
     """Deterministic one-episode policy: fixed query set; first action a

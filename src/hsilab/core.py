@@ -1,4 +1,5 @@
-"""Shared vocabulary: dimensions, sub-state vector codecs, feedback records.
+"""Shared vocabulary: dimensions, sub-state vector codecs, feedback records
+and the package's exceptions.
 
 A state is a length-``d`` vector of sub-state values, each value in
 ``range(alphabet_size)``.  States are stored flat as integers via a
@@ -16,10 +17,6 @@ class ConfigError(ValueError):
 
 class OracleSizeError(RuntimeError):
     """Exact computation would exceed its configured size cap."""
-
-
-class InfeasibleEvidenceError(ValueError):
-    """Conditioning a belief on evidence of probability zero."""
 
 
 class UnsupportedFeedbackError(ValueError):
@@ -129,11 +126,6 @@ def hsi_value_tuple(hsi):
     return tuple(v for _, v in hsi)
 
 
-def encode_partial(values, alphabet_size):
-    """Flat code of a tuple of revealed values (same little-endian scheme)."""
-    return encode_state(values, alphabet_size)
-
-
 def canonical_query(query, d):
     """Validated sorted tuple of distinct sub-state indices."""
     q = tuple(sorted(int(i) for i in query))
@@ -142,17 +134,6 @@ def canonical_query(query, d):
     if q and (q[0] < 0 or q[-1] >= d):
         raise ValueError(f"query index outside [0, {d}): {query}")
     return q
-
-
-def state_label(values, alphabet_size):
-    """Textual form of a sub-state vector for CSV/logs.
-
-    Digit string like '101' while single digits suffice, dash-separated
-    decimals otherwise.
-    """
-    if alphabet_size <= 10:
-        return "".join(str(v) for v in values)
-    return "-".join(str(v) for v in values)
 
 
 @dataclass

@@ -151,7 +151,8 @@ def _reject_unknown(kv, where, source):
     if kv:
         key = next(iter(kv))
         _, lineno = kv[key]
-        raise ConfigError(f"{source}:{lineno}: unknown {where} key {key!r}")
+        at = f"{source}:{lineno}" if lineno else source
+        raise ConfigError(f"{at}: unknown {where} key {key!r}")
 
 
 def _typed_params(kv, schema, where, source):
@@ -223,6 +224,27 @@ _ALGO_SCHEMAS = {
     "epsilon-greedy-seq": {"epsilon": (float, 0.25)},
     "fixed": {"actions": (str, REQUIRED), "query": (str, REQUIRED)},
 }
+
+# Allowed values of numeric algorithm parameters, checked when the config
+# loads; an optional parameter left at None is derived by the run itself.
+_ALGO_RANGES = {
+    "theta1": ("in (0, 1]", lambda x: 0.0 < x <= 1.0),
+    "theta2": ("in (0, 1]", lambda x: 0.0 < x <= 1.0),
+    "c-bonus": (">= 0", lambda x: x >= 0.0),
+    "epsilon": ("in [0, 1]", lambda x: 0.0 <= x <= 1.0),
+    "beta": (">= 0", lambda x: x >= 0.0),
+    "delta": ("in (0, 1)", lambda x: 0.0 < x < 1.0),
+    "policy-cap": (">= 1", lambda x: x >= 1),
+}
+
+
+def _check_algo_ranges(kind, params, where):
+    for key, value in params.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{where}: algo {kind} {key} must be finite, got {value}")
+        desc, ok = _ALGO_RANGES.get(key, (None, None))
+        if ok is not None and value is not None and not ok(value):
+            raise ConfigError(f"{where}: algo {kind} {key} must be {desc}, got {value}")
 
 
 def build_env(env_kind, env_params, source="<config>"):
@@ -409,6 +431,7 @@ def load_config(path):
         params = _typed_params(
             _section_kv(sec, source), _ALGO_SCHEMAS[kind], f"algo {kind}", source
         )
+        _check_algo_ranges(kind, params, f"{source}:{sec.line}")
         spec = AlgoSpec(kind=kind, label=label, params=params)
         _check_compatibility(spec, env_model, source)
         if kind == "pors":
@@ -849,33 +872,19 @@ def verify_instance(name, params=None):
     """Run the structural checks for a named instance family.
 
     params maps schema keys (as in config [env] sections) to values, given
-    either typed or as strings.  Unknown names raise ConfigError.
+    either typed or as strings.  Unknown names, bad parameters and
+    parameters the instance builder rejects raise ConfigError.
     """
     if name not in _VERIFIERS:
         raise ConfigError(
             f"unknown instance {name!r}; verifiable: {', '.join(_VERIFIERS)}"
         )
-    schema = _VERIFY_SCHEMAS[name]
-    resolved = {}
-    given = dict(params or {})
-    for key, (kind, default) in schema.items():
-        if key in given:
-            raw = given.pop(key)
-            resolved[key] = (
-                raw if not isinstance(raw, str) else _parse_typed(
-                    raw, kind, key, "<params>"
-                )
-            )
-        elif default is REQUIRED:
-            raise ConfigError(f"{name} verification requires {key}=<value>")
-        else:
-            resolved[key] = default
-    if given:
-        raise ConfigError(
-            f"unknown {name} parameter {next(iter(given))!r}; "
-            f"known: {', '.join(schema)}"
-        )
-    return _VERIFIERS[name](resolved)
+    kv = {key: (str(value), None) for key, value in (params or {}).items()}
+    resolved = _typed_params(kv, _VERIFY_SCHEMAS[name], f"verify {name}", "<params>")
+    try:
+        return _VERIFIERS[name](resolved)
+    except ValueError as exc:
+        raise ConfigError(f"<params>: cannot verify {name}: {exc}") from exc
 
 
 def verify_builder(env_kind, env_params):

@@ -1,10 +1,11 @@
 """Ground truth for small instances.
 
-Exact belief filtering over the hidden state, exact optimal value over
-joint action-and-query policies by backward induction on the reachable
-belief tree, exact evaluation of per-episode Markov policies, and regret
-accounting.  Everything here is exact-or-error: when the belief tree
-exceeds its node cap the computation raises instead of approximating.
+The exact feedback likelihood of an episode trace, the exact optimal value
+over joint action-and-query policies by backward induction on the reachable
+belief tree, and exact evaluation of per-episode Markov policies.
+Everything here is exact-or-error: when the belief tree exceeds its node
+cap the computation raises instead of approximating.  Regret is computed
+from these values by the harness (``ResultsTable.run_regret``).
 
 Evidence comes from the model's cached evidence kernel
 (``EnvModel.evidence``): conditioning a belief on one step's feedback
@@ -22,52 +23,13 @@ with informative terminal rewards only, and the confidence-set learner
 deliberately ignores them as well).
 """
 
-from dataclasses import dataclass
 import math
 
 import numpy as np
 
-from .core import InfeasibleEvidenceError, OracleSizeError
-
-ATOL = 1e-12
+from .core import OracleSizeError
 
 DEFAULT_NODE_CAP = 10**6
-
-
-@dataclass
-class Belief:
-    """Posterior over hidden states at the start of step h."""
-
-    p: np.ndarray
-    h: int
-
-    def validate(self):
-        if self.p.min() < -ATOL or abs(self.p.sum() - 1.0) > ATOL:
-            raise ValueError("belief not normalized")
-        return self
-
-
-def initial_belief(m):
-    return Belief(p=np.array(m.initial, dtype=float), h=1)
-
-
-def belief_update(m, b, action, feedback):
-    """Condition on one step's feedback, then push through the transition.
-
-    Valid for steps 1..H-1 (there is no transition out of the last step).
-    """
-    H = m.dims.horizon
-    if not 1 <= b.h <= H - 1:
-        raise ValueError(f"no belief update out of step {b.h} (horizon {H})")
-    post = b.p * m.evidence_row(b.h, feedback)
-    mass = float(post.sum())
-    if mass == 0.0:
-        raise InfeasibleEvidenceError(
-            f"feedback at step {b.h} has probability zero under the belief"
-        )
-    post /= mass
-    nxt = post @ m.joint_transitions()[b.h - 1, :, action, :]
-    return Belief(p=nxt, h=b.h + 1)
 
 
 def trace_log_likelihood(m, trace):
@@ -182,23 +144,6 @@ def oracle_report(m, cap=DEFAULT_NODE_CAP):
     }
 
 
-def mdp_optimal_value(m):
-    """Optimal value if the state were fully visible before each action.
-
-    Standard tabular backward induction; upper-bounds the hindsight-feedback
-    optimum (equal when knowing the current state adds nothing, e.g. under
-    deterministic transitions from a deterministic start).
-    """
-    H = m.dims.horizon
-    v = np.zeros(m.n_states)
-    for h in range(H, 0, -1):
-        q = np.array(m.rewards[h - 1], dtype=float)
-        if h < H:
-            q = q + m.joint_transitions()[h - 1] @ v
-        v = q.max(axis=1)
-    return float(m.initial @ v)
-
-
 def evaluate_markov_policy(m, policy):
     """Exact expected episode reward of a per-episode Markov policy.
 
@@ -223,42 +168,3 @@ def evaluate_markov_policy(m, policy):
         mu = np.einsum("sat,saA->tA", flow, mat)
         total += float((mu * m.rewards[h - 1]).sum())
     return total
-
-
-@dataclass
-class RegretSeries:
-    """Per-episode values against the optimum, with cumulative regret.
-
-    mode is "expected" when values are exact policy values, "realized"
-    when they are sampled episode totals (noisier; labeled in outputs).
-    """
-
-    v_star: float
-    values: np.ndarray
-    mode: str
-
-    @property
-    def per_episode_regret(self):
-        return self.v_star - self.values
-
-    @property
-    def cumulative_regret(self):
-        return np.cumsum(self.v_star - self.values)
-
-    def regret_at(self, k):
-        """Reg(k) after the first k episodes (1-based)."""
-        if not 1 <= k <= len(self.values):
-            raise ValueError(f"episode {k} outside [1, {len(self.values)}]")
-        return float(self.cumulative_regret[k - 1])
-
-
-def compute_regret(values, v_star, mode="expected"):
-    """Assemble a RegretSeries from per-episode values and the optimum."""
-    if mode not in ("expected", "realized"):
-        raise ValueError(f"unknown regret mode {mode!r}")
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1:
-        raise ValueError(f"per-episode values must be 1-D, got shape {arr.shape}")
-    if not np.isfinite(v_star):
-        raise ValueError("v_star must be finite")
-    return RegretSeries(v_star=float(v_star), values=arr, mode=mode)

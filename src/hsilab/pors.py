@@ -405,7 +405,3 @@ class PorsAgent:
             self.loglik[i] += feedback_log_likelihood(
                 cand, self.episode_policy, trace
             )
-
-    @property
-    def last_policy_index(self):
-        return self.plan_log[-1][1]

@@ -27,6 +27,7 @@ loader re-validates every model invariant.
 
 import re
 from dataclasses import dataclass
+from itertools import product as iter_product
 
 import numpy as np
 
@@ -140,6 +141,32 @@ def _int_arg(section, key, source):
         raise ConfigError(
             f"{source}:{section.line}: bad integer for {key}={section.args[key]!r}"
         ) from None
+
+
+def _keyed_sections(by_name, name, ranges, source, head):
+    """Yield (key, section) for the [name k=<int> ...] sections of one model.
+
+    ranges maps each integer header arg, in key order, to its allowed range;
+    every key in their product must appear exactly once.  A key out of
+    range or repeated raises at its section, a missing one (the
+    lexicographically first) at the [model] header once all are read.
+    """
+
+    def label(key):
+        return " ".join(f"{arg}={v}" for arg, v in zip(ranges, key))
+
+    seen = set()
+    for sec in by_name.get(name, []):
+        key = tuple(_int_arg(sec, arg, source) for arg in ranges)
+        if not all(v in r for v, r in zip(key, ranges.values())):
+            raise ConfigError(f"{source}:{sec.line}: {name} {label(key)} out of range")
+        if key in seen:
+            raise ConfigError(f"{source}:{sec.line}: duplicate {name} {label(key)}")
+        seen.add(key)
+        yield key, sec
+    for key in iter_product(*ranges.values()):
+        if key not in seen:
+            raise ConfigError(f"{source}:{head.line}: missing [{name} {label(key)}]")
 
 
 def dumps_model(m):
@@ -277,66 +304,25 @@ def _build_model(sections, source):
         )
 
     joint = product = None
+    H, A = dims.horizon, dims.n_actions
     if form == "joint":
-        joint = np.zeros((dims.horizon - 1, n_states, dims.n_actions, n_states))
-        seen = set()
-        for sec in by_name.get("transitions", []):
-            h = _int_arg(sec, "h", source)
-            a = _int_arg(sec, "a", source)
-            if not (1 <= h <= dims.horizon - 1 and 0 <= a < dims.n_actions):
-                raise ConfigError(f"{source}:{sec.line}: transitions h={h} a={a} out of range")
-            if (h, a) in seen:
-                raise ConfigError(f"{source}:{sec.line}: duplicate transitions h={h} a={a}")
-            seen.add((h, a))
+        joint = np.zeros((H - 1, n_states, A, n_states))
+        ranges = {"h": range(1, H), "a": range(A)}
+        for (h, a), sec in _keyed_sections(by_name, "transitions", ranges, source, head):
             joint[h - 1, :, a, :] = _indexed_rows(sec, "s", n_states, n_states, source)
-        want = {(h, a) for h in range(1, dims.horizon) for a in range(dims.n_actions)}
-        if seen != want:
-            h, a = sorted(want - seen)[0]
-            raise ConfigError(f"{source}:{head.line}: missing [transitions h={h} a={a}]")
     else:
         V = dims.alphabet_size
-        product = np.zeros((dims.horizon - 1, dims.d, V, dims.n_actions, V))
-        seen = set()
-        for sec in by_name.get("sub-transitions", []):
-            h = _int_arg(sec, "h", source)
-            i = _int_arg(sec, "i", source)
-            a = _int_arg(sec, "a", source)
-            ok = 1 <= h <= dims.horizon - 1 and 0 <= i < dims.d and 0 <= a < dims.n_actions
-            if not ok:
-                raise ConfigError(
-                    f"{source}:{sec.line}: sub-transitions h={h} i={i} a={a} out of range"
-                )
-            if (h, i, a) in seen:
-                raise ConfigError(
-                    f"{source}:{sec.line}: duplicate sub-transitions h={h} i={i} a={a}"
-                )
-            seen.add((h, i, a))
+        product = np.zeros((H - 1, dims.d, V, A, V))
+        ranges = {"h": range(1, H), "i": range(dims.d), "a": range(A)}
+        for (h, i, a), sec in _keyed_sections(
+            by_name, "sub-transitions", ranges, source, head
+        ):
             product[h - 1, i, :, a, :] = _indexed_rows(sec, "v", V, V, source)
-        want = {
-            (h, i, a)
-            for h in range(1, dims.horizon)
-            for i in range(dims.d)
-            for a in range(dims.n_actions)
-        }
-        if seen != want:
-            h, i, a = sorted(want - seen)[0]
-            raise ConfigError(
-                f"{source}:{head.line}: missing [sub-transitions h={h} i={i} a={a}]"
-            )
 
-    rewards = np.zeros((dims.horizon, n_states, dims.n_actions))
-    seen_r = set()
-    for sec in by_name.get("rewards", []):
-        h = _int_arg(sec, "h", source)
-        if not 1 <= h <= dims.horizon:
-            raise ConfigError(f"{source}:{sec.line}: rewards h={h} out of range")
-        if h in seen_r:
-            raise ConfigError(f"{source}:{sec.line}: duplicate rewards h={h}")
-        seen_r.add(h)
-        rewards[h - 1] = _indexed_rows(sec, "s", n_states, dims.n_actions, source)
-    if seen_r != set(range(1, dims.horizon + 1)):
-        h = sorted(set(range(1, dims.horizon + 1)) - seen_r)[0]
-        raise ConfigError(f"{source}:{head.line}: missing [rewards h={h}]")
+    rewards = np.zeros((H, n_states, A))
+    ranges = {"h": range(1, H + 1)}
+    for (h,), sec in _keyed_sections(by_name, "rewards", ranges, source, head):
+        rewards[h - 1] = _indexed_rows(sec, "s", n_states, A, source)
 
     emissions = None
     if by_name.get("emissions"):

@@ -21,7 +21,6 @@ from hsilab.agents import (
     block_length,
     default_theta1,
     default_theta2,
-    greedy_action,
     opmll_global_update,
     opmll_local_update,
     opmll_select_supporting,
@@ -274,10 +273,9 @@ def test_local_floor_holds_exactly(d, dq_raw, theta1, theta2, seed, rewards):
 
 def test_qtable_fresh_entries_are_optimistic():
     qt = QTable(3, 2, 2)
-    assert qt.value_of(1, (0,), (0,)) == 3.0  # unallocated query set
     qset = qt.ensure((0,))
     assert np.all(qt.q[(1, qset)] == 3.0)
-    assert qt.value_of(2, qset, (1,)) == 3.0
+    assert np.all(qt.q[(2, qset)] == 3.0)
 
 
 def q_backup(qt, key, c_bonus, horizon):
@@ -332,16 +330,6 @@ def test_q_backup_sum_hand_example():
         qt.record(2, qset, 0, 0, 0.5, 1)
     qt.q[(3, qset)][1, :] = 0.5
     assert q_backup(qt, (2, qset, (0,), 0), 1.0, 3) == 1.1
-
-
-def test_greedy_action_breaks_ties_low():
-    qt = QTable(2, 2, 2)
-    qset = qt.ensure((0,))
-    assert greedy_action(qt, (1, qset, (0,))) == 0  # fresh: all equal at H
-    qt.q[(1, qset)][0] = [1.0, 1.0]
-    assert greedy_action(qt, (1, qset, (0,))) == 0
-    qt.q[(1, qset)][0] = [1.0, 2.5]
-    assert greedy_action(qt, (1, qset, (0,))) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,9 @@ from hsilab.core import (
     StepRecord,
     canonical_query,
     decode_state,
-    encode_partial,
     encode_state,
     extract_hsi,
     hsi_value_tuple,
-    state_label,
 )
 
 
@@ -47,7 +45,6 @@ def test_encode_state_little_endian():
     assert encode_state([0, 0, 0], 2) == 0
     assert encode_state([1, 0, 0], 2) == 1
     assert encode_state([0, 0, 1], 2) == 4
-    assert encode_partial((1, 1), 2) == 3
 
 
 def test_encode_state_range_check():
@@ -94,11 +91,6 @@ def test_canonical_query():
         canonical_query((0, 0), 3)
     with pytest.raises(ValueError):
         canonical_query((0, 3), 3)
-
-
-def test_state_label():
-    assert state_label((1, 0, 1), 2) == "101"
-    assert state_label((10, 3), 16) == "10-3"
 
 
 def test_trace_accumulates_total():

@@ -4,6 +4,8 @@ CSV/SVG output, and instance verification."""
 import hashlib
 import math
 import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -115,6 +117,56 @@ def test_master_seed_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv("HSILAB_MASTER_SEED", "not-a-number")
     with pytest.raises(ConfigError):
         load_config(path)
+
+
+_DRIFT_ENV = "[env builder=controlled-drift]"
+_GROUPS_ENV = "[env builder=groups]\nd = 2\nepsilon = 0.1"
+
+
+@pytest.mark.parametrize(
+    "env_lines, algo_lines, key",
+    [
+        (_DRIFT_ENV, "[algo name=pors]\npolicy-cap = 0", "policy-cap"),
+        (_DRIFT_ENV, "[algo name=pors]\nbeta = -1", "beta"),
+        (_DRIFT_ENV, "[algo name=pors]\ndelta = 2", "delta"),
+        (_GROUPS_ENV, "[algo name=op-tll]\nc-bonus = nan", "c-bonus"),
+        (_GROUPS_ENV, "[algo name=op-tll]\nc-bonus = inf", "c-bonus"),
+        (_GROUPS_ENV, "[algo name=op-tll]\ntheta1 = -1", "theta1"),
+        (
+            "[env builder=groups]\nd = 3\nepsilon = 0.1\nd-query = 2",
+            "[algo name=op-mll]\ntheta2 = 1.5",
+            "theta2",
+        ),
+        (_GROUPS_ENV, "[algo name=epsilon-greedy-seq]\nepsilon = 1.5", "epsilon"),
+    ],
+    ids=[
+        "pors-policy-cap-0",
+        "pors-beta-negative",
+        "pors-delta-2",
+        "op-tll-c-bonus-nan",
+        "op-tll-c-bonus-inf",
+        "op-tll-theta1-negative",
+        "op-mll-theta2-above-1",
+        "epsilon-greedy-epsilon-above-1",
+    ],
+)
+def test_bad_algo_parameter_rejected_at_load(
+    tmp_path, capsys, env_lines, algo_lines, key
+):
+    if "pors" in algo_lines:
+        cand_path = tmp_path / "candidates.cfg"
+        dump_candidates(controlled_drift_candidates(), cand_path)
+        algo_lines += f"\ncandidates = {cand_path}"
+    text = (
+        "[experiment]\nepisodes = 5\nseeds = 0\n"
+        f"output-dir = {tmp_path / 'out'}\n\n{env_lines}\n\n{algo_lines}\n"
+    )
+    path = _write(tmp_path, text)
+    with pytest.raises(ConfigError, match=f"{key} must be"):
+        load_config(path)
+    assert cli.main(["run", path]) == 1
+    assert f"{key} must be" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -474,6 +526,28 @@ def test_verify_unknown_instance():
         verify_instance("nonsense", {})
     with pytest.raises(ConfigError, match="epsilon"):
         verify_instance("groups", {"d": 3, "epsilon": 0.1})
+
+
+def test_verify_rejects_non_integer_param():
+    with pytest.raises(ConfigError, match="d must be int"):
+        verify_instance("tree", {"d": 3.5})
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["tree", "epsilon=nan"], ["groups", "d=1"], ["tree", "d=0"]],
+    ids=["tree-epsilon-nan", "groups-d-1", "tree-d-0"],
+)
+def test_cli_verify_rejects_builder_errors_without_traceback(args):
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hsilab", "verify", *args],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
 
 
 # ---------------------------------------------------------------------------

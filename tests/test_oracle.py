@@ -1,4 +1,4 @@
-"""Exact planner: belief filtering, optimal values, policy evaluation."""
+"""Exact planner: optimal values, the trace filter, policy evaluation."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from hsilab.core import (
     Dims,
     EpisodeTrace,
     Feedback,
-    InfeasibleEvidenceError,
     OracleSizeError,
     StepRecord,
 )
@@ -17,23 +16,36 @@ from hsilab.envs import (
     build_hard_instance_flat_emission,
     build_hard_instance_groups,
     build_hard_instance_tree,
+    controlled_drift_candidates,
     derive_generator,
     random_independent_model,
 )
 from hsilab.agents import UniformRandomAgent, run_episode
 from hsilab.oracle import (
-    Belief,
-    RegretSeries,
-    belief_update,
-    compute_regret,
     evaluate_markov_policy,
-    initial_belief,
-    mdp_optimal_value,
     optimal_value,
     oracle_report,
     trace_log_likelihood,
 )
 from hsilab.agents import UniformMarkovPolicy
+from hsilab.pors import enumerate_policies, evaluate_policy_value
+
+
+def mdp_optimal_value(m):
+    """Optimal value if the state were fully visible before each action.
+
+    Standard tabular backward induction; upper-bounds the hindsight-feedback
+    optimum (equal when knowing the current state adds nothing, e.g. under
+    deterministic transitions from a deterministic start).
+    """
+    H = m.dims.horizon
+    v = np.zeros(m.n_states)
+    for h in range(H, 0, -1):
+        q = np.array(m.rewards[h - 1], dtype=float)
+        if h < H:
+            q = q + m.joint_transitions()[h - 1] @ v
+        v = q.max(axis=1)
+    return float(m.initial @ v)
 
 
 # -- optimal values on the hard instances ------------------------------------------
@@ -110,40 +122,40 @@ def test_mdp_value_upper_bounds_query_value():
         assert optimal_value(m) <= mdp_optimal_value(m) + 1e-12
 
 
+def test_optimal_value_matches_best_full_history_policy():
+    # V* is attained by a deterministic feedback-history policy, so the
+    # belief-tree planner must agree with brute force over that family
+    dims = Dims(d=2, alphabet_size=2, d_query=1, horizon=2, n_actions=2)
+    models = [random_independent_model(dims, seed) for seed in range(100)]
+    models += controlled_drift_candidates()
+    for m in models:
+        policies, label = enumerate_policies(m.dims)
+        assert label == "full-history"
+        best = max(evaluate_policy_value(m, pol) for pol in policies)
+        assert abs(optimal_value(m) - best) <= 1e-12, m.name
+
+
 def test_node_cap_raises():
     m = build_hard_instance_groups(3, 0.1)
     with pytest.raises(OracleSizeError):
         optimal_value(m, cap=2)
 
 
-# -- belief filtering -----------------------------------------------------------------
+# -- exact filtering -----------------------------------------------------------------
 
 
-def test_initial_belief_matches_model():
-    m = build_hard_instance_flat_emission(0.1)
-    b = initial_belief(m)
-    assert b.h == 1
-    np.testing.assert_allclose(b.p, m.initial)
-
-
-def test_belief_update_conditions_then_transitions():
+def test_trace_log_likelihood_conditions_then_transitions():
+    # queried value 1 at position 0 then action 0, which keeps sub-state 0
+    # with probability 0.8: the second step's value is 1 w.p. 0.8
     m = build_controlled_drift_instance(0.8, 0.7, 0.8)
-    b = initial_belief(m)
-    fb = Feedback(query=(0,), hsi=((0, 1),), observation=0, reward=0.0)
-    nxt = belief_update(m, b, 0, fb)
-    assert nxt.h == 2
-    assert nxt.p.sum() == pytest.approx(1.0, abs=1e-12)
-    # queried value 1 at position 0, action 0 keeps it with prob 0.8
-    mass_v1 = nxt.p[m.state_vectors[:, 0] == 1].sum()
-    assert mass_v1 == pytest.approx(0.8, abs=1e-12)
-
-
-def test_belief_update_rejects_impossible_evidence():
-    m = build_hard_instance_groups(2, 0.1)  # starts at vector (0, 1)
-    b = initial_belief(m)
-    fb = Feedback(query=(0,), hsi=((0, 3),), observation=None, reward=0.0)
-    with pytest.raises(InfeasibleEvidenceError):
-        belief_update(m, b, 0, fb)
+    first = StepRecord(1, 0, Feedback((0,), ((0, 1),), 0, 0.0))
+    p_first = np.exp(trace_log_likelihood(m, EpisodeTrace(steps=[first])))
+    p_stay = 0.0
+    for o2 in range(2):
+        second = StepRecord(2, 0, Feedback((0,), ((0, 1),), o2, 0.0))
+        trace = EpisodeTrace(steps=[first, second])
+        p_stay += np.exp(trace_log_likelihood(m, trace))
+    assert p_stay / p_first == pytest.approx(0.8, abs=1e-12)
 
 
 def test_trace_log_likelihood_simple_exact():
@@ -219,20 +231,3 @@ def test_markov_policy_value_matches_sampling():
     pol = UniformMarkovPolicy((0,), m.dims.n_query_values, m.dims.n_actions)
     exact = evaluate_markov_policy(m, pol)
     assert mean == pytest.approx(exact, abs=0.05)
-
-
-# -- regret bookkeeping ------------------------------------------------------------------
-
-
-def test_regret_series():
-    series = compute_regret(np.array([0.5, 0.6, 0.6]), v_star=0.6)
-    assert isinstance(series, RegretSeries)
-    np.testing.assert_allclose(series.per_episode_regret, [0.1, 0.0, 0.0])
-    np.testing.assert_allclose(series.cumulative_regret, [0.1, 0.1, 0.1])
-    assert series.regret_at(2) == pytest.approx(0.1)
-    assert series.mode == "expected"
-
-
-def test_regret_validation():
-    with pytest.raises(ValueError):
-        compute_regret(np.array([0.5]), v_star=0.6, mode="bogus")

@@ -143,3 +143,97 @@ def test_comments_and_blank_lines_ignored():
     m = build_hard_instance_groups(2, 0.1)
     text = "# leading comment\n\n" + dumps_model(m) + "\n# trailing\n"
     _assert_models_equal(m, loads_model(text))
+
+
+def _drop_section(text, header):
+    """Text without one section: its header line through the next blank line."""
+    lines = text.splitlines() + [""]
+    start = lines.index(header)
+    end = lines.index("", start)
+    return "\n".join(lines[:start] + lines[end:])
+
+
+_JOINT = build_hard_instance_tree(2, 2, 2, 0.1)  # transitions h=1..2, a=0..1
+_PRODUCT = random_independent_model(
+    Dims(d=2, alphabet_size=2, d_query=1, horizon=3, n_actions=2), 5
+)
+
+
+@pytest.mark.parametrize(
+    "model, edit, message",
+    [
+        (
+            _JOINT,
+            lambda t: t.replace("[transitions h=2 a=1]", "[transitions h=3 a=1]"),
+            "transitions h=3 a=1 out of range",
+        ),
+        (
+            _JOINT,
+            lambda t: t.replace("[transitions h=2 a=1]", "[transitions h=2 a=0]"),
+            "duplicate transitions h=2 a=0",
+        ),
+        (
+            _JOINT,
+            lambda t: _drop_section(
+                _drop_section(t, "[transitions h=2 a=0]"), "[transitions h=1 a=1]"
+            ),
+            "missing [transitions h=1 a=1]",
+        ),
+        (
+            _PRODUCT,
+            lambda t: t.replace(
+                "[sub-transitions h=1 i=1 a=1]", "[sub-transitions h=1 i=2 a=1]"
+            ),
+            "sub-transitions h=1 i=2 a=1 out of range",
+        ),
+        (
+            _PRODUCT,
+            lambda t: t.replace(
+                "[sub-transitions h=2 i=0 a=1]", "[sub-transitions h=2 i=0 a=0]"
+            ),
+            "duplicate sub-transitions h=2 i=0 a=0",
+        ),
+        (
+            _PRODUCT,
+            lambda t: _drop_section(
+                _drop_section(t, "[sub-transitions h=2 i=1 a=0]"),
+                "[sub-transitions h=1 i=1 a=1]",
+            ),
+            "missing [sub-transitions h=1 i=1 a=1]",
+        ),
+        (
+            _JOINT,
+            lambda t: t.replace("[rewards h=2]", "[rewards h=0]"),
+            "rewards h=0 out of range",
+        ),
+        (
+            _JOINT,
+            lambda t: t.replace("[rewards h=3]", "[rewards h=1]"),
+            "duplicate rewards h=1",
+        ),
+        (
+            _JOINT,
+            lambda t: _drop_section(
+                _drop_section(t, "[rewards h=3]"), "[rewards h=2]"
+            ),
+            "missing [rewards h=2]",
+        ),
+    ],
+    ids=[
+        f"{kind}-{fault}"
+        for kind in ("transitions", "sub-transitions", "rewards")
+        for fault in ("out-of-range", "duplicate", "missing")
+    ],
+)
+def test_keyed_section_errors(model, edit, message):
+    text = edit(dumps_model(model))
+    lines = text.splitlines()
+    if message.startswith("missing"):
+        line = 1  # reported at the [model] header
+    else:
+        key = message.removeprefix("duplicate ").removesuffix(" out of range")
+        # reported at the last section with this header
+        line = len(lines) - lines[::-1].index(f"[{key}]")
+    with pytest.raises(ConfigError) as err:
+        loads_model(text, source="m")
+    assert str(err.value) == f"m:{line}: {message}"
