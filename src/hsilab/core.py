@@ -108,21 +108,9 @@ def decode_state(index, alphabet_size, d):
     return tuple(out)
 
 
-def extract_hsi(values, query):
-    """Project a sub-state vector onto a query set.
-
-    Returns (index, value) pairs in query order, e.g.
-    extract_hsi([1, 0, 1], (0, 2)) -> ((0, 1), (2, 1)).
-    """
-    n = len(values)
-    for i in query:
-        if not 0 <= i < n:
-            raise ValueError(f"query index {i} outside [0, {n})")
-    return tuple((i, values[i]) for i in query)
-
-
 def hsi_value_tuple(hsi):
-    """Just the revealed values of an extract_hsi result, in query order."""
+    """Just the revealed values of an hsi tuple of (index, value) pairs, in
+    query order."""
     return tuple(v for _, v in hsi)
 
 

@@ -31,6 +31,9 @@ CLASS_TAGS = ("Class1", "Class2", "Generic")
 
 ATOL = 1e-12
 
+# Largest table a builder may allocate, in float64 cells (1 GiB).
+MAX_TABLE_CELLS = 2**27
+
 
 def derive_generator(seed, label):
     """Independent numpy generator for (seed, stream label)."""
@@ -360,6 +363,18 @@ def emit_observation(m, h, s, q, rng):
 EPSILON_MAX = float(np.sqrt(1.0 / 8.0))
 
 
+def _check_table_size(horizon, n_states, n_actions):
+    """Refuse sizes whose largest table exceeds MAX_TABLE_CELLS: the
+    (H-1, S, A, S) joint transitions, or the (H, S, A) rewards when H = 1.
+    Builders call this before they allocate anything."""
+    cells = max((horizon - 1) * n_states, horizon) * n_states * n_actions
+    if cells > MAX_TABLE_CELLS:
+        raise ValueError(
+            f"horizon {horizon}, {n_states} states and {n_actions} actions need "
+            f"a {cells}-cell table, over the cap of {MAX_TABLE_CELLS} cells"
+        )
+
+
 def _check_epsilon(epsilon):
     if not 0.0 < epsilon <= EPSILON_MAX + ATOL:
         raise ValueError(f"epsilon must lie in (0, sqrt(1/8)], got {epsilon}")
@@ -415,6 +430,7 @@ def build_hard_instance_groups(d, epsilon, d_query=1, n_actions=2):
     n_a = len(group_a)
     vectors = np.array(group_a + group_b, dtype=np.int64)
     S = len(vectors)
+    _check_table_size(4, S, n_actions)
     alphabet = int(vectors.max()) + 1
     dims = Dims(
         d=d,
@@ -546,6 +562,8 @@ def build_hard_instance_tree(
     1/2+epsilon at the starred state (default: the last one).
     """
     _check_epsilon(epsilon)
+    if d < 1:
+        raise ValueError(f"need d >= 1, got {d}")
     S = alphabet_size**d
     if n_actions > S:
         raise ValueError(f"need n_actions <= {S}, got {n_actions}")
@@ -564,6 +582,7 @@ def build_hard_instance_tree(
         raise ValueError(f"m_star must lie in [1, {S}], got {m_star}")
     if horizon < h0:
         raise ValueError(f"need horizon >= h0={h0}, got {horizon}")
+    _check_table_size(horizon, S, n_actions)
 
     dims = Dims(
         d=d,
@@ -612,6 +631,7 @@ def random_independent_model(dims, rng, name=None):
     reward mean is uniform on [0, 1].  Identical (dims, seed) give
     bit-identical models.
     """
+    _check_table_size(dims.horizon, dims.n_states, dims.n_actions)
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(int(rng))
     d, V, H, A, S = (
@@ -666,6 +686,7 @@ def build_controlled_drift_instance(
             raise ValueError(f"{label} must lie in [0, 1], got {p}")
     if horizon < 2:
         raise ValueError(f"need horizon >= 2, got {horizon}")
+    _check_table_size(horizon, 4, 2)
     dims = Dims(
         d=2,
         alphabet_size=2,
@@ -729,41 +750,24 @@ def controlled_drift_candidates(
 # -- diagnostics --------------------------------------------------------------
 
 
-def estimate_cross_covariance(m, n_samples=None, rng=None):
+def estimate_cross_covariance(m):
     """Largest |cov| between two successor sub-state values, over all
     (step, state, action) cells; independence of sub-state evolutions
     makes this 0.
 
-    Exact computation from the (expanded) joint table when n_samples is
-    None; otherwise Monte Carlo with n_samples draws per cell.  Sub-state
-    values enter as their integer codes.
+    Computed exactly from the (expanded) joint table.  Sub-state values
+    enter as their integer codes.
     """
     d = m.dims.d
     if d < 2:
         return 0.0
     sv = m.state_vectors.astype(float)
     off = ~np.eye(d, dtype=bool)
-    if n_samples is None:
-        joint = m.joint_transitions()  # (H-1, S, A, S)
-        first = joint @ sv  # E[v_i]
-        second = np.einsum("hsat,ti,tj->hsaij", joint, sv, sv)
-        cov = second - first[..., :, None] * first[..., None, :]
-        return float(np.abs(cov[..., off]).max(initial=0.0))
-    if n_samples < 1:
-        raise ValueError(f"need n_samples >= 1, got {n_samples}")
-    if rng is None or isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(0 if rng is None else int(rng))
-    joint = m.joint_transitions()
-    worst = 0.0
-    for h in range(m.dims.horizon - 1):
-        for s in range(m.n_states):
-            for a in range(m.dims.n_actions):
-                draws = rng.choice(m.n_states, size=n_samples, p=joint[h, s, a])
-                vals = sv[draws]
-                centered = vals - vals.mean(axis=0)
-                cov = centered.T @ centered / n_samples
-                worst = max(worst, float(np.abs(cov[off]).max()))
-    return worst
+    joint = m.joint_transitions()  # (H-1, S, A, S)
+    first = joint @ sv  # E[v_i]
+    second = np.einsum("hsat,ti,tj->hsaij", joint, sv, sv)
+    cov = second - first[..., :, None] * first[..., None, :]
+    return float(np.abs(cov[..., off]).max(initial=0.0))
 
 
 def min_partial_singular_value(m):

@@ -13,6 +13,10 @@ A config file is sectioned key/value text::
     [algo name=op-tll]
     c-bonus = 1.0
 
+Every section is resolved by ``_typed_params`` against a schema of typed
+keys, and ``_ENV_BUILDERS`` names the one function that builds each env.
+``run_suite`` settles the regret mode before the first run.
+
 Each (algorithm, seed) run draws its own random streams from a seed hashed
 out of (master seed, algorithm label, environment name, seed), so results
 never depend on the order runs execute in and rerunning a config reproduces
@@ -27,7 +31,7 @@ from xml.sax.saxutils import escape as xml_escape
 
 import numpy as np
 
-from .core import ConfigError, OracleSizeError, Dims
+from .core import ConfigError, Dims
 from .envs import (
     SampleRng,
     build_controlled_drift_instance,
@@ -50,29 +54,20 @@ from .agents import (
     UniformRandomAgent,
     run_episode,
 )
-from .pors import PlanningContext, PorsAgent, TreePolicy, evaluate_policy_value
+from .pors import (
+    DEFAULT_VALUE_CAP,
+    PlanningContext,
+    PorsAgent,
+    TreePolicy,
+    evaluate_policy_value,
+    level_node_counts,
+)
 from .serialize import load_candidates, load_model, parse_sections
 from . import oracle
 
 MASTER_SEED_ENV_VAR = "HSILAB_MASTER_SEED"
 CSV_HEADER = "algo,env,seed,episode,reward,cum_reward,regret"
 REGRET_MODES = ("auto", "expected", "realized", "off")
-ALGO_KINDS = (
-    "uniform",
-    "op-tll",
-    "op-mll",
-    "pors",
-    "epsilon-greedy-seq",
-    "fixed",
-)
-ENV_BUILDERS = (
-    "groups",
-    "flat-emission",
-    "tree",
-    "random-class1",
-    "controlled-drift",
-    "file",
-)
 SVG_PALETTE = (
     "#1f77b4",
     "#d62728",
@@ -113,7 +108,7 @@ class ExperimentConfig:
     regret_mode: str
     verify: bool
     source: str
-    env_model: object = field(default=None, repr=False)
+    env_model: object = field(repr=False)
     candidate_classes: dict = field(default_factory=dict, repr=False)
 
 
@@ -124,13 +119,6 @@ def _section_kv(section, source):
             raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
         out[key] = (value, lineno)
     return out
-
-
-def _take(kv, key, default=None):
-    if key in kv:
-        value, _ = kv.pop(key)
-        return value
-    return default
 
 
 def _parse_typed(raw, kind, what, source, lineno=None):
@@ -155,14 +143,19 @@ def _reject_unknown(kv, where, source):
         raise ConfigError(f"{at}: unknown {where} key {key!r}")
 
 
-def _typed_params(kv, schema, where, source):
+def _typed_params(kv, schema, where, source, bare=False):
     """Resolve a key/value section against {key: (type, default)}; defaults
-    of REQUIRED mark mandatory keys."""
+    of REQUIRED mark mandatory keys.  With bare, a badly typed value is
+    reported by its key alone, without section or line, as [experiment]
+    settings are."""
     out = {}
     for key, (kind, default) in schema.items():
         if key in kv:
             raw, lineno = kv.pop(key)
-            out[key] = _parse_typed(raw, kind, f"{where} {key}", source, lineno)
+            if bare:
+                out[key] = _parse_typed(raw, kind, key, source)
+            else:
+                out[key] = _parse_typed(raw, kind, f"{where} {key}", source, lineno)
         elif default is REQUIRED:
             raise ConfigError(f"{source}: {where} requires key {key!r}")
         else:
@@ -172,6 +165,16 @@ def _typed_params(kv, schema, where, source):
 
 
 REQUIRED = object()
+
+_EXPERIMENT_SCHEMA = {
+    "episodes": (int, REQUIRED),
+    "seeds": (str, REQUIRED),
+    "master-seed": (int, 0),
+    "regret-mode": (str, "auto"),
+    "output-dir": (str, "results"),
+    "oracle-cap": (int, oracle.DEFAULT_NODE_CAP),
+    "verify": (bool, False),
+}
 
 _ENV_SCHEMAS = {
     "groups": {
@@ -247,51 +250,45 @@ def _check_algo_ranges(kind, params, where):
             raise ConfigError(f"{where}: algo {kind} {key} must be {desc}, got {value}")
 
 
+def _random_class1(d, alphabet_size, d_query, horizon, n_actions, env_seed):
+    dims = Dims(
+        d=d,
+        alphabet_size=alphabet_size,
+        d_query=d_query,
+        horizon=horizon,
+        n_actions=n_actions,
+    )
+    return random_independent_model(dims, env_seed, name=f"random-class1-s{env_seed}")
+
+
+# The builder of each [env builder=...] name.  Each takes its schema's keys
+# as keyword arguments, with '-' read as '_'; the verifiers build through
+# this table too, with the _VERIFY_SCHEMAS defaults.
+_ENV_BUILDERS = {
+    "groups": build_hard_instance_groups,
+    "flat-emission": build_hard_instance_flat_emission,
+    "tree": build_hard_instance_tree,
+    "random-class1": _random_class1,
+    "controlled-drift": build_controlled_drift_instance,
+    "file": load_model,
+}
+
+
+def _build(env_kind, params):
+    kwargs = {key.replace("-", "_"): value for key, value in params.items()}
+    return _ENV_BUILDERS[env_kind](**kwargs)
+
+
 def build_env(env_kind, env_params, source="<config>"):
-    """Instantiate the configured environment model."""
-    p = env_params
+    """Instantiate the configured environment model.  A builder that rejects
+    its parameters (the envs builders also refuse tables over
+    ``envs.MAX_TABLE_CELLS`` before allocating them) raises ConfigError."""
     try:
-        if env_kind == "groups":
-            return build_hard_instance_groups(
-                p["d"], p["epsilon"], p["d-query"], p["n-actions"]
-            )
-        if env_kind == "flat-emission":
-            return build_hard_instance_flat_emission(p["epsilon"])
-        if env_kind == "tree":
-            return build_hard_instance_tree(
-                p["alphabet-size"],
-                p["d"],
-                p["n-actions"],
-                p["epsilon"],
-                h0=p["h0"],
-                m_star=p["m-star"],
-                horizon=p["horizon"],
-            )
-        if env_kind == "random-class1":
-            dims = Dims(
-                d=p["d"],
-                alphabet_size=p["alphabet-size"],
-                d_query=p["d-query"],
-                horizon=p["horizon"],
-                n_actions=p["n-actions"],
-            )
-            return random_independent_model(
-                dims, p["env-seed"], name=f"random-class1-s{p['env-seed']}"
-            )
-        if env_kind == "controlled-drift":
-            return build_controlled_drift_instance(
-                p["stay-controlled"],
-                p["stay-drift"],
-                p["emission-accuracy"],
-                p["horizon"],
-            )
-        if env_kind == "file":
-            return load_model(p["path"])
+        return _build(env_kind, env_params)
     except (ValueError, OSError) as exc:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(f"{source}: cannot build env {env_kind}: {exc}") from exc
-    raise ConfigError(f"{source}: unknown env builder {env_kind!r}")
 
 
 def _check_compatibility(spec, env, source):
@@ -356,44 +353,30 @@ def load_config(path):
     if not algo_secs:
         raise ConfigError(f"{source}: need at least one [algo ...] section")
 
-    kv = _section_kv(exp, source)
-    n_episodes = _parse_typed(_take(kv, "episodes"), int, "episodes", source)
-    if n_episodes < 1:
-        raise ConfigError(f"{source}: episodes must be >= 1, got {n_episodes}")
-    seeds_raw = _take(kv, "seeds")
-    if seeds_raw is None:
-        raise ConfigError(f"{source}: [experiment] requires key 'seeds'")
+    ex = _typed_params(
+        _section_kv(exp, source), _EXPERIMENT_SCHEMA, "[experiment]", source, bare=True
+    )
+    if ex["episodes"] < 1:
+        raise ConfigError(f"{source}: episodes must be >= 1, got {ex['episodes']}")
     try:
-        seeds = tuple(int(s) for s in seeds_raw.split(","))
+        seeds = tuple(int(s) for s in ex["seeds"].split(","))
     except ValueError:
         raise ConfigError(
-            f"{source}: seeds must be comma-separated integers, got {seeds_raw!r}"
+            f"{source}: seeds must be comma-separated integers, got {ex['seeds']!r}"
         ) from None
     if len(set(seeds)) != len(seeds):
         raise ConfigError(f"{source}: duplicate seeds in {seeds}")
-    master_seed = _parse_typed(
-        _take(kv, "master-seed", "0"), int, "master-seed", source
-    )
+    master_seed = ex["master-seed"]
     env_override = os.environ.get(MASTER_SEED_ENV_VAR)
     if env_override is not None:
         master_seed = _parse_typed(
             env_override, int, MASTER_SEED_ENV_VAR, source
         )
-    regret_mode = _take(kv, "regret-mode", "auto")
-    if regret_mode not in REGRET_MODES:
+    if ex["regret-mode"] not in REGRET_MODES:
         raise ConfigError(
             f"{source}: regret-mode must be one of {REGRET_MODES}, "
-            f"got {regret_mode!r}"
+            f"got {ex['regret-mode']!r}"
         )
-    output_dir = _take(kv, "output-dir", "results")
-    oracle_cap = _parse_typed(
-        _take(kv, "oracle-cap", str(oracle.DEFAULT_NODE_CAP)),
-        int,
-        "oracle-cap",
-        source,
-    )
-    verify = _parse_typed(_take(kv, "verify", "off"), bool, "verify", source)
-    _reject_unknown(kv, "[experiment]", source)
 
     env_kind = env_sec.args.get("builder")
     if env_kind is None:
@@ -403,7 +386,7 @@ def load_config(path):
     if env_kind not in _ENV_SCHEMAS:
         raise ConfigError(
             f"{source}:{env_sec.line}: unknown env builder {env_kind!r}; "
-            f"known: {', '.join(ENV_BUILDERS)}"
+            f"known: {', '.join(_ENV_SCHEMAS)}"
         )
     env_params = _typed_params(
         _section_kv(env_sec, source), _ENV_SCHEMAS[env_kind], f"env {env_kind}", source
@@ -421,7 +404,7 @@ def load_config(path):
         if kind not in _ALGO_SCHEMAS:
             raise ConfigError(
                 f"{source}:{sec.line}: unknown algorithm {kind!r}; "
-                f"known: {', '.join(ALGO_KINDS)}"
+                f"known: {', '.join(_ALGO_SCHEMAS)}"
             )
         label = sec.args.get("label", kind)
         _check_csv_field(label, "algo label", f"{source}:{sec.line}")
@@ -462,13 +445,13 @@ def load_config(path):
         env_kind=env_kind,
         env_params=env_params,
         algos=algos,
-        n_episodes=n_episodes,
+        n_episodes=ex["episodes"],
         seeds=seeds,
         master_seed=master_seed,
-        output_dir=output_dir,
-        oracle_cap=oracle_cap,
-        regret_mode=regret_mode,
-        verify=verify,
+        output_dir=ex["output-dir"],
+        oracle_cap=ex["oracle-cap"],
+        regret_mode=ex["regret-mode"],
+        verify=ex["verify"],
         source=source,
         env_model=env_model,
         candidate_classes=candidate_classes,
@@ -673,41 +656,26 @@ def _execute_run(spec, env, cfg, seed, context, value_cache, want_values):
 def run_suite(cfg):
     """Execute every (algorithm, seed) run and assemble the results table.
 
-    Regret mode 'auto' reports expected per-episode policy values when the
-    oracle machinery can evaluate them, falling back to realized rewards if
-    exact evaluation exceeds its size cap.  Oracle size errors for V* itself
-    propagate unless regret reporting is off.
+    The regret mode is settled before any run.  'auto' reports expected
+    per-episode policy values, except when a pors run's exact evaluation
+    would exceed its size cap: the tree-policy table, largest feedback-tree
+    level x states, is the only capped evaluation, and when it is over
+    ``DEFAULT_VALUE_CAP`` auto reports realized rewards instead.  Oracle
+    size errors for V* itself propagate unless regret reporting is off.
     """
-    env = cfg.env_model if cfg.env_model is not None else build_env(
-        cfg.env_kind, cfg.env_params, cfg.source
-    )
-    if cfg.verify:
-        report = verify_builder(cfg.env_kind, cfg.env_params)
-        if report is not None and not report.passed:
+    env = cfg.env_model
+    if cfg.verify and cfg.env_kind in _VERIFIERS:
+        report = _VERIFIERS[cfg.env_kind](cfg.env_params)
+        if not report.passed:
             raise VerificationFailure(report.format())
     v_star = None
     if cfg.regret_mode != "off":
         v_star = oracle.optimal_value(env, cap=cfg.oracle_cap)
     mode = cfg.regret_mode
     if mode == "auto":
-        mode = "expected"
-    try:
-        runs = _run_all(cfg, env, want_values=(mode == "expected"))
-    except OracleSizeError:
-        if cfg.regret_mode != "auto":
-            raise
-        mode = "realized"
-        runs = _run_all(cfg, env, want_values=False)
-    return ResultsTable(
-        env_name=env.name,
-        regret_mode=mode,
-        v_star=v_star,
-        n_episodes=cfg.n_episodes,
-        runs=runs,
-    )
-
-
-def _run_all(cfg, env, want_values):
+        has_pors = any(spec.kind == "pors" for spec in cfg.algos)
+        table = max(level_node_counts(env.dims)) * env.n_states
+        mode = "realized" if has_pors and table > DEFAULT_VALUE_CAP else "expected"
     runs = []
     for spec in cfg.algos:
         context = None
@@ -720,10 +688,16 @@ def _run_all(cfg, env, want_values):
         for seed in cfg.seeds:
             runs.append(
                 _execute_run(
-                    spec, env, cfg, seed, context, value_cache, want_values
+                    spec, env, cfg, seed, context, value_cache, mode == "expected"
                 )
             )
-    return runs
+    return ResultsTable(
+        env_name=env.name,
+        regret_mode=mode,
+        v_star=v_star,
+        n_episodes=cfg.n_episodes,
+        runs=runs,
+    )
 
 
 # -- instance verification ---------------------------------------------------------
@@ -781,7 +755,7 @@ def _verify_groups(params):
 
 
 def _verify_flat_emission(params):
-    m = build_hard_instance_flat_emission(params["epsilon"])
+    m = _build("flat-emission", params)
     sigma = min_partial_singular_value(m)
     ok = abs(sigma) <= 1e-9
     return VerificationReport(
@@ -798,15 +772,7 @@ def _verify_flat_emission(params):
 
 
 def _verify_tree(params):
-    m = build_hard_instance_tree(
-        params["alphabet-size"],
-        params["d"],
-        params["n-actions"],
-        params["epsilon"],
-        h0=params["h0"],
-        m_star=params["m-star"],
-        horizon=params["horizon"],
-    )
+    m = _build("tree", params)
     eps = params["epsilon"]
     rewarded_steps = sorted(
         int(h) for h in np.flatnonzero(np.any(m.rewards > 0, axis=(1, 2))) + 1
@@ -885,14 +851,6 @@ def verify_instance(name, params=None):
         return _VERIFIERS[name](resolved)
     except ValueError as exc:
         raise ConfigError(f"<params>: cannot verify {name}: {exc}") from exc
-
-
-def verify_builder(env_kind, env_params):
-    """Verification hook used by run_suite's verify toggle; returns None for
-    builders without structural checks."""
-    if env_kind not in _VERIFIERS:
-        return None
-    return _VERIFIERS[env_kind](env_params)
 
 
 # -- CSV -------------------------------------------------------------------------
@@ -1008,45 +966,23 @@ def emit_plot_svg(table, path):
     """Self-contained SVG: cumulative regret vs episode, one color per
     algorithm, faint per-seed traces plus a solid mean line."""
     series = {}
+    max_x = -math.inf
+    regrets = []
     for algo, _env, seed, episode, _r, _c, regret in table.iter_rows():
         series.setdefault(algo, {}).setdefault(seed, []).append((episode, regret))
+        max_x = max(max_x, episode)
+        if not math.isnan(regret):
+            regrets.append(regret)
     if not series:
         raise ConfigError("no rows to plot")
-    if all(
-        math.isnan(pt[1])
-        for by_seed in series.values()
-        for pts in by_seed.values()
-        for pt in pts
-    ):
+    if not regrets:
         raise ConfigError("no regret data to plot (regret reporting was off)")
 
     width, height = 760, 480
     left, right, top, bottom = 72, 180, 48, 56
     plot_w, plot_h = width - left - right, height - top - bottom
-    max_x = max(
-        pt[0] for by_seed in series.values() for pts in by_seed.values() for pt in pts
-    )
-    max_y = max(
-        (
-            pt[1]
-            for by_seed in series.values()
-            for pts in by_seed.values()
-            for pt in pts
-            if not math.isnan(pt[1])
-        ),
-        default=1.0,
-    )
-    min_y = min(
-        (
-            pt[1]
-            for by_seed in series.values()
-            for pts in by_seed.values()
-            for pt in pts
-            if not math.isnan(pt[1])
-        ),
-        default=0.0,
-    )
-    lo_y = min(0.0, min_y)
+    max_y = max(regrets)
+    lo_y = min(0.0, min(regrets))
     hi_y = max_y if max_y > lo_y else lo_y + 1.0
 
     def sx(x):

@@ -11,9 +11,19 @@ from hsilab.core import (
     canonical_query,
     decode_state,
     encode_state,
-    extract_hsi,
     hsi_value_tuple,
 )
+
+
+def extract_hsi(values, query):
+    """Project a sub-state vector onto a query set: the (index, value) pairs
+    in query order that a Feedback record carries as ``hsi``, e.g.
+    extract_hsi([1, 0, 1], (0, 2)) -> ((0, 1), (2, 1))."""
+    n = len(values)
+    for i in query:
+        if not 0 <= i < n:
+            raise ValueError(f"query index {i} outside [0, {n})")
+    return tuple((i, values[i]) for i in query)
 
 
 def test_dims_counts():

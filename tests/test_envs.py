@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hsilab import envs
 from hsilab.core import Dims, Feedback, UnsupportedFeedbackError
 from hsilab.envs import (
     EnvModel,
@@ -211,6 +212,32 @@ def test_tree_validation():
         build_hard_instance_tree(2, 3, 2, 0.1, h0=2)  # h0 must exceed depth
     with pytest.raises(ValueError):
         build_hard_instance_tree(2, 3, 2, 0.1, m_star=9)
+    with pytest.raises(ValueError, match="need d >= 1, got 0"):
+        build_hard_instance_tree(2, 0, 2, 0.1)
+
+
+@pytest.mark.parametrize(
+    "build, cells",
+    [
+        (lambda: build_hard_instance_groups(2, 0.1, n_actions=3), 3 * 4 * 3 * 4),
+        (lambda: build_hard_instance_tree(2, 3, 2, 0.1), 3 * 8 * 2 * 8),
+        (lambda: build_controlled_drift_instance(horizon=5), 4 * 4 * 2 * 4),
+        (
+            lambda: random_independent_model(Dims(3, 2, 1, 3, 2), 0),
+            2 * 8 * 2 * 8,
+        ),
+        # with one step the (H, S, A) rewards are the largest table
+        (lambda: random_independent_model(Dims(6, 2, 1, 1, 2), 0), 64 * 2),
+    ],
+    ids=["groups", "tree", "controlled-drift", "random", "random-one-step"],
+)
+def test_builders_refuse_tables_over_the_cap(monkeypatch, build, cells):
+    # a small cap keeps a missing check from allocating much
+    monkeypatch.setattr(envs, "MAX_TABLE_CELLS", 100)
+    with pytest.raises(ValueError, match=f"a {cells}-cell table, over the cap of 100"):
+        build()
+    monkeypatch.setattr(envs, "MAX_TABLE_CELLS", cells)
+    build()
 
 
 # -- random product-form models ------------------------------------------------------
@@ -422,13 +449,6 @@ def test_cross_covariance_quarter_on_correlated_pair():
         rewards=np.zeros((2, 4, 1)),
     )
     assert estimate_cross_covariance(m) == pytest.approx(0.25, abs=1e-9)
-
-
-def test_cross_covariance_monte_carlo_close_to_exact():
-    dims = Dims(d=2, alphabet_size=2, d_query=1, horizon=2, n_actions=1)
-    m = random_independent_model(dims, 8)
-    mc = estimate_cross_covariance(m, n_samples=4000, rng=0)
-    assert mc == pytest.approx(0.0, abs=0.05)
 
 
 def test_min_partial_singular_value_cases():

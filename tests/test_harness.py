@@ -2,6 +2,7 @@
 CSV/SVG output, and instance verification."""
 
 import hashlib
+import inspect
 import math
 import os
 import subprocess
@@ -13,6 +14,7 @@ import pytest
 
 from hsilab.core import ConfigError, Dims
 from hsilab.envs import EnvModel, build_controlled_drift_instance, controlled_drift_candidates
+from hsilab import harness
 from hsilab.harness import (
     CSV_HEADER,
     ResultsTable,
@@ -107,6 +109,51 @@ def test_load_config_requires_sections(tmp_path):
         load_config(_write(tmp_path, no_algo))
     with pytest.raises(ConfigError, match="cannot read"):
         load_config(str(tmp_path / "missing.cfg"))
+
+
+def test_env_builders_take_their_schema_keys():
+    """Each builder is called with its schema's keys as keywords ('-' read
+    as '_'); the verifiers build through the same table with their own
+    schemas."""
+    assert list(harness._ENV_BUILDERS) == list(harness._ENV_SCHEMAS)
+    schemas = list(harness._ENV_SCHEMAS.items())
+    schemas += [
+        (kind, harness._VERIFY_SCHEMAS[kind]) for kind in ("flat-emission", "tree")
+    ]
+    for kind, schema in schemas:
+        params = inspect.signature(harness._ENV_BUILDERS[kind]).parameters
+        for key in schema:
+            assert key.replace("-", "_") in params, (kind, key)
+        required = {
+            name for name, p in params.items() if p.default is inspect.Parameter.empty
+        }
+        assert required <= {key.replace("-", "_") for key in schema}, kind
+
+
+def test_cli_run_rejects_oversized_env_without_traceback(tmp_path):
+    # 2**40 states: the builder would need terabytes; the address-space
+    # limit keeps a regression from allocating them
+    resource = pytest.importorskip("resource")
+    text = (
+        "[experiment]\nepisodes = 2\nseeds = 0\n\n"
+        "[env builder=random-class1]\nd = 40\nalphabet-size = 2\n"
+        "horizon = 4\nn-actions = 2\n\n[algo name=uniform]\n"
+    )
+    cfg_path = _write(tmp_path, text)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    limit = 4 * 2**30
+    proc = subprocess.run(
+        [sys.executable, "-m", "hsilab", "run", cfg_path, "-o", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+    assert "1099511627776 states" in proc.stderr
+    assert "over the cap" in proc.stderr
+    assert not (tmp_path / "out").exists()
 
 
 def test_master_seed_env_override(tmp_path, monkeypatch):
@@ -371,6 +418,50 @@ def test_pors_through_harness(tmp_path):
         assert row[6] >= -1e-12  # regret never negative for exact values
 
 
+def test_auto_mode_is_realized_when_value_table_exceeds_cap(tmp_path, monkeypatch):
+    path = _drift_config(
+        tmp_path, "[algo name=pors label=p]\ncandidates = {cands}\n"
+    )
+    expected = tmp_path / "expected.csv"
+    write_results_csv(run_suite(load_config(path)), expected)
+    # controlled-drift: 4 feedback-tree nodes at step 2 x 4 states
+    monkeypatch.setattr(harness, "DEFAULT_VALUE_CAP", 15)
+    table = run_suite(load_config(path))
+    assert table.regret_mode == "realized"
+    assert table.runs[0].policy_values is None
+    auto = tmp_path / "auto.csv"
+    write_results_csv(table, auto)
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read().replace("seeds = 0", "seeds = 0\nregret-mode = realized")
+    realized = tmp_path / "realized.csv"
+    write_results_csv(run_suite(load_config(_write(tmp_path, text))), realized)
+    assert auto.read_bytes() == realized.read_bytes()
+    assert auto.read_bytes() != expected.read_bytes()
+    monkeypatch.setattr(harness, "DEFAULT_VALUE_CAP", 16)
+    assert run_suite(load_config(path)).regret_mode == "expected"
+
+
+def test_verify_on_runs_and_writes_the_same_csv(tmp_path, monkeypatch):
+    calls = []
+    verify_groups = harness._VERIFIERS["groups"]
+
+    def counting(params):
+        calls.append(params)
+        return verify_groups(params)
+
+    monkeypatch.setitem(harness._VERIFIERS, "groups", counting)
+    off = tmp_path / "off.csv"
+    write_results_csv(run_suite(load_config(_write(tmp_path, GROUPS_CFG))), off)
+    assert calls == []
+    text = GROUPS_CFG.replace("seeds = 0,1", "seeds = 0,1\nverify = on")
+    cfg = load_config(_write(tmp_path, text, name="verify.cfg"))
+    assert cfg.verify is True
+    on = tmp_path / "on.csv"
+    write_results_csv(run_suite(cfg), on)
+    assert calls == [cfg.env_params]
+    assert on.read_bytes() == off.read_bytes()
+
+
 def test_regret_off_mode(tmp_path):
     text = GROUPS_CFG.replace(
         "seeds = 0,1", "seeds = 0,1\nregret-mode = off"
@@ -534,11 +625,15 @@ def test_verify_rejects_non_integer_param():
 
 
 @pytest.mark.parametrize(
-    "args",
-    [["tree", "epsilon=nan"], ["groups", "d=1"], ["tree", "d=0"]],
+    "args, message",
+    [
+        (["tree", "epsilon=nan"], "cannot verify tree: epsilon must lie in"),
+        (["groups", "d=1"], "cannot verify groups: need d >= 2, got 1"),
+        (["tree", "d=0"], "cannot verify tree: need d >= 1, got 0"),
+    ],
     ids=["tree-epsilon-nan", "groups-d-1", "tree-d-0"],
 )
-def test_cli_verify_rejects_builder_errors_without_traceback(args):
+def test_cli_verify_rejects_builder_errors_without_traceback(args, message):
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     proc = subprocess.run(
@@ -546,7 +641,7 @@ def test_cli_verify_rejects_builder_errors_without_traceback(args):
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert proc.returncode == 1
-    assert proc.stderr.startswith("error:")
+    assert proc.stderr.startswith(f"error: <params>: {message}")
     assert "Traceback" not in proc.stderr
 
 
