@@ -43,7 +43,7 @@ def show(model):
         f"  optimal value {report['v_star']:.9f}"
         f"  (first action {report['first_action']},"
         f" first query {tuple(report['first_query'])},"
-        f" {report['nodes']} belief nodes)"
+        f" {report['nodes']} beliefs expanded)"
     )
 
 

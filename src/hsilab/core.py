@@ -23,6 +23,16 @@ class UnsupportedFeedbackError(ValueError):
     """Requested feedback channel does not exist for this model."""
 
 
+def check_state_space(alphabet_size, d):
+    """Refuse |alphabet|^d states beyond the index type, without computing
+    the power of a huge d."""
+    if alphabet_size >= 2 and (d > 62 or alphabet_size**d > 2**62):
+        raise ValueError(
+            f"state space |alphabet|^d = {alphabet_size}^{d} "
+            "overflows the index type"
+        )
+
+
 @dataclass(frozen=True)
 class Dims:
     """Problem sizes shared by environments, agents and the planner.
@@ -55,11 +65,7 @@ class Dims:
             raise ValueError(f"n_actions must be >= 1, got {self.n_actions}")
         if self.n_observations < 0:
             raise ValueError(f"n_observations must be >= 0, got {self.n_observations}")
-        if self.alphabet_size**self.d > 2**62:
-            raise ValueError(
-                f"state space |alphabet|^d = {self.alphabet_size}^{self.d} "
-                "overflows the index type"
-            )
+        check_state_space(self.alphabet_size, self.d)
 
     @property
     def n_states(self):

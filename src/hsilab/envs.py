@@ -23,6 +23,7 @@ from .core import (
     Dims,
     UnsupportedFeedbackError,
     canonical_query,
+    check_state_space,
     decode_state,
     encode_state,
 )
@@ -383,7 +384,9 @@ def _check_epsilon(epsilon):
 def groups_state_vectors(d, d_query=1):
     """Vector representations of the two-group instance, group a then b.
 
-    For d_query=1 (any d >= 2): 2d states over an alphabet of 2d values.
+    For d_query=1 (any d >= 2 whose 2d-value alphabet keeps the state
+    space within ``Dims``'s bound, checked before any vector is built): 2d
+    states over an alphabet of 2d values.
     Group a: the base vector [0..d-1], then for delta=2..d the base with
     entries delta-2, delta-1 replaced by d+delta-2, d+delta-1.  Group b:
     for delta=1..d the base with the single entry delta-1 replaced by
@@ -393,6 +396,7 @@ def groups_state_vectors(d, d_query=1):
     if d_query == 1:
         if d < 2:
             raise ValueError(f"need d >= 2, got {d}")
+        check_state_space(2 * d, d)
         base = list(range(d))
         group_a = [tuple(base)]
         for delta in range(2, d + 1):

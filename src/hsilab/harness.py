@@ -14,8 +14,8 @@ A config file is sectioned key/value text::
     c-bonus = 1.0
 
 Every section is resolved by ``_typed_params`` against a schema of typed
-keys, and ``_ENV_BUILDERS`` names the one function that builds each env.
-``run_suite`` settles the regret mode before the first run.
+keys; ``_ENV_BUILDERS`` names the one function that builds each env and
+``_AGENT_BUILDERS`` the one that builds each algorithm's agent.
 
 Each (algorithm, seed) run draws its own random streams from a seed hashed
 out of (master seed, algorithm label, environment name, seed), so results
@@ -55,12 +55,10 @@ from .agents import (
     run_episode,
 )
 from .pors import (
-    DEFAULT_VALUE_CAP,
     PlanningContext,
     PorsAgent,
     TreePolicy,
     evaluate_policy_value,
-    level_node_counts,
 )
 from .serialize import load_candidates, load_model, parse_sections
 from . import oracle
@@ -494,40 +492,45 @@ def derive_run_seed(master_seed, algo_label, env_name, seed):
     return int.from_bytes(digest[:8], "little")
 
 
-def _make_agent(spec, env, n_episodes, rng, context):
-    dims = env.dims
-    p = spec.params
-    if spec.kind == "uniform":
-        return UniformRandomAgent(dims, rng)
-    if spec.kind == "op-tll":
-        return OptllAgent(
-            dims, n_episodes, rng, theta1=p["theta1"], c_bonus=p["c-bonus"]
-        )
-    if spec.kind == "op-mll":
-        return OpmllAgent(
-            dims,
-            n_episodes,
-            rng,
-            theta1=p["theta1"],
-            theta2=p["theta2"],
-            c_bonus=p["c-bonus"],
-        )
-    if spec.kind == "epsilon-greedy-seq":
-        return EpsilonGreedySequenceAgent(dims, rng, epsilon=p["epsilon"])
-    if spec.kind == "fixed":
-        return FixedPolicyAgent(dims, _fixed_policy(spec, dims, "<config>"), rng)
-    if spec.kind == "pors":
-        return PorsAgent(
-            dims,
-            context.candidates,
-            n_episodes,
-            rng,
-            beta=p["beta"],
-            delta=p["delta"],
-            policy_cap=p["policy-cap"],
-            context=context,
-        )
-    raise ConfigError(f"unknown algorithm kind {spec.kind!r}")
+# The agent of each [algo name=...] kind, built from its spec, the env's
+# dims, the episode budget, the run's agent rng and the planning context
+# (built only for pors, None otherwise).
+_AGENT_BUILDERS = {
+    "uniform": lambda spec, dims, n_episodes, rng, context: UniformRandomAgent(
+        dims, rng
+    ),
+    "op-tll": lambda spec, dims, n_episodes, rng, context: OptllAgent(
+        dims,
+        n_episodes,
+        rng,
+        theta1=spec.params["theta1"],
+        c_bonus=spec.params["c-bonus"],
+    ),
+    "op-mll": lambda spec, dims, n_episodes, rng, context: OpmllAgent(
+        dims,
+        n_episodes,
+        rng,
+        theta1=spec.params["theta1"],
+        theta2=spec.params["theta2"],
+        c_bonus=spec.params["c-bonus"],
+    ),
+    "pors": lambda spec, dims, n_episodes, rng, context: PorsAgent(
+        dims,
+        context.candidates,
+        n_episodes,
+        rng,
+        beta=spec.params["beta"],
+        delta=spec.params["delta"],
+        policy_cap=spec.params["policy-cap"],
+        context=context,
+    ),
+    "epsilon-greedy-seq": lambda spec, dims, n_episodes, rng, context: (
+        EpsilonGreedySequenceAgent(dims, rng, epsilon=spec.params["epsilon"])
+    ),
+    "fixed": lambda spec, dims, n_episodes, rng, context: FixedPolicyAgent(
+        dims, _fixed_policy(spec, dims, "<config>"), rng
+    ),
+}
 
 
 def _policy_value(env, policy, cache):
@@ -630,7 +633,9 @@ def _execute_run(spec, env, cfg, seed, context, value_cache, want_values):
     run_seed = derive_run_seed(cfg.master_seed, spec.label, env.name, seed)
     agent_rng = derive_generator(run_seed, "agent")
     env_rng = SampleRng(run_seed)
-    agent = _make_agent(spec, env, cfg.n_episodes, agent_rng, context)
+    agent = _AGENT_BUILDERS[spec.kind](
+        spec, env.dims, cfg.n_episodes, agent_rng, context
+    )
     rewards = np.empty(cfg.n_episodes)
     values = np.empty(cfg.n_episodes) if want_values else None
     for k in range(1, cfg.n_episodes + 1):
@@ -656,12 +661,12 @@ def _execute_run(spec, env, cfg, seed, context, value_cache, want_values):
 def run_suite(cfg):
     """Execute every (algorithm, seed) run and assemble the results table.
 
-    The regret mode is settled before any run.  'auto' reports expected
-    per-episode policy values, except when a pors run's exact evaluation
-    would exceed its size cap: the tree-policy table, largest feedback-tree
-    level x states, is the only capped evaluation, and when it is over
-    ``DEFAULT_VALUE_CAP`` auto reports realized rewards instead.  Oracle
-    size errors for V* itself propagate unless regret reporting is off.
+    'auto' means expected regret, from the exact value of each played
+    policy.  Every played policy can be evaluated: a pors run's candidates
+    share the env's dims, and its planning context has evaluated every
+    policy at the same size cap before the first episode, raising if one
+    is over it.  Oracle size errors for V* propagate unless regret
+    reporting is off.
     """
     env = cfg.env_model
     if cfg.verify and cfg.env_kind in _VERIFIERS:
@@ -671,11 +676,7 @@ def run_suite(cfg):
     v_star = None
     if cfg.regret_mode != "off":
         v_star = oracle.optimal_value(env, cap=cfg.oracle_cap)
-    mode = cfg.regret_mode
-    if mode == "auto":
-        has_pors = any(spec.kind == "pors" for spec in cfg.algos)
-        table = max(level_node_counts(env.dims)) * env.n_states
-        mode = "realized" if has_pors and table > DEFAULT_VALUE_CAP else "expected"
+    mode = "expected" if cfg.regret_mode == "auto" else cfg.regret_mode
     runs = []
     for spec in cfg.algos:
         context = None

@@ -14,6 +14,12 @@ nonzero rows of the belief times the kernel.  ``trace_log_likelihood`` is
 the package's only exact filter; the confidence-set learner scores its
 candidates with it.
 
+The planner expands each distinct belief once, in one batch of products
+(``_plan``).  Its ``nodes`` count those expansions (the root and the
+distinct beliefs of steps 2 to H-1) and the node cap bounds them;
+``memo_hits`` counts successors found already expanded.  Step-H beliefs
+are scored in bulk and counted in neither.
+
 Timing convention: the feedback for a step (queried values of that step's
 state, plus any emitted observation) arrives after the step's action, so a
 step's action is chosen from the belief conditioned on feedback of earlier
@@ -54,42 +60,31 @@ def trace_log_likelihood(m, trace):
     return total
 
 
-def _feedback_branches(m, h, p, query):
-    """All nonzero-probability feedback outcomes of querying at step h.
-
-    Yields (mass, normalized conditioned belief) in a fixed order:
-    queried-value codes ascending, observation symbols ascending inside
-    each value code.  Masses sum to 1 for a normalized belief.
-    """
-    branches = []
-    for w in p * m.evidence(h, query):
-        mass = float(w.sum())
-        if mass == 0.0:
-            continue
-        branches.append((mass, w / mass))
-    return branches
-
-
 def _plan(m, cap):
     """Backward induction over the reachable belief tree.
 
-    Returns (value, first action, first query, stats).  Beliefs are
-    memoized on (step, belief rounded to 12 decimals); the node count is
-    capped — exceeding it raises rather than approximates.
+    Returns (value, first action, first query, stats).  Each expanded
+    belief is one batch of numpy work: its feedback branches under every
+    query set are the nonzero rows of the belief times the step's stacked
+    evidence kernels (row ``q * R + r``), and one product with the step's
+    transitions, all actions side by side, gives the successor of every
+    (branch, action).  Successors are memoized on (step, belief rounded to
+    12 decimals) and expanded in (query, action, branch) order; step-H
+    successors are scored in bulk by their best action's expected reward.
+    The count of expanded beliefs is capped: exceeding the cap raises
+    rather than approximates.
     """
     dims = m.dims
-    H, A = dims.horizon, dims.n_actions
+    H, A, S = dims.horizon, dims.n_actions, m.n_states
     qsets = dims.query_sets()
-    joint = m.joint_transitions() if H > 1 else None
+    Q = len(qsets)
+    kernels = [np.vstack([m.evidence(h, q) for q in qsets]) for h in range(1, H)]
+    moves = [t.reshape(S, A * S) for t in m.joint_transitions()]
+    R = len(m.evidence(1, qsets[0]))  # kernel rows per query set
     memo = {}
     stats = {"nodes": 0, "memo_hits": 0}
 
-    def rec(h, p):
-        key = (h, np.round(p, 12).tobytes())
-        hit = memo.get(key)
-        if hit is not None:
-            stats["memo_hits"] += 1
-            return hit
+    def expand(h, p):
         stats["nodes"] += 1
         if stats["nodes"] > cap:
             raise OracleSizeError(
@@ -97,31 +92,41 @@ def _plan(m, cap):
             )
         expected_r = p @ m.rewards[h - 1]  # (A,)
         if h == H:
-            # feedback after the last action cannot be used; query is moot
-            best_a = 0
-            for a in range(1, A):
-                if expected_r[a] > expected_r[best_a]:
-                    best_a = a
-            result = (float(expected_r[best_a]), best_a, qsets[0])
+            # a one-step episode: feedback after the action cannot be used
+            best_a = int(np.argmax(expected_r))
+            return float(expected_r[best_a]), best_a, qsets[0]
+        w = p * kernels[h - 1]
+        mass = w.sum(axis=1)
+        rows = np.flatnonzero(mass)
+        succ = ((w[rows] / mass[rows, None]) @ moves[h - 1]).reshape(-1, A, S)
+        if h + 1 == H:
+            child = (succ @ m.rewards[H - 1]).max(axis=2)  # (B, A)
         else:
-            values = np.empty((A, len(qsets)))
-            for qi, q in enumerate(qsets):
-                branches = _feedback_branches(m, h, p, q)
+            child = np.empty((len(rows), A))
+            keys = np.round(succ, 12)
+            bounds = np.searchsorted(rows, np.arange(Q + 1) * R)
+            for qi in range(Q):
                 for a in range(A):
-                    total = float(expected_r[a])
-                    for mass, cond in branches:
-                        total += mass * rec(h + 1, cond @ joint[h - 1, :, a, :])[0]
-                    values[a, qi] = total
-            best = (-np.inf, 0, qsets[0])
-            for a in range(A):
-                for qi, q in enumerate(qsets):
-                    if values[a, qi] > best[0]:
-                        best = (float(values[a, qi]), a, q)
-            result = best
-        memo[key] = result
-        return result
+                    for b in range(bounds[qi], bounds[qi + 1]):
+                        key = (h + 1, keys[b, a].tobytes())
+                        value = memo.get(key)
+                        if value is None:
+                            value = memo[key] = expand(h + 1, succ[b, a])[0]
+                        else:
+                            stats["memo_hits"] += 1
+                        child[b, a] = value
+        # per (query, action): the expected reward plus each branch's mass
+        # times its successor's value, as a running sum in branch order;
+        # row q * (R + 1) holds the reward, row q * (R + 1) + 1 + r the
+        # branch of kernel row q * R + r (zero when it has no mass)
+        terms = np.zeros((Q * R + Q, A))
+        terms[:: R + 1] = expected_r
+        terms[rows + rows // R + 1] = mass[rows, None] * child
+        values = np.cumsum(terms.reshape(Q, R + 1, A), axis=1)[:, -1].T  # (A, Q)
+        a, qi = divmod(int(np.argmax(values)), Q)  # ties: lowest (a, q)
+        return float(values[a, qi]), a, qsets[qi]
 
-    value, action, query = rec(1, np.array(m.initial, dtype=float))
+    value, action, query = expand(1, np.array(m.initial, dtype=float))
     return value, action, query, stats
 
 

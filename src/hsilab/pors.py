@@ -327,8 +327,7 @@ class PlanningContext:
     value_table: np.ndarray
 
     @classmethod
-    def build(cls, candidates, policy_cap=DEFAULT_POLICY_CAP,
-              value_cap=DEFAULT_VALUE_CAP):
+    def build(cls, candidates, policy_cap=DEFAULT_POLICY_CAP):
         if len(candidates) == 0:
             raise ConfigError("candidate class is empty")
         dims = candidates[0].dims

@@ -130,30 +130,62 @@ def test_env_builders_take_their_schema_keys():
         assert required <= {key.replace("-", "_") for key in schema}, kind
 
 
-def test_cli_run_rejects_oversized_env_without_traceback(tmp_path):
-    # 2**40 states: the builder would need terabytes; the address-space
-    # limit keeps a regression from allocating them
+def _hsilab_under_memory_limit(*args):
+    """Run the command line in a child whose address space is capped at
+    4 GiB, so a regression that allocates a huge table fails fast."""
     resource = pytest.importorskip("resource")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    limit = 4 * 2**30
+    return subprocess.run(
+        [sys.executable, "-m", "hsilab", *args],
+        capture_output=True, text=True, env=env, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+
+
+def test_cli_run_rejects_oversized_env_without_traceback(tmp_path):
+    # 2**40 states: the builder would need terabytes
     text = (
         "[experiment]\nepisodes = 2\nseeds = 0\n\n"
         "[env builder=random-class1]\nd = 40\nalphabet-size = 2\n"
         "horizon = 4\nn-actions = 2\n\n[algo name=uniform]\n"
     )
     cfg_path = _write(tmp_path, text)
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    limit = 4 * 2**30
-    proc = subprocess.run(
-        [sys.executable, "-m", "hsilab", "run", cfg_path, "-o", str(tmp_path / "out")],
-        capture_output=True, text=True, env=env, timeout=60,
-        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
-    )
+    proc = _hsilab_under_memory_limit("run", cfg_path, "-o", str(tmp_path / "out"))
     assert proc.returncode == 1
     assert proc.stderr.startswith("error:")
     assert "Traceback" not in proc.stderr
     assert "1099511627776 states" in proc.stderr
     assert "over the cap" in proc.stderr
     assert not (tmp_path / "out").exists()
+
+
+_GROUPS_OVERFLOW = "state space |alphabet|^d = 200000^100000 overflows the index type"
+
+
+def test_cli_run_rejects_oversized_groups_without_traceback(tmp_path):
+    # the 2d group vectors of length d alone would need tens of GB
+    text = (
+        "[experiment]\nepisodes = 2\nseeds = 0\n\n"
+        "[env builder=groups]\nd = 100000\nepsilon = 0.1\n\n[algo name=uniform]\n"
+    )
+    cfg_path = _write(tmp_path, text)
+    proc = _hsilab_under_memory_limit("run", cfg_path, "-o", str(tmp_path / "out"))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(f"error: {cfg_path}: cannot build env groups: ")
+    assert _GROUPS_OVERFLOW in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_verify_rejects_oversized_groups_without_traceback():
+    proc = _hsilab_under_memory_limit("verify", "groups", "d=100000")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(
+        f"error: <params>: cannot verify groups: {_GROUPS_OVERFLOW}"
+    )
+    assert "Traceback" not in proc.stderr
 
 
 def test_master_seed_env_override(tmp_path, monkeypatch):
@@ -418,27 +450,19 @@ def test_pors_through_harness(tmp_path):
         assert row[6] >= -1e-12  # regret never negative for exact values
 
 
-def test_auto_mode_is_realized_when_value_table_exceeds_cap(tmp_path, monkeypatch):
+def test_auto_mode_on_pors_reports_expected(tmp_path):
     path = _drift_config(
         tmp_path, "[algo name=pors label=p]\ncandidates = {cands}\n"
     )
-    expected = tmp_path / "expected.csv"
-    write_results_csv(run_suite(load_config(path)), expected)
-    # controlled-drift: 4 feedback-tree nodes at step 2 x 4 states
-    monkeypatch.setattr(harness, "DEFAULT_VALUE_CAP", 15)
-    table = run_suite(load_config(path))
-    assert table.regret_mode == "realized"
-    assert table.runs[0].policy_values is None
-    auto = tmp_path / "auto.csv"
-    write_results_csv(table, auto)
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read().replace("seeds = 0", "seeds = 0\nregret-mode = realized")
-    realized = tmp_path / "realized.csv"
-    write_results_csv(run_suite(load_config(_write(tmp_path, text))), realized)
-    assert auto.read_bytes() == realized.read_bytes()
-    assert auto.read_bytes() != expected.read_bytes()
-    monkeypatch.setattr(harness, "DEFAULT_VALUE_CAP", 16)
-    assert run_suite(load_config(path)).regret_mode == "expected"
+    cfg = load_config(path)
+    assert cfg.regret_mode == "auto"
+    table = run_suite(cfg)
+    assert table.regret_mode == "expected"
+    assert table.runs[0].policy_values is not None
+
+
+def test_agent_builders_cover_every_algorithm_kind():
+    assert list(harness._AGENT_BUILDERS) == list(harness._ALGO_SCHEMAS)
 
 
 def test_verify_on_runs_and_writes_the_same_csv(tmp_path, monkeypatch):

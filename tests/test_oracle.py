@@ -1,7 +1,10 @@
 """Exact planner: optimal values, the trace filter, policy evaluation."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hsilab.core import (
     Dims,
@@ -46,6 +49,68 @@ def mdp_optimal_value(m):
             q = q + m.joint_transitions()[h - 1] @ v
         v = q.max(axis=1)
     return float(m.initial @ v)
+
+
+def _feedback_likelihoods(m, h, query):
+    """Per feedback outcome of querying at step h, its likelihood in each
+    state, read from the state vectors and emission tables directly."""
+    sv = m.state_vectors
+    V = m.dims.alphabet_size
+    hidden = [i for i in range(m.dims.d) if i not in query]
+    hidden_code = sv[:, hidden] @ V ** np.arange(len(hidden), dtype=np.int64)
+    out = []
+    for values in itertools.product(range(V), repeat=len(query)):
+        match = np.all(sv[:, list(query)] == values, axis=1).astype(float)
+        if m.emissions:
+            table = np.asarray(m.emissions[(h, query)], dtype=float)
+            out += [match * table[o, hidden_code] for o in range(len(table))]
+        else:
+            out.append(match)
+    return out
+
+
+def reference_step_values(m, h, p):
+    """Value of each (action, query set) at step h from belief p, followed
+    by optimal play: a plain recursion with no memo and no rounding, one
+    matrix-vector product per query, feedback branch and action."""
+    H, A = m.dims.horizon, m.dims.n_actions
+    expected_r = p @ m.rewards[h - 1]
+    out = {}
+    for q in m.dims.query_sets():
+        for a in range(A):
+            total = float(expected_r[a])
+            if h < H:
+                for like in _feedback_likelihoods(m, h, q):
+                    w = p * like
+                    mass = w.sum()
+                    if mass > 0.0:
+                        nxt = (w / mass) @ m.joint_transitions()[h - 1, :, a, :]
+                        total += mass * max(reference_step_values(m, h + 1, nxt).values())
+            out[(a, q)] = total
+    return out
+
+
+_unit = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def _small_models(draw):
+    kind = draw(st.sampled_from(["class1", "drift", "flat"]))
+    if kind == "class1":
+        d = draw(st.integers(1, 3))
+        dims = Dims(
+            d=d,
+            alphabet_size=draw(st.integers(2, 3)),
+            d_query=draw(st.integers(1, d)),
+            horizon=draw(st.integers(1, 3)),
+            n_actions=draw(st.integers(2, 3)),
+        )
+        return random_independent_model(dims, draw(st.integers(0, 2**32)))
+    if kind == "drift":
+        return build_controlled_drift_instance(
+            draw(_unit), draw(_unit), draw(_unit), draw(st.integers(2, 4))
+        )
+    return build_hard_instance_flat_emission(draw(st.floats(0.01, 0.35)))
 
 
 # -- optimal values on the hard instances ------------------------------------------
@@ -135,10 +200,27 @@ def test_optimal_value_matches_best_full_history_policy():
         assert abs(optimal_value(m) - best) <= 1e-12, m.name
 
 
+@settings(max_examples=60, deadline=None)
+@given(_small_models())
+def test_optimal_value_matches_unmemoized_reference(m):
+    # the memo key rounds beliefs to 12 decimals and the planner batches
+    # every branch and action of a node; neither may move V* or the first step
+    values = reference_step_values(m, 1, np.array(m.initial, dtype=float))
+    best = max(values.values())
+    assert abs(optimal_value(m) - best) <= 1e-12
+    rep = oracle_report(m)
+    first = values[(rep["first_action"], tuple(rep["first_query"]))]
+    assert abs(first - best) <= 1e-12
+
+
 def test_node_cap_raises():
     m = build_hard_instance_groups(3, 0.1)
     with pytest.raises(OracleSizeError):
         optimal_value(m, cap=2)
+    nodes = oracle_report(m)["nodes"]
+    assert oracle_report(m, cap=nodes)["nodes"] == nodes
+    with pytest.raises(OracleSizeError):
+        optimal_value(m, cap=nodes - 1)
 
 
 # -- exact filtering -----------------------------------------------------------------
