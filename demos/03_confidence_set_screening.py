@@ -4,7 +4,8 @@ When unqueried sub-states only show up through noisy emitted symbols,
 point estimation is replaced by screening: the learner keeps every
 candidate model whose exact feedback log-likelihood is within a
 confidence width of the best one, plans optimistically over the
-surviving (model, policy) pairs, and lets the data shrink the set.
+surviving models (each one's own best policy), and lets the data shrink
+the set.
 
 The environment here is the controlled-drift family: sub-state 0 obeys
 the actions (keep or flip with some fidelity), sub-state 1 drifts on its
@@ -25,6 +26,7 @@ from hsilab import (
     build_controlled_drift_instance,
     controlled_drift_candidates,
     default_beta,
+    evaluate_policy_value,
     optimal_value,
     run_episode,
 )
@@ -46,17 +48,20 @@ print(f"confidence width (delta=0.05): {default_beta(truth.dims, EPISODES, 0.05)
 print()
 
 agent = PorsAgent(truth.dims, candidates, EPISODES, context=context)
+played_values = {}  # exact value under the truth of each policy played
 rng = SampleRng(0)
 cum_regret = 0.0
 next_report = 1
 print(f"{'episode':>7} {'set':>12} {'played value':>12} {'cum regret':>10}")
 for k in range(1, EPISODES + 1):
     run_episode(agent, truth, k, rng)
-    _, policy_index = agent.plan_log[-1]
-    cum_regret += v_star - context.value_table[truth_index, policy_index]
+    policy = agent.episode_policy
+    if policy not in played_values:
+        played_values[policy] = evaluate_policy_value(truth, policy)
+    played = played_values[policy]
+    cum_regret += v_star - played
     if k == next_report or k == EPISODES:
         survivors = "{" + ",".join(str(i) for i in agent.set_log[-1]) + "}"
-        played = context.value_table[truth_index, policy_index]
         print(f"{k:>7} {survivors:>12} {played:12.3f} {cum_regret:10.1f}")
         next_report *= 4
 

@@ -58,13 +58,11 @@ from .pors import (
     PlanningContext,
     PorsAgent,
     TreePolicy,
-    build_confidence_set,
     default_beta,
     enumerate_policies,
     evaluate_policy_value,
     feedback_log_likelihood,
     optimistic_plan,
-    policy_value_table,
 )
 from .serialize import (
     dump_candidates,
@@ -108,7 +106,6 @@ __all__ = [
     "UniformRandomAgent",
     "UnsupportedFeedbackError",
     "VerificationFailure",
-    "build_confidence_set",
     "build_controlled_drift_instance",
     "build_hard_instance_flat_emission",
     "build_hard_instance_groups",
@@ -136,7 +133,6 @@ __all__ = [
     "optimal_value",
     "optimistic_plan",
     "oracle_report",
-    "policy_value_table",
     "random_independent_model",
     "read_results_csv",
     "run_episode",

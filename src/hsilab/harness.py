@@ -55,6 +55,7 @@ from .agents import (
     run_episode,
 )
 from .pors import (
+    DEFAULT_POLICY_CAP,
     PlanningContext,
     PorsAgent,
     TreePolicy,
@@ -220,7 +221,7 @@ _ALGO_SCHEMAS = {
         "candidates": (str, REQUIRED),
         "beta": (float, None),
         "delta": (float, 0.05),
-        "policy-cap": (int, 4096),
+        "policy-cap": (int, DEFAULT_POLICY_CAP),
     },
     "epsilon-greedy-seq": {"epsilon": (float, 0.25)},
     "fixed": {"actions": (str, REQUIRED), "query": (str, REQUIRED)},
@@ -663,9 +664,9 @@ def run_suite(cfg):
 
     'auto' means expected regret, from the exact value of each played
     policy.  Every played policy can be evaluated: a pors run's candidates
-    share the env's dims, and its planning context has evaluated every
-    policy at the same size cap before the first episode, raising if one
-    is over it.  Oracle size errors for V* propagate unless regret
+    share the env's dims, and its planning context has evaluated each
+    candidate's plan at the same size cap before the first episode, raising
+    if one is over it.  Oracle size errors for V* propagate unless regret
     reporting is off.
     """
     env = cfg.env_model

@@ -16,6 +16,12 @@ the rows of the model's evidence kernel (``EnvModel.evidence``), so exact
 policy evaluation pushes each node's row times the kernel to its children,
 and likelihoods come from the one exact filter,
 ``oracle.trace_log_likelihood``.
+
+The optimistic step is a max over surviving candidates of each one's own
+optimum, so each candidate's best policy is planned once, before the first
+episode.  When the full history-dependent family fits under the policy cap,
+that is a finite-horizon recursion over tree nodes (Smallwood & Sondik
+1973); otherwise the open-loop family is enumerated and evaluated.
 """
 
 from dataclasses import dataclass
@@ -72,60 +78,87 @@ def level_node_counts(dims):
     return [branching ** (h - 1) for h in range(1, dims.horizon + 1)]
 
 
-def enumerate_policies(dims, cap=DEFAULT_POLICY_CAP):
-    """All deterministic tree policies, or a labeled open-loop family.
-
-    Returns (policies, label).  When the number of full history-dependent
-    policies — (n_actions * n_query_sets) ** total_nodes — fits under the
-    cap, every one is enumerated ("full-history").  Otherwise the family
-    falls back to open-loop action sequences crossed with per-step queries
-    ("open-loop"); if even that exceeds the cap a ConfigError is raised.
-
-    Enumeration order is lexicographic over per-node choice indices with
-    choice = action * n_query_sets + query_set_index, nodes ordered level by
-    level then by node index, and the last node's choice varying fastest.
-    """
+def _tree_policy(dims, choices):
+    """The tree policy with ``choices[h - 1][node]`` at each node, where
+    choice = action * n_query_sets + query_set_index."""
     qsets = dims.query_sets()
-    n_choice = dims.n_actions * len(qsets)
-    counts = level_node_counts(dims)
-    total_nodes = sum(counts)
-    nv = dims.n_query_values
-    om = max(dims.n_observations, 1)
+    n_q = len(qsets)
+    return TreePolicy(
+        dims.horizon,
+        dims.n_query_values,
+        max(dims.n_observations, 1),
+        tuple(tuple(c // n_q for c in level) for level in choices),
+        tuple(tuple(qsets[c % n_q] for c in level) for level in choices),
+    )
 
-    def decode(choice):
-        return choice // len(qsets), qsets[choice % len(qsets)]
 
-    if math.log(n_choice) * total_nodes <= math.log(cap) + 1e-12:
-        policies = []
-        for assign in iter_product(range(n_choice), repeat=total_nodes):
-            actions, queries, pos = [], [], 0
-            for n_nodes in counts:
-                pairs = [decode(c) for c in assign[pos : pos + n_nodes]]
-                actions.append(tuple(a for a, _ in pairs))
-                queries.append(tuple(q for _, q in pairs))
-                pos += n_nodes
-            policies.append(
-                TreePolicy(dims.horizon, nv, om, tuple(actions), tuple(queries))
-            )
-        return policies, "full-history"
+def enumerate_policies(dims, cap=DEFAULT_POLICY_CAP):
+    """The open-loop family: action sequences crossed with per-step queries.
 
+    Listed lexicographically over per-step choices, the last step's fastest;
+    raises ConfigError when the family exceeds the cap.  A candidate plays
+    the first policy of highest value, but exact ties are not decided by
+    this order: the queries of one action sequence have equal values, and
+    ``evaluate_policy_value`` rounds each query's branches differently, so
+    their computed values differ by an ulp.
+    """
+    n_choice = dims.n_actions * len(dims.query_sets())
     if n_choice**dims.horizon > cap:
         raise ConfigError(
             f"policy family exceeds cap {cap}: {n_choice}^{dims.horizon} "
             "open-loop policies"
         )
-    policies = []
-    for assign in iter_product(range(n_choice), repeat=dims.horizon):
-        actions, queries = [], []
-        for h, choice in enumerate(assign, start=1):
-            a, q = decode(choice)
-            n_nodes = counts[h - 1]
-            actions.append((a,) * n_nodes)
-            queries.append((q,) * n_nodes)
-        policies.append(
-            TreePolicy(dims.horizon, nv, om, tuple(actions), tuple(queries))
-        )
-    return policies, "open-loop"
+    counts = level_node_counts(dims)
+    return [
+        _tree_policy(dims, [(c,) * n for c, n in zip(assign, counts)])
+        for assign in iter_product(range(n_choice), repeat=dims.horizon)
+    ]
+
+
+def _best_tree(model):
+    """The lexicographically first optimal full-history tree policy of a
+    model, and its index in enumeration order.
+
+    A tree policy's value is a sum over its nodes, and once a node's choice
+    is fixed its child subtrees add up independently.  So the recursion
+    takes, at each reached node, the first choice whose reward plus best
+    child values is highest; unreached nodes keep choice 0.  A node's row
+    is its joint mass over states, pushed to the children with
+    ``evaluate_policy_value``'s arithmetic.  The index reads the per-node
+    choices in mixed radix, root first and the last node fastest.
+    """
+    dims = model.dims
+    H = dims.horizon
+    qsets = dims.query_sets()
+    n_q = len(qsets)
+    n_choice = dims.n_actions * n_q
+    b = dims.n_query_values * max(dims.n_observations, 1)
+    joint = model.joint_transitions() if H > 1 else None
+
+    def solve(h, node, row):
+        best = None
+        for choice in range(n_choice):
+            a, qi = divmod(choice, n_q)
+            value = float(row @ model.rewards[h - 1, :, a])
+            picks = [(h, node, choice)]
+            if h < H:
+                branches = row * model.evidence(h, qsets[qi])
+                for child, w in enumerate(branches, start=node * b):
+                    if w.any():
+                        sub = solve(h + 1, child, w @ joint[h - 1, :, a, :])
+                        value += sub[0]
+                        picks += sub[1]
+            if best is None or value > best[0]:
+                best = (value, picks)
+        return best
+
+    choices = [[0] * n for n in level_node_counts(dims)]
+    for h, node, choice in solve(1, 0, np.asarray(model.initial, float))[1]:
+        choices[h - 1][node] = choice
+    index = 0
+    for choice in (c for level in choices for c in level):
+        index = index * n_choice + choice
+    return _tree_policy(dims, choices), index
 
 
 # -- likelihood ----------------------------------------------------------------
@@ -172,29 +205,6 @@ def _screen(loglik, beta):
     return tuple(
         i for i in range(len(loglik)) if float(loglik[i]) >= best - beta
     )
-
-
-def build_confidence_set(candidates, traces, policies, beta):
-    """Screen candidates by total feedback log-likelihood over traces.
-
-    ``policies[t]`` is the policy that generated ``traces[t]``.  The
-    best-scoring candidate always survives, so the set is never empty.
-    """
-    if len(candidates) == 0:
-        raise ConfigError("candidate class is empty")
-    if len(traces) != len(policies):
-        raise ValueError(
-            f"got {len(traces)} traces but {len(policies)} policies"
-        )
-    if beta < 0.0:
-        raise ValueError(f"beta must be nonnegative, got {beta}")
-    loglik = np.zeros(len(candidates))
-    for i, cand in enumerate(candidates):
-        total = 0.0
-        for trace, policy in zip(traces, policies):
-            total += feedback_log_likelihood(cand, policy, trace)
-        loglik[i] = total
-    return ConfidenceSet(_screen(loglik, beta), beta, loglik)
 
 
 def default_beta(dims, n_episodes, delta, scale=1.0):
@@ -261,16 +271,6 @@ def evaluate_policy_value(model, policy, cap=DEFAULT_VALUE_CAP):
     return total
 
 
-def policy_value_table(candidates, policies, cap=DEFAULT_VALUE_CAP):
-    """Exact value of every policy under every candidate, shape
-    (n_candidates, n_policies)."""
-    table = np.zeros((len(candidates), len(policies)))
-    for i, cand in enumerate(candidates):
-        for j, policy in enumerate(policies):
-            table[i, j] = evaluate_policy_value(cand, policy, cap)
-    return table
-
-
 # -- optimistic planning ---------------------------------------------------------
 
 
@@ -282,31 +282,14 @@ class PlanResult:
     policy_index: int
 
 
-def optimistic_plan(conf_set, policies, value_table):
-    """Best (candidate, policy) pair over the surviving candidates.
+def optimistic_plan(conf_set, plans):
+    """The plan of the surviving candidate with the highest value.
 
-    Ties break lexicographically on (candidate index, policy index).
-    ``value_table[i, j]`` must hold evaluate_policy_value(candidates[i],
-    policies[j]); compute it once with policy_value_table and reuse it.
+    ``plans[i]`` is candidate i's best plan (``PlanningContext.plans``).
+    Ties go to the lowest candidate index.
     """
-    if len(policies) == 0:
-        raise ConfigError("policy family is empty")
-    table = np.asarray(value_table, dtype=float)
-    if table.shape != (len(conf_set.loglik), len(policies)):
-        raise ValueError(
-            f"value table shape {table.shape} does not match "
-            f"{len(conf_set.loglik)} candidates x {len(policies)} policies"
-        )
-    masked = np.full_like(table, -np.inf)
-    rows = list(conf_set.indices)
-    masked[rows] = table[rows]
-    flat = int(np.argmax(masked))
-    cand_idx, pol_idx = divmod(flat, table.shape[1])
-    return PlanResult(
-        policy=policies[pol_idx],
-        value=float(table[cand_idx, pol_idx]),
-        candidate_index=cand_idx,
-        policy_index=pol_idx,
+    return max(
+        (plans[i] for i in sorted(conf_set.indices)), key=lambda plan: plan.value
     )
 
 
@@ -315,16 +298,18 @@ def optimistic_plan(conf_set, policies, value_table):
 
 @dataclass
 class PlanningContext:
-    """Episode-independent planning tables, shareable across runs.
+    """Episode-independent planning results, shareable across runs.
 
-    Holds the enumerated policy family, its label and the exact
-    candidate-by-policy value table.
+    Holds the policy family's label and each candidate's plan: its first
+    policy of highest value in that family, the exact value and the index.
+    The family is "full-history" when all (n_actions * n_query_sets) **
+    total_nodes tree policies fit under the policy cap, searched by
+    ``_best_tree``, and "open-loop" (``enumerate_policies``) otherwise.
     """
 
     candidates: list
-    policies: list
     label: str
-    value_table: np.ndarray
+    plans: list
 
     @classmethod
     def build(cls, candidates, policy_cap=DEFAULT_POLICY_CAP):
@@ -337,17 +322,33 @@ class PlanningContext:
                     "candidate class mixes dimension signatures: "
                     f"{cand.name} differs from {candidates[0].name}"
                 )
-        policies, label = enumerate_policies(dims, policy_cap)
-        table = policy_value_table(candidates, policies)
-        return cls(list(candidates), policies, label, table)
+        n_choice = dims.n_actions * len(dims.query_sets())
+        n_nodes = sum(level_node_counts(dims))
+        if math.log(n_choice) * n_nodes <= math.log(policy_cap) + 1e-12:
+            label, best = "full-history", _best_tree
+        else:
+            label = "open-loop"
+            policies = enumerate_policies(dims, policy_cap)
+
+            def best(cand):
+                values = [evaluate_policy_value(cand, p) for p in policies]
+                j = int(np.argmax(values))
+                return policies[j], j
+
+        plans = []
+        for i, cand in enumerate(candidates):
+            policy, index = best(cand)
+            value = evaluate_policy_value(cand, policy)
+            plans.append(PlanResult(policy, value, i, index))
+        return cls(list(candidates), label, plans)
 
 
 class PorsAgent:
     """Optimistic confidence-set learner over a finite candidate class.
 
     Each episode: screen candidates by cumulative feedback log-likelihood,
-    plan the optimistic (candidate, policy) pair, play that tree policy, and
-    fold the episode's feedback into every candidate's score.  Planning is
+    play the best plan of the most optimistic survivor, and fold the
+    episode's feedback into every candidate's score.  Planning is
     deterministic; the rng argument is accepted for interface uniformity
     with the other agents but never drawn from.
     """
@@ -381,8 +382,7 @@ class PorsAgent:
     def begin_episode(self, episode):
         conf = ConfidenceSet(_screen(self.loglik, self.beta), self.beta,
                              self.loglik)
-        plan = optimistic_plan(conf, self.context.policies,
-                               self.context.value_table)
+        plan = optimistic_plan(conf, self.context.plans)
         self.set_log.append(conf.indices)
         self.plan_log.append((plan.candidate_index, plan.policy_index))
         self.episode_policy = plan.policy

@@ -44,11 +44,12 @@ from hsilab.oracle import (
 from hsilab.pors import (
     PlanningContext,
     PorsAgent,
-    enumerate_policies,
+    evaluate_policy_value,
     feedback_log_likelihood,
 )
 from hsilab.harness import load_config, run_suite, verify_instance, write_results_csv
 from hsilab.serialize import dump_candidates
+from policy_reference import full_history_policies, random_hidden_observation_model
 
 
 def _gate(number, label, ok, detail):
@@ -176,6 +177,7 @@ def pors_suite():
     truth = build_controlled_drift_instance()
     truth_index = next(i for i, m in enumerate(candidates) if m.name == truth.name)
     v_star = optimal_value(truth)
+    played_values = {}
     t0 = time.perf_counter()
     covered = []
     ratios = []
@@ -186,8 +188,10 @@ def pors_suite():
         reg500 = None
         for k in range(1, 2001):
             run_episode(agent, truth, k, rng)
-            _, policy_index = agent.plan_log[-1]
-            cum += v_star - context.value_table[truth_index, policy_index]
+            policy = agent.episode_policy
+            if policy not in played_values:
+                played_values[policy] = evaluate_policy_value(truth, policy)
+            cum += v_star - played_values[policy]
             if k == 500:
                 reg500 = cum
         covered.append(all(truth_index in s for s in agent.set_log))
@@ -417,26 +421,6 @@ def test_gate_09_confidence_learner_sublinear(pors_suite):
 # 10. the likelihood engine agrees with a brute-force sum over state paths
 
 
-def _random_hidden_observation_model(gen, dims):
-    """Fully random model with noisy symbols: every probability row is a
-    Dirichlet draw, so all traces have positive probability."""
-    S, A, H, O = dims.n_states, dims.n_actions, dims.horizon, dims.n_observations
-    n_hidden = dims.alphabet_size ** (dims.d - dims.d_query)
-    emissions = {}
-    for h in range(1, H + 1):
-        for q in dims.query_sets():
-            emissions[(h, q)] = gen.dirichlet(np.ones(O), size=n_hidden).T.copy()
-    return EnvModel.from_joint(
-        name="random-hidden-obs",
-        dims=dims,
-        class_tag="Class2",
-        initial=gen.dirichlet(np.ones(S)),
-        joint=gen.dirichlet(np.ones(S), size=(H - 1, S, A)),
-        rewards=gen.random((H, S, A)),
-        emissions=emissions,
-    )
-
-
 def _play_tree_policy(env, policy, episode, rng):
     class _Player:
         def __init__(self):
@@ -498,7 +482,7 @@ def _brute_force_log_likelihood(model, trace):
 
 def test_gate_10_likelihood_engines_agree():
     dims = Dims(2, 2, 1, 2, 2, n_observations=2)
-    policies, _ = enumerate_policies(dims)
+    policies = full_history_policies(dims)
     gen = np.random.default_rng(424242)
     rng = SampleRng(7)
     t0 = time.perf_counter()
@@ -508,7 +492,7 @@ def test_gate_10_likelihood_engines_agree():
             keep, drift, acc = gen.uniform(0.05, 0.95, size=3)
             model = build_controlled_drift_instance(keep, drift, acc)
         else:
-            model = _random_hidden_observation_model(gen, dims)
+            model = random_hidden_observation_model(gen, dims)
         policy = policies[int(gen.integers(len(policies)))]
         trace = _play_tree_policy(model, policy, i + 1, rng)
         a = feedback_log_likelihood(model, policy, trace)

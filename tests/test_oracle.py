@@ -31,7 +31,8 @@ from hsilab.oracle import (
     trace_log_likelihood,
 )
 from hsilab.agents import UniformMarkovPolicy
-from hsilab.pors import enumerate_policies, evaluate_policy_value
+from hsilab.pors import evaluate_policy_value
+from policy_reference import full_history_policies
 
 
 def mdp_optimal_value(m):
@@ -194,9 +195,9 @@ def test_optimal_value_matches_best_full_history_policy():
     models = [random_independent_model(dims, seed) for seed in range(100)]
     models += controlled_drift_candidates()
     for m in models:
-        policies, label = enumerate_policies(m.dims)
-        assert label == "full-history"
-        best = max(evaluate_policy_value(m, pol) for pol in policies)
+        best = max(
+            evaluate_policy_value(m, pol) for pol in full_history_policies(m.dims)
+        )
         assert abs(optimal_value(m) - best) <= 1e-12, m.name
 
 

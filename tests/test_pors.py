@@ -1,10 +1,11 @@
-"""Tests for the confidence-set planner: tree-policy enumeration, feedback
+"""Tests for the confidence-set planner: tree-policy families, feedback
 likelihoods, candidate screening, and optimistic planning."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hsilab.core import ConfigError, Dims, EpisodeTrace, Feedback, StepRecord
 from hsilab.envs import (
@@ -19,18 +20,24 @@ from hsilab.oracle import evaluate_markov_policy
 from hsilab.pors import (
     ConfidenceSet,
     PlanningContext,
+    PlanResult,
     PorsAgent,
     TreePolicy,
-    build_confidence_set,
+    _best_tree,
+    _screen,
     default_beta,
     enumerate_policies,
     evaluate_policy_value,
     feedback_log_likelihood,
     level_node_counts,
     optimistic_plan,
-    policy_value_table,
 )
 from hsilab.serialize import dump_candidates, load_candidates
+from policy_reference import (
+    first_best_policy,
+    full_history_policies,
+    random_hidden_observation_model,
+)
 
 
 DRIFT_DIMS = Dims(
@@ -57,8 +64,10 @@ def _trace_for(policy, feedback_path, reward=0.0):
 
 
 def test_full_history_enumeration_counts():
-    policies, label = enumerate_policies(DRIFT_DIMS)
-    assert label == "full-history"
+    policies = full_history_policies(DRIFT_DIMS)
+    truth = [build_controlled_drift_instance()]
+    assert PlanningContext.build(truth, policy_cap=1024).label == "full-history"
+    assert PlanningContext.build(truth, policy_cap=1023).label == "open-loop"
     # branching 2 values x 2 symbols = 4, so levels hold 1 and 4 nodes and
     # (2 actions x 2 query sets) ^ 5 nodes = 1024 policies
     assert level_node_counts(DRIFT_DIMS) == [1, 4]
@@ -67,7 +76,7 @@ def test_full_history_enumeration_counts():
 
 
 def test_enumeration_order_and_choice_decode():
-    policies, _ = enumerate_policies(DRIFT_DIMS)
+    policies = full_history_policies(DRIFT_DIMS)
     first = policies[0]
     assert first.actions == ((0,), (0, 0, 0, 0))
     assert first.queries == (((0,),), ((0,), (0,), (0,), (0,)))
@@ -80,8 +89,7 @@ def test_enumeration_order_and_choice_decode():
 
 def test_open_loop_fallback():
     dims = Dims(d=2, alphabet_size=2, d_query=1, horizon=4, n_actions=2)
-    policies, label = enumerate_policies(dims)
-    assert label == "open-loop"
+    policies = enumerate_policies(dims)
     assert len(policies) == (2 * 2) ** 4
     for policy in policies[:8]:
         for level, count in enumerate(level_node_counts(dims)):
@@ -135,7 +143,7 @@ def _coin_env():
 
 def test_likelihood_coin_hand_example():
     env = _coin_env()
-    policies, _ = enumerate_policies(env.dims)
+    policies = full_history_policies(env.dims)
     policy = policies[0]  # always action 0, always query (0,)
     trace = _trace_for(policy, [(0, 0), (0, 0)])
     # step 1 reveals a fair coin; step 2's value is then deterministic
@@ -146,7 +154,7 @@ def test_likelihood_coin_hand_example():
 
 def test_likelihood_ignores_rewards():
     env = _coin_env()
-    policies, _ = enumerate_policies(env.dims)
+    policies = full_history_policies(env.dims)
     low = _trace_for(policies[0], [(0, 0), (0, 0)], reward=0.0)
     high = _trace_for(policies[0], [(0, 0), (0, 0)], reward=1.0)
     assert feedback_log_likelihood(env, policies[0], low) == feedback_log_likelihood(
@@ -156,7 +164,7 @@ def test_likelihood_ignores_rewards():
 
 def test_likelihood_normalizes_over_feedback_paths():
     truth = build_controlled_drift_instance()
-    policies, _ = enumerate_policies(truth.dims)
+    policies = full_history_policies(truth.dims)
     rng = np.random.default_rng(4)
     for policy in [policies[i] for i in rng.integers(0, 1024, size=6)]:
         mass = 0.0
@@ -173,7 +181,7 @@ def test_likelihood_normalizes_over_feedback_paths():
 
 def test_likelihood_rejects_policy_inconsistent_traces():
     truth = build_controlled_drift_instance()
-    policies, _ = enumerate_policies(truth.dims)
+    policies = full_history_policies(truth.dims)
     policy = policies[0]
     trace = _trace_for(policy, [(0, 0), (0, 0)])
     # flip the recorded action away from the policy's choice
@@ -197,7 +205,7 @@ def test_likelihood_rejects_policy_inconsistent_traces():
 
 def test_likelihood_impossible_feedback_is_minus_inf():
     env = _coin_env()
-    policies, _ = enumerate_policies(env.dims)
+    policies = full_history_policies(env.dims)
     policy = policies[0]
     # after the deterministic collapse, a step-2 value of 1 is impossible
     trace = _trace_for(policy, [(0, 0), (1, 0)])
@@ -224,6 +232,27 @@ def test_likelihood_matches_filter_oracle_on_played_traces():
 # confidence sets
 
 
+def build_confidence_set(candidates, traces, policies, beta):
+    """Batch reference for PorsAgent's incremental screening: score each
+    candidate by total feedback log-likelihood over traces, where
+    ``policies[t]`` generated ``traces[t]``."""
+    if len(candidates) == 0:
+        raise ConfigError("candidate class is empty")
+    if len(traces) != len(policies):
+        raise ValueError(
+            f"got {len(traces)} traces but {len(policies)} policies"
+        )
+    if beta < 0.0:
+        raise ValueError(f"beta must be nonnegative, got {beta}")
+    loglik = np.zeros(len(candidates))
+    for i, cand in enumerate(candidates):
+        total = 0.0
+        for trace, policy in zip(traces, policies):
+            total += feedback_log_likelihood(cand, policy, trace)
+        loglik[i] = total
+    return ConfidenceSet(_screen(loglik, beta), beta, loglik)
+
+
 def test_default_beta_value():
     assert default_beta(DRIFT_DIMS, 2000, 0.05) == 93.58456418735098
     assert default_beta(DRIFT_DIMS, 2000, 0.05, scale=0.5) == pytest.approx(
@@ -239,7 +268,7 @@ def test_confidence_set_keeps_best_and_screens_rest():
     truth = build_controlled_drift_instance()
     wrong = build_controlled_drift_instance(stay_controlled=0.2)
     candidates = [truth, wrong]
-    policies, _ = enumerate_policies(truth.dims)
+    policies = full_history_policies(truth.dims)
     policy = policies[0]
     rng = SampleRng(3)
     agent_traces = []
@@ -283,7 +312,7 @@ def _play_policy(env, policy, episode, rng):
 
 def test_confidence_set_never_empty():
     truth = build_controlled_drift_instance()
-    policies, _ = enumerate_policies(truth.dims)
+    policies = full_history_policies(truth.dims)
     policy = policies[0]
     trace = _trace_for(policy, [(0, 0), (0, 0)])
     # force a policy-inconsistent trace: -inf for the only candidate
@@ -296,7 +325,7 @@ def test_confidence_set_never_empty():
 
 def test_confidence_set_validation():
     truth = build_controlled_drift_instance()
-    policies, _ = enumerate_policies(truth.dims)
+    policies = full_history_policies(truth.dims)
     with pytest.raises(ConfigError):
         build_confidence_set([], [], [], beta=1.0)
     with pytest.raises(ValueError):
@@ -327,7 +356,7 @@ def test_screening_gap_grows_monotonically():
 
 def test_policy_value_matches_markov_oracle_on_open_loop():
     truth = build_controlled_drift_instance()
-    policies, _ = enumerate_policies(truth.dims)
+    policies = full_history_policies(truth.dims)
     # constant-action policies are Markov; both exact evaluators must agree
     for a1 in range(2):
         for a2 in range(2):
@@ -353,67 +382,102 @@ def test_best_tree_policy_achieves_optimal_value():
     context = PlanningContext.build(controlled_drift_candidates())
     v_star = optimal_value(truth)
     assert abs(v_star - 0.8) < 1e-12
-    best = float(context.value_table[7].max())
-    assert abs(best - v_star) < 1e-9
+    best = context.plans[7]
+    assert best.value == evaluate_policy_value(truth, best.policy)
+    assert abs(best.value - v_star) < 1e-9
 
 
 def test_policy_value_cap():
     truth = build_controlled_drift_instance()
-    policies, _ = enumerate_policies(truth.dims)
+    policies = full_history_policies(truth.dims)
     with pytest.raises(OracleSizeError):
         evaluate_policy_value(truth, policies[0], cap=10)
 
 
-def test_policy_value_table_layout():
-    truth = build_controlled_drift_instance()
-    wrong = build_controlled_drift_instance(stay_drift=0.3)
-    policies, _ = enumerate_policies(truth.dims)
-    subset = policies[:7]
-    table = policy_value_table([truth, wrong], subset)
-    assert table.shape == (2, 7)
-    for i, cand in enumerate([truth, wrong]):
-        for j, policy in enumerate(subset):
-            assert table[i, j] == evaluate_policy_value(cand, policy)
-
-
 # ---------------------------------------------------------------------------
-# optimistic planning
+# best plans and optimistic planning
+
+
+_unit = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0))
+
+# full-history families of at most 1024 policies, with and without symbols
+_SMALL_CLASS2_DIMS = (
+    DRIFT_DIMS,
+    Dims(d=2, alphabet_size=2, d_query=1, horizon=2, n_actions=2, n_observations=1),
+    Dims(d=2, alphabet_size=2, d_query=1, horizon=2, n_actions=3, n_observations=1),
+    Dims(d=2, alphabet_size=2, d_query=2, horizon=2, n_actions=2, n_observations=1),
+    Dims(d=2, alphabet_size=2, d_query=1, horizon=1, n_actions=3, n_observations=2),
+)
+_FULL_HISTORY = {dims: full_history_policies(dims) for dims in _SMALL_CLASS2_DIMS}
+
+
+@st.composite
+def _class2_models(draw, horizons):
+    if draw(st.booleans()):
+        return build_controlled_drift_instance(
+            draw(_unit), draw(_unit), draw(_unit), draw(st.sampled_from(horizons))
+        )
+    gen = np.random.default_rng(draw(st.integers(0, 2**32)))
+    if horizons == (2,):
+        dims = draw(st.sampled_from(_SMALL_CLASS2_DIMS))
+    else:
+        dims = Dims(2, 2, 1, draw(st.sampled_from(horizons)), 2, n_observations=2)
+    return random_hidden_observation_model(gen, dims)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_class2_models(horizons=(2,)))
+def test_best_plan_is_first_argmax_of_enumerated_table(m):
+    # the recursion over tree nodes must return the very policy, index and
+    # value that scoring every full-history policy and taking the first
+    # best one returns, ties included
+    context = PlanningContext.build([m])
+    assert context.label == "full-history"
+    index, policy, value = first_best_policy(m, _FULL_HISTORY[m.dims])
+    plan = context.plans[0]
+    assert plan.policy == policy
+    assert plan.policy_index == index
+    assert plan.value == value
+
+
+@settings(max_examples=20, deadline=None)
+@given(_class2_models(horizons=(3, 4)))
+def test_best_tree_attains_optimal_value_beyond_enumeration(m):
+    tree, _ = _best_tree(m)
+    assert abs(evaluate_policy_value(m, tree) - optimal_value(m)) <= 1e-12
+
+
+def test_open_loop_plan_is_first_argmax_of_its_family():
+    candidates = controlled_drift_candidates(horizon=3)
+    context = PlanningContext.build(candidates)
+    assert context.label == "open-loop"
+    policies = enumerate_policies(candidates[0].dims)
+    for i, cand in enumerate(candidates):
+        index, policy, value = first_best_policy(cand, policies)
+        assert context.plans[i] == PlanResult(policy, value, i, index)
+
+
+def _plans(values):
+    policies = full_history_policies(DRIFT_DIMS)
+    return [PlanResult(policies[i], v, i, i) for i, v in enumerate(values)]
 
 
 def test_optimistic_plan_tie_breaks_lexicographically():
-    policies, _ = enumerate_policies(DRIFT_DIMS)
-    subset = policies[:4]
-    loglik = np.zeros(3)
-    conf = ConfidenceSet((0, 1, 2), 1.0, loglik)
-    flat_table = np.ones((3, 4))
-    plan = optimistic_plan(conf, subset, flat_table)
-    assert (plan.candidate_index, plan.policy_index) == (0, 0)
-    bumped = flat_table.copy()
-    bumped[1, 3] = 2.0
-    plan = optimistic_plan(conf, subset, bumped)
-    assert (plan.candidate_index, plan.policy_index) == (1, 3)
+    conf = ConfidenceSet((0, 1, 2), 1.0, np.zeros(3))
+    plans = _plans([1.0, 1.0, 1.0])
+    assert optimistic_plan(conf, plans) is plans[0]
+    plans = _plans([1.0, 2.0, 2.0])
+    plan = optimistic_plan(conf, plans)
+    assert plan is plans[1]
     assert plan.value == 2.0
-    assert plan.policy is subset[3]
 
 
 def test_optimistic_plan_masks_excluded_candidates():
-    policies, _ = enumerate_policies(DRIFT_DIMS)
-    subset = policies[:2]
-    table = np.array([[9.0, 9.0], [0.25, 0.5], [0.4, 0.1]])
+    plans = _plans([9.0, 0.5, 0.4])
     conf = ConfidenceSet((1, 2), 1.0, np.zeros(3))
-    plan = optimistic_plan(conf, subset, table)
+    plan = optimistic_plan(conf, plans)
     assert plan.candidate_index == 1
-    assert plan.policy_index == 1
     assert plan.value == 0.5
-
-
-def test_optimistic_plan_validates_shapes():
-    policies, _ = enumerate_policies(DRIFT_DIMS)
-    conf = ConfidenceSet((0,), 1.0, np.zeros(2))
-    with pytest.raises(ValueError):
-        optimistic_plan(conf, policies[:3], np.zeros((2, 4)))
-    with pytest.raises(ConfigError):
-        optimistic_plan(conf, [], np.zeros((2, 0)))
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +491,7 @@ def test_planning_context_rejects_mixed_dims():
         PlanningContext.build([a, b])
 
 
-def test_candidate_file_round_trip_preserves_value_table(tmp_path):
+def test_candidate_file_round_trip_preserves_plans(tmp_path):
     candidates = controlled_drift_candidates()
     path = tmp_path / "candidates.cfg"
     dump_candidates(candidates, path)
@@ -435,7 +499,7 @@ def test_candidate_file_round_trip_preserves_value_table(tmp_path):
     assert [m.name for m in loaded] == [m.name for m in candidates]
     original = PlanningContext.build(candidates)
     reloaded = PlanningContext.build(loaded)
-    np.testing.assert_array_equal(original.value_table, reloaded.value_table)
+    assert reloaded.plans == original.plans
 
 
 def test_agent_rejects_mismatched_context():
@@ -487,7 +551,9 @@ def test_agent_coverage_and_optimism_single_seed():
     agent = _run_pors(300, seed=0, context=context)
     for conf_indices, (cand_idx, pol_idx) in zip(agent.set_log, agent.plan_log):
         assert 7 in conf_indices  # the true model always survives screening
-        assert context.value_table[cand_idx, pol_idx] >= v_star - 1e-9
+        plan = context.plans[cand_idx]
+        assert plan.policy_index == pol_idx
+        assert plan.value >= v_star - 1e-9
     # late episodes should have screened the wrong controlled-drift rates
     survivors = set(agent.set_log[-1])
     assert 7 in survivors
