@@ -51,9 +51,9 @@ from .oracle import (
     evaluate_markov_policy,
     optimal_value,
     oracle_report,
-    trace_log_likelihood,
 )
 from .pors import (
+    CandidateFilter,
     ConfidenceSet,
     PlanningContext,
     PorsAgent,
@@ -83,6 +83,7 @@ from .harness import (
 )
 
 __all__ = [
+    "CandidateFilter",
     "ConfidenceSet",
     "ConfigError",
     "Dims",
@@ -137,7 +138,6 @@ __all__ = [
     "read_results_csv",
     "run_episode",
     "run_suite",
-    "trace_log_likelihood",
     "verify_instance",
     "write_results_csv",
 ]

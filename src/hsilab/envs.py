@@ -292,9 +292,10 @@ class EnvModel:
             self._evidence[(h, query)] = kernel
         return kernel
 
-    def evidence_row(self, h, feedback):
-        """Likelihood of one step's feedback (revealed values and emitted
-        symbol) in every state: one row of the evidence kernel."""
+    def evidence_index(self, h, feedback):
+        """Row of the step-h evidence kernel that one step's feedback
+        (revealed values and emitted symbol) selects; raises
+        UnsupportedFeedbackError when the symbol does not fit the model."""
         n_obs = max(self.dims.n_observations, 1)
         obs = feedback.observation
         emits = bool(self.emissions)
@@ -304,7 +305,12 @@ class EnvModel:
                 f"{self.name!r} ({self.class_tag})"
             )
         vcode = encode_state(feedback.values(), self.dims.alphabet_size)
-        return self.evidence(h, tuple(feedback.query))[vcode * n_obs + (obs or 0)]
+        return vcode * n_obs + (obs or 0)
+
+    def evidence_row(self, h, feedback):
+        """Likelihood of one step's feedback (revealed values and emitted
+        symbol) in every state: one row of the evidence kernel."""
+        return self.evidence(h, tuple(feedback.query))[self.evidence_index(h, feedback)]
 
 
 # -- sampling ---------------------------------------------------------------

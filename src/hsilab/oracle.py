@@ -1,8 +1,8 @@
 """Ground truth for small instances.
 
-The exact feedback likelihood of an episode trace, the exact optimal value
-over joint action-and-query policies by backward induction on the reachable
-belief tree, and exact evaluation of per-episode Markov policies.
+The exact optimal value over joint action-and-query policies by backward
+induction on the reachable belief tree, and exact evaluation of
+per-episode Markov policies.
 Everything here is exact-or-error: when the belief tree exceeds its node
 cap the computation raises instead of approximating.  Regret is computed
 from these values by the harness (``ResultsTable.run_regret``).
@@ -10,9 +10,7 @@ from these values by the harness (``ResultsTable.run_regret``).
 Evidence comes from the model's cached evidence kernel
 (``EnvModel.evidence``): conditioning a belief on one step's feedback
 multiplies it by a kernel row, and the feedback branches of a query are the
-nonzero rows of the belief times the kernel.  ``trace_log_likelihood`` is
-the package's only exact filter; the confidence-set learner scores its
-candidates with it.
+nonzero rows of the belief times the kernel.
 
 The planner expands each distinct belief once, in one batch of products
 (``_plan``).  Its ``nodes`` count those expansions (the root and the
@@ -29,35 +27,11 @@ with informative terminal rewards only, and the confidence-set learner
 deliberately ignores them as well).
 """
 
-import math
-
 import numpy as np
 
 from .core import OracleSizeError
 
 DEFAULT_NODE_CAP = 10**6
-
-
-def trace_log_likelihood(m, trace):
-    """Log-probability of an episode's feedback sequence under the model.
-
-    Accumulates the conditioning mass of each step's feedback through the
-    exact filter; the last step conditions without transitioning.  Returns
-    -inf for impossible traces.  Realized rewards are not part of the
-    evidence.
-    """
-    p = np.array(m.initial, dtype=float)
-    total = 0.0
-    H = m.dims.horizon
-    for rec in trace.steps:
-        post = p * m.evidence_row(rec.h, rec.feedback)
-        mass = float(post.sum())
-        if mass == 0.0:
-            return float("-inf")
-        total += math.log(mass)
-        if rec.h < H:
-            p = (post / mass) @ m.joint_transitions()[rec.h - 1, :, rec.action, :]
-    return total
 
 
 def _plan(m, cap):

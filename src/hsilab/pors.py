@@ -13,9 +13,13 @@ when the model has emissions) arrives only after the step-h action, so the
 tree branches between steps: the action and query at step h depend on
 feedback from steps 1..h-1 only.  A tree node's children are laid out like
 the rows of the model's evidence kernel (``EnvModel.evidence``), so exact
-policy evaluation pushes each node's row times the kernel to its children,
-and likelihoods come from the one exact filter,
-``oracle.trace_log_likelihood``.
+policy evaluation pushes each node's row times the kernel to its children.
+
+Candidates are scored in one batched pass per episode
+(``feedback_log_likelihood``): the trace is checked against the played
+policy once, then the forward filter (Rabiner 1989) runs for every
+candidate of the class at once, on its tables stacked along a leading
+candidate axis (``CandidateFilter``).
 
 The optimistic step is a max over surviving candidates of each one's own
 optimum, so each candidate's best policy is planned once, before the first
@@ -31,7 +35,6 @@ import math
 import numpy as np
 
 from .core import ConfigError, OracleSizeError, encode_state
-from .oracle import trace_log_likelihood
 
 DEFAULT_POLICY_CAP = 4096
 DEFAULT_VALUE_CAP = 10**6
@@ -164,24 +167,92 @@ def _best_tree(model):
 # -- likelihood ----------------------------------------------------------------
 
 
-def feedback_log_likelihood(model, policy, trace):
-    """Exact log-probability of a trace's feedback under model and policy.
+class CandidateFilter:
+    """The tables of a candidate class's forward filter, stacked along a
+    leading candidate axis: initials ``(C, S)``, transitions
+    ``(C, H-1, S, A, S)`` and, per (step, query set), evidence kernels
+    ``(C, R, S)``, stacked on first use.
+
+    The class must be non-empty, share one dimension signature and hold
+    emission models (Class2) only; anything else raises ConfigError.
+    """
+
+    def __init__(self, candidates):
+        candidates = list(candidates)
+        if len(candidates) == 0:
+            raise ConfigError("candidate class is empty")
+        dims = candidates[0].dims
+        for cand in candidates:
+            if cand.dims != dims:
+                raise ConfigError(
+                    "candidate class mixes dimension signatures: "
+                    f"{cand.name} differs from {candidates[0].name}"
+                )
+            if cand.class_tag != "Class2":
+                raise ConfigError(
+                    f"candidate {cand.name!r} is {cand.class_tag}; "
+                    "pors candidates must be emission models (Class2)"
+                )
+        self.candidates = candidates
+        self.initial = np.stack([np.asarray(m.initial, float) for m in candidates])
+        self.joint = (
+            np.stack([m.joint_transitions() for m in candidates])
+            if dims.horizon > 1 else None
+        )
+        self._kernels = {}
+
+    def kernels(self, h, query):
+        """Every candidate's step-h evidence kernel under a query, stacked."""
+        stack = self._kernels.get((h, query))
+        if stack is None:
+            stack = np.stack([m.evidence(h, query) for m in self.candidates])
+            self._kernels[(h, query)] = stack
+        return stack
+
+
+def feedback_log_likelihood(cfilter, policy, trace):
+    """Exact log-probability of a trace's feedback under every candidate of
+    a class, given the policy that played it: a float64 array with one entry
+    per candidate of ``cfilter`` (a ``CandidateFilter``).
 
     Scores only the queried values and emitted symbols; realized rewards are
-    excluded.  A trace whose actions or queries disagree with the policy at
-    the reached node, or whose feedback has probability zero under the
-    model, scores -inf.
+    excluded.  The trace is walked against the policy once: a trace whose
+    actions or queries disagree with the policy at the reached node scores
+    -inf for every candidate, and feedback that does not fit the class
+    raises UnsupportedFeedbackError.  Then the forward filter runs for all
+    candidates at once, with each candidate's arithmetic exactly that of a
+    filter run alone: condition on the step's kernel row, add the log of the
+    conditioning mass, and transition, except after the last step.  A
+    candidate whose mass reaches zero scores -inf.
     """
+    first = cfilter.candidates[0]
+    steps = []
     node = 0
     for rec in trace.steps:
-        fb = rec.feedback
-        if rec.action != policy.action_at(rec.h, node):
-            return float("-inf")
-        if tuple(fb.query) != policy.query_at(rec.h, node):
-            return float("-inf")
-        vcode = encode_state(fb.values(), model.dims.alphabet_size)
-        node = policy.child(node, vcode, fb.observation)
-    return trace_log_likelihood(model, trace)
+        query = tuple(rec.feedback.query)
+        if (rec.action, query) != (
+            policy.action_at(rec.h, node), policy.query_at(rec.h, node)
+        ):
+            return np.full(len(cfilter.candidates), -np.inf)
+        row = first.evidence_index(rec.h, rec.feedback)
+        node = node * policy.branching + row  # kernel rows are tree children
+        steps.append((rec.h, rec.action, query, row))
+    H = first.dims.horizon
+    totals = [0.0] * len(cfilter.candidates)
+    p = cfilter.initial
+    for h, action, query, row in steps:
+        post = p * cfilter.kernels(h, query)[:, row]
+        masses = post.sum(axis=1)
+        for i, mass in enumerate(masses.tolist()):
+            if mass == 0.0:
+                totals[i] = -math.inf
+            elif totals[i] != -math.inf:
+                totals[i] += math.log(mass)
+        if h < H:
+            masses[masses == 0.0] = 1.0  # masked candidates stay finite
+            p = ((post / masses[:, None])[:, None, :]
+                 @ cfilter.joint[:, h - 1, :, action, :])[:, 0]
+    return np.array(totals)
 
 
 # -- confidence set ------------------------------------------------------------
@@ -300,28 +371,26 @@ def optimistic_plan(conf_set, plans):
 class PlanningContext:
     """Episode-independent planning results, shareable across runs.
 
-    Holds the policy family's label and each candidate's plan: its first
-    policy of highest value in that family, the exact value and the index.
-    The family is "full-history" when all (n_actions * n_query_sets) **
+    Holds the class's stacked filter tables (``CandidateFilter``), the
+    policy family's label and each candidate's plan: its first policy of
+    highest value in that family, the exact value and the index.  The
+    family is "full-history" when all (n_actions * n_query_sets) **
     total_nodes tree policies fit under the policy cap, searched by
     ``_best_tree``, and "open-loop" (``enumerate_policies``) otherwise.
     """
 
-    candidates: list
+    filter: CandidateFilter
     label: str
     plans: list
 
+    @property
+    def candidates(self):
+        return self.filter.candidates
+
     @classmethod
     def build(cls, candidates, policy_cap=DEFAULT_POLICY_CAP):
-        if len(candidates) == 0:
-            raise ConfigError("candidate class is empty")
-        dims = candidates[0].dims
-        for cand in candidates[1:]:
-            if cand.dims != dims:
-                raise ConfigError(
-                    "candidate class mixes dimension signatures: "
-                    f"{cand.name} differs from {candidates[0].name}"
-                )
+        cfilter = CandidateFilter(candidates)
+        dims = cfilter.candidates[0].dims
         n_choice = dims.n_actions * len(dims.query_sets())
         n_nodes = sum(level_node_counts(dims))
         if math.log(n_choice) * n_nodes <= math.log(policy_cap) + 1e-12:
@@ -336,11 +405,11 @@ class PlanningContext:
                 return policies[j], j
 
         plans = []
-        for i, cand in enumerate(candidates):
+        for i, cand in enumerate(cfilter.candidates):
             policy, index = best(cand)
             value = evaluate_policy_value(cand, policy)
             plans.append(PlanResult(policy, value, i, index))
-        return cls(list(candidates), label, plans)
+        return cls(cfilter, label, plans)
 
 
 class PorsAgent:
@@ -348,9 +417,11 @@ class PorsAgent:
 
     Each episode: screen candidates by cumulative feedback log-likelihood,
     play the best plan of the most optimistic survivor, and fold the
-    episode's feedback into every candidate's score.  Planning is
-    deterministic; the rng argument is accepted for interface uniformity
-    with the other agents but never drawn from.
+    episode's feedback into every candidate's score with one batched
+    ``feedback_log_likelihood`` pass over the context's stacked tables.  A
+    given context must have been built for these very models, in this
+    order.  Planning is deterministic; the rng argument is accepted for
+    interface uniformity with the other agents but never drawn from.
     """
 
     name = "pors"
@@ -359,13 +430,15 @@ class PorsAgent:
                  delta=0.05, policy_cap=DEFAULT_POLICY_CAP, context=None):
         if context is None:
             context = PlanningContext.build(candidates, policy_cap)
-        if len(context.candidates) != len(candidates):
+        held = context.candidates
+        if len(held) != len(candidates) or any(
+            a is not b for a, b in zip(held, candidates)
+        ):
             raise ConfigError(
-                f"planning context holds {len(context.candidates)} candidates"
-                f" but {len(candidates)} were given"
+                "planning context was built for other candidates: the "
+                "given models must be the context's, in the same order"
             )
         self.dims = dims
-        self.candidates = list(candidates)
         self.context = context
         self.beta = (
             default_beta(dims, n_episodes, delta) if beta is None else beta
@@ -400,7 +473,6 @@ class PorsAgent:
         )
 
     def end_episode(self, trace):
-        for i, cand in enumerate(self.candidates):
-            self.loglik[i] += feedback_log_likelihood(
-                cand, self.episode_policy, trace
-            )
+        self.loglik += feedback_log_likelihood(
+            self.context.filter, self.episode_policy, trace
+        )

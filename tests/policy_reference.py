@@ -1,13 +1,16 @@
-"""Brute-force references for the tree-policy planner, and random models
-with noisy symbols to run them on.
+"""Brute-force references for the tree-policy planner and the batched
+feedback likelihood, and random models with noisy symbols to run them on.
 
 ``full_history_policies`` lists every deterministic history-dependent tree
 policy of a (small) model, in the order whose index ``PlanningContext``
 reports as a plan's ``policy_index``; ``first_best_policy`` scores them all
 under one model and returns the first of highest value.
+``trace_log_likelihood`` is the exact filter of one model on its own, which
+``pors.feedback_log_likelihood`` runs for a whole class at once.
 """
 
 from itertools import product
+import math
 
 import numpy as np
 
@@ -68,3 +71,25 @@ def random_hidden_observation_model(gen, dims):
         rewards=gen.random((H, S, A)),
         emissions=emissions,
     )
+
+
+def trace_log_likelihood(m, trace):
+    """Log-probability of an episode's feedback sequence under the model.
+
+    Accumulates the conditioning mass of each step's feedback through the
+    exact filter; the last step conditions without transitioning.  Returns
+    -inf for impossible traces.  Realized rewards are not part of the
+    evidence.
+    """
+    p = np.array(m.initial, dtype=float)
+    total = 0.0
+    H = m.dims.horizon
+    for rec in trace.steps:
+        post = p * m.evidence_row(rec.h, rec.feedback)
+        mass = float(post.sum())
+        if mass == 0.0:
+            return float("-inf")
+        total += math.log(mass)
+        if rec.h < H:
+            p = (post / mass) @ m.joint_transitions()[rec.h - 1, :, rec.action, :]
+    return total

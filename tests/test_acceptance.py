@@ -42,6 +42,7 @@ from hsilab.oracle import (
     optimal_value,
 )
 from hsilab.pors import (
+    CandidateFilter,
     PlanningContext,
     PorsAgent,
     evaluate_policy_value,
@@ -495,7 +496,7 @@ def test_gate_10_likelihood_engines_agree():
             model = random_hidden_observation_model(gen, dims)
         policy = policies[int(gen.integers(len(policies)))]
         trace = _play_tree_policy(model, policy, i + 1, rng)
-        a = feedback_log_likelihood(model, policy, trace)
+        a = feedback_log_likelihood(CandidateFilter([model]), policy, trace)[0]
         b = _brute_force_log_likelihood(model, trace)
         assert np.isfinite(a) and np.isfinite(b)
         worst = max(worst, abs(a - b))

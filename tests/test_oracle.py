@@ -28,11 +28,10 @@ from hsilab.oracle import (
     evaluate_markov_policy,
     optimal_value,
     oracle_report,
-    trace_log_likelihood,
 )
 from hsilab.agents import UniformMarkovPolicy
 from hsilab.pors import evaluate_policy_value
-from policy_reference import full_history_policies
+from policy_reference import full_history_policies, trace_log_likelihood
 
 
 def mdp_optimal_value(m):
@@ -224,7 +223,7 @@ def test_node_cap_raises():
         optimal_value(m, cap=nodes - 1)
 
 
-# -- exact filtering -----------------------------------------------------------------
+# -- exact filtering (the reference in policy_reference) -------------------------------
 
 
 def test_trace_log_likelihood_conditions_then_transitions():

@@ -2,22 +2,32 @@
 likelihoods, candidate screening, and optimistic planning."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hsilab.core import ConfigError, Dims, EpisodeTrace, Feedback, StepRecord
+from hsilab.core import (
+    ConfigError,
+    Dims,
+    EpisodeTrace,
+    Feedback,
+    StepRecord,
+    UnsupportedFeedbackError,
+)
 from hsilab.envs import (
+    EnvModel,
     SampleRng,
     build_controlled_drift_instance,
     build_hard_instance_groups,
     controlled_drift_candidates,
 )
 from hsilab.agents import MarkovEpisodePolicy, run_episode
-from hsilab.oracle import OracleSizeError, optimal_value, trace_log_likelihood
+from hsilab.oracle import OracleSizeError, optimal_value
 from hsilab.oracle import evaluate_markov_policy
 from hsilab.pors import (
+    CandidateFilter,
     ConfidenceSet,
     PlanningContext,
     PlanResult,
@@ -25,6 +35,7 @@ from hsilab.pors import (
     TreePolicy,
     _best_tree,
     _screen,
+    _tree_policy,
     default_beta,
     enumerate_policies,
     evaluate_policy_value,
@@ -37,6 +48,7 @@ from policy_reference import (
     first_best_policy,
     full_history_policies,
     random_hidden_observation_model,
+    trace_log_likelihood,
 )
 
 
@@ -116,11 +128,14 @@ def test_tree_child_indexing():
 # feedback likelihood
 
 
+def _score(model, policy, trace):
+    """One model's feedback log-likelihood, scored as a class of one."""
+    return feedback_log_likelihood(CandidateFilter([model]), policy, trace)[0]
+
+
 def _coin_env():
     """Uniform first sub-state, deterministic collapse to state 0, single
     emission symbol: any consistent trace has likelihood exactly 1/2."""
-    from hsilab.envs import EnvModel
-
     dims = Dims(
         d=2, alphabet_size=2, d_query=1, horizon=2, n_actions=2, n_observations=1
     )
@@ -147,9 +162,9 @@ def test_likelihood_coin_hand_example():
     policy = policies[0]  # always action 0, always query (0,)
     trace = _trace_for(policy, [(0, 0), (0, 0)])
     # step 1 reveals a fair coin; step 2's value is then deterministic
-    assert feedback_log_likelihood(env, policy, trace) == math.log(0.5)
+    assert _score(env, policy, trace) == math.log(0.5)
     heads = _trace_for(policy, [(1, 0), (0, 0)])
-    assert feedback_log_likelihood(env, policy, heads) == math.log(0.5)
+    assert _score(env, policy, heads) == math.log(0.5)
 
 
 def test_likelihood_ignores_rewards():
@@ -157,9 +172,7 @@ def test_likelihood_ignores_rewards():
     policies = full_history_policies(env.dims)
     low = _trace_for(policies[0], [(0, 0), (0, 0)], reward=0.0)
     high = _trace_for(policies[0], [(0, 0), (0, 0)], reward=1.0)
-    assert feedback_log_likelihood(env, policies[0], low) == feedback_log_likelihood(
-        env, policies[0], high
-    )
+    assert _score(env, policies[0], low) == _score(env, policies[0], high)
 
 
 def test_likelihood_normalizes_over_feedback_paths():
@@ -173,34 +186,48 @@ def test_likelihood_normalizes_over_feedback_paths():
                 for v2 in range(2):
                     for o2 in range(2):
                         trace = _trace_for(policy, [(v1, o1), (v2, o2)])
-                        mass += math.exp(
-                            feedback_log_likelihood(truth, policy, trace)
-                        )
+                        mass += math.exp(_score(truth, policy, trace))
         assert abs(mass - 1.0) < 1e-9
 
 
+def _off_policy(trace, h, action=None, query=None):
+    """The trace with step h's action or query changed."""
+    steps = list(trace.steps)
+    rec = steps[h - 1]
+    fb = rec.feedback
+    if query is not None:
+        values = [v for _, v in fb.hsi]
+        fb = Feedback(query, tuple(zip(query, values)), fb.observation, fb.reward)
+    steps[h - 1] = StepRecord(h, rec.action if action is None else action, fb)
+    return EpisodeTrace(episode=trace.episode, steps=steps)
+
+
 def test_likelihood_rejects_policy_inconsistent_traces():
-    truth = build_controlled_drift_instance()
-    policies = full_history_policies(truth.dims)
-    policy = policies[0]
+    cfilter = CandidateFilter(controlled_drift_candidates())
+    policy = full_history_policies(DRIFT_DIMS)[0]
     trace = _trace_for(policy, [(0, 0), (0, 0)])
-    # flip the recorded action away from the policy's choice
-    bad_action = EpisodeTrace(episode=1, steps=list(trace.steps))
-    rec = trace.steps[0]
-    bad_action.steps[0] = StepRecord(
-        h=1, action=1 - rec.action, feedback=rec.feedback
-    )
-    assert feedback_log_likelihood(truth, policy, bad_action) == -math.inf
-    # and a query disagreeing with the policy's choice
-    other_query_fb = Feedback(
-        query=(1,), hsi=((1, 0),), observation=0, reward=0.0
-    )
-    bad_query = EpisodeTrace(
-        episode=1,
-        steps=[StepRecord(h=1, action=rec.action, feedback=other_query_fb)]
-        + list(trace.steps[1:]),
-    )
-    assert feedback_log_likelihood(truth, policy, bad_query) == -math.inf
+    # every candidate scores -inf once the recorded action or query leaves
+    # the policy's choice, at either step
+    for h in (1, 2):
+        for bad in (
+            _off_policy(trace, h, action=1 - trace.steps[h - 1].action),
+            _off_policy(trace, h, query=(1,)),
+        ):
+            scores = feedback_log_likelihood(cfilter, policy, bad)
+            assert scores.tolist() == [-math.inf] * 8
+
+
+def test_likelihood_rejects_feedback_that_does_not_fit():
+    cfilter = CandidateFilter(controlled_drift_candidates())
+    policy = full_history_policies(DRIFT_DIMS)[0]
+    for obs in (None, 2):
+        trace = _trace_for(policy, [(0, 0), (0, obs)])
+        message = (
+            f"observation {obs!r} at step 2 does not fit model "
+            f"{cfilter.candidates[0].name!r} (Class2)"
+        )
+        with pytest.raises(UnsupportedFeedbackError, match=re.escape(message)):
+            feedback_log_likelihood(cfilter, policy, trace)
 
 
 def test_likelihood_impossible_feedback_is_minus_inf():
@@ -209,23 +236,71 @@ def test_likelihood_impossible_feedback_is_minus_inf():
     policy = policies[0]
     # after the deterministic collapse, a step-2 value of 1 is impossible
     trace = _trace_for(policy, [(0, 0), (1, 0)])
-    assert feedback_log_likelihood(env, policy, trace) == -math.inf
+    assert _score(env, policy, trace) == -math.inf
 
 
 def test_likelihood_matches_filter_oracle_on_played_traces():
     truth = build_controlled_drift_instance()
     candidates = controlled_drift_candidates()
     context = PlanningContext.build(candidates)
-    rng = np.random.default_rng(12)
     agent = PorsAgent(truth.dims, candidates, 40, context=context)
     env_rng = SampleRng(12)
     for k in range(1, 21):
         trace = run_episode(agent, truth, k, env_rng)
-        policy = agent.episode_policy
-        for cand in [candidates[int(i)] for i in rng.integers(0, 8, size=3)]:
-            ours = feedback_log_likelihood(cand, policy, trace)
-            reference = trace_log_likelihood(cand, trace)
-            assert abs(ours - reference) < 1e-9
+        ours = feedback_log_likelihood(context.filter, agent.episode_policy, trace)
+        reference = [trace_log_likelihood(cand, trace) for cand in candidates]
+        assert ours.tolist() == reference
+
+
+_zero_half_one = st.sampled_from([0.0, 0.5, 1.0])
+
+
+@st.composite
+def _scored_classes(draw):
+    """A class of 1-8 models on one dimension signature, mixing random
+    models with drift models whose parameters lie in {0, 1/2, 1} (so some
+    reach zero mass at step 1 or 2 while others do not), a random
+    full-history tree policy, a trace it played on a drawn model, and the
+    scores every candidate must get.  Half the traces are bent away from
+    the policy's action or query at one step; those score -inf throughout."""
+    horizon = draw(st.sampled_from([1, 2, 3]))
+    dims = Dims(2, 2, 1, horizon, 2, n_observations=2)
+    gen = np.random.default_rng(draw(st.integers(0, 2**32)))
+    models = []
+    for _ in range(draw(st.integers(1, 8))):
+        if horizon == 1 or draw(st.booleans()):  # drift needs two steps
+            models.append(random_hidden_observation_model(gen, dims))
+        else:
+            params = [draw(_zero_half_one) for _ in range(3)]
+            models.append(build_controlled_drift_instance(*params, horizon))
+    n_choice = dims.n_actions * len(dims.query_sets())
+    choices = [
+        [draw(st.integers(0, n_choice - 1)) for _ in range(n)]
+        for n in level_node_counts(dims)
+    ]
+    policy = _tree_policy(dims, choices)
+    player = models[draw(st.integers(0, len(models) - 1))]
+    trace = _play_policy(player, policy, 1, SampleRng(draw(st.integers(0, 999))))
+    if not draw(st.booleans()):
+        return models, policy, trace, [trace_log_likelihood(m, trace) for m in models]
+    h = draw(st.integers(1, horizon))
+    rec = trace.steps[h - 1]
+    if draw(st.booleans()):
+        trace = _off_policy(trace, h, action=1 - rec.action)
+    else:
+        trace = _off_policy(trace, h, query=(1 - rec.feedback.query[0],))
+    return models, policy, trace, [-math.inf] * len(models)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_scored_classes())
+def test_batched_likelihood_is_bit_identical_to_per_model_filter(drawn):
+    # the batched pass must give every candidate exactly the score its own
+    # filter gives, zero-mass candidates included
+    models, policy, trace, want = drawn
+    scores = feedback_log_likelihood(CandidateFilter(models), policy, trace)
+    assert scores.dtype == np.float64
+    assert scores.tolist() == want
 
 
 # ---------------------------------------------------------------------------
@@ -236,8 +311,7 @@ def build_confidence_set(candidates, traces, policies, beta):
     """Batch reference for PorsAgent's incremental screening: score each
     candidate by total feedback log-likelihood over traces, where
     ``policies[t]`` generated ``traces[t]``."""
-    if len(candidates) == 0:
-        raise ConfigError("candidate class is empty")
+    cfilter = CandidateFilter(candidates)
     if len(traces) != len(policies):
         raise ValueError(
             f"got {len(traces)} traces but {len(policies)} policies"
@@ -245,11 +319,8 @@ def build_confidence_set(candidates, traces, policies, beta):
     if beta < 0.0:
         raise ValueError(f"beta must be nonnegative, got {beta}")
     loglik = np.zeros(len(candidates))
-    for i, cand in enumerate(candidates):
-        total = 0.0
-        for trace, policy in zip(traces, policies):
-            total += feedback_log_likelihood(cand, policy, trace)
-        loglik[i] = total
+    for trace, policy in zip(traces, policies):
+        loglik = loglik + feedback_log_likelihood(cfilter, policy, trace)
     return ConfidenceSet(_screen(loglik, beta), beta, loglik)
 
 
@@ -491,6 +562,21 @@ def test_planning_context_rejects_mixed_dims():
         PlanningContext.build([a, b])
 
 
+def test_planning_context_rejects_candidates_without_emissions():
+    # same dimensions, but a Class1 model has no emission tables to score
+    # a symbol with, so the class is refused before any episode runs
+    drift = build_controlled_drift_instance()
+    silent = EnvModel.from_joint(
+        "silent", drift.dims, "Class1", drift.initial,
+        drift.joint_transitions(), drift.rewards,
+    )
+    with pytest.raises(ConfigError, match=re.escape(
+        "candidate 'silent' is Class1; "
+        "pors candidates must be emission models (Class2)"
+    )):
+        PlanningContext.build([drift, silent])
+
+
 def test_candidate_file_round_trip_preserves_plans(tmp_path):
     candidates = controlled_drift_candidates()
     path = tmp_path / "candidates.cfg"
@@ -505,8 +591,13 @@ def test_candidate_file_round_trip_preserves_plans(tmp_path):
 def test_agent_rejects_mismatched_context():
     candidates = controlled_drift_candidates()
     context = PlanningContext.build(candidates)
-    with pytest.raises(ConfigError):
-        PorsAgent(DRIFT_DIMS, candidates[:7], 100, context=context)
+    # a shorter class, the same models reordered, and an equal-sized class
+    # of other model objects: the agent would plan with one class and
+    # score with another
+    for other in (candidates[:7], candidates[::-1], controlled_drift_candidates()):
+        with pytest.raises(ConfigError):
+            PorsAgent(DRIFT_DIMS, other, 100, context=context)
+    PorsAgent(DRIFT_DIMS, list(candidates), 100, context=context)
 
 
 def _run_pors(n_episodes, seed, context, rng=None):
