@@ -2,7 +2,9 @@
 
 Two optimistic learners share one skeleton: an exponential-weight layer
 picks which sub-states to query, and a tabular optimistic Q-learner keyed
-by (step, query set, revealed values, action) picks actions.
+by (step, query set, revealed values, action) picks actions.  Its tables
+are stacked over steps, one set per query set, so each episode's backward
+backup and greedy policy take a handful of array operations.
 
 * single-query learner (d_query = 1): importance-weighted exponential
   update of one weight per sub-state; one sub-state queried per episode.
@@ -208,7 +210,10 @@ def opmll_local_update(ws, episode_reward, d_query, horizon=None):
 
 class QTable:
     """Optimistic tabular values keyed by (step, query set, revealed
-    values, action), array-backed per (step, query set).
+    values, action), held as one stack of arrays per query set: ``q``,
+    ``n`` and ``rsum`` of shape (H, n_codes, A), indexed [h - 1, code,
+    action], and successor counts ``succ`` of shape (H-1, n_codes, A,
+    n_codes).
 
     Fresh entries hold Q = H (optimism); counts, reward sums and successor
     counts accumulate as episodes commit.
@@ -227,34 +232,33 @@ class QTable:
         return self.alphabet_size ** len(qset)
 
     def ensure(self, qset):
-        """Allocate the per-step arrays for one query set."""
+        """Allocate the stacked arrays for one query set."""
         qset = tuple(qset)
-        if (1, qset) not in self.q:
-            nc, A = self.n_codes(qset), self.n_actions
-            for h in range(1, self.horizon + 1):
-                self.q[(h, qset)] = np.full((nc, A), float(self.horizon))
-                self.n[(h, qset)] = np.zeros((nc, A), dtype=np.int64)
-                self.rsum[(h, qset)] = np.zeros((nc, A))
-                if h < self.horizon:
-                    self.succ[(h, qset)] = np.zeros((nc, A, nc), dtype=np.int64)
+        if qset not in self.q:
+            H, nc, A = self.horizon, self.n_codes(qset), self.n_actions
+            self.q[qset] = np.full((H, nc, A), float(H))
+            self.n[qset] = np.zeros((H, nc, A), dtype=np.int64)
+            self.rsum[qset] = np.zeros((H, nc, A))
+            self.succ[qset] = np.zeros((H - 1, nc, A, nc), dtype=np.int64)
         return qset
 
     def record(self, h, qset, code, action, step_reward, succ_code):
-        self.n[(h, qset)][code, action] += 1
-        self.rsum[(h, qset)][code, action] += step_reward
+        self.n[qset][h - 1, code, action] += 1
+        self.rsum[qset][h - 1, code, action] += step_reward
         if succ_code is not None:
-            self.succ[(h, qset)][code, action, succ_code] += 1
+            self.succ[qset][h - 1, code, action, succ_code] += 1
 
 
 class MarkovEpisodePolicy:
     """Deterministic one-episode policy: fixed query set; first action a
     constant; later actions a function of (previous revealed-value code,
-    previous action)."""
+    previous action), held as one (H-1, n_codes, A) int array whose row
+    h - 2 gives the step-h actions."""
 
     def __init__(self, query, first_action, decisions, n_actions):
         self.query = tuple(query)
         self.first_action = int(first_action)
-        self.decisions = decisions  # per h=2..H: (n_codes, A) int arrays
+        self.decisions = decisions
         self.n_actions = n_actions
 
     def first_distribution(self):
@@ -263,29 +267,25 @@ class MarkovEpisodePolicy:
         return out
 
     def action_matrix(self, h):
-        dec = self.decisions[h - 2]
-        out = np.zeros(dec.shape + (self.n_actions,))
-        codes, prevs = np.indices(dec.shape)
-        out[codes, prevs, dec] = 1.0
-        return out
+        return np.eye(self.n_actions)[self.decisions[h - 2]]
 
     def action(self, h, prev_code, prev_action):
         if h == 1:
             return self.first_action
-        return int(self.decisions[h - 2][prev_code, prev_action])
+        return int(self.decisions[h - 2, prev_code, prev_action])
 
     def key(self):
         return (
             self.query,
             self.first_action,
-            tuple(d.tobytes() for d in self.decisions),
+            self.decisions.shape,
+            self.decisions.tobytes(),
         )
 
     @classmethod
     def from_sequence(cls, actions, query, n_codes, n_actions):
-        decisions = [
-            np.full((n_codes, n_actions), a, dtype=np.int64) for a in actions[1:]
-        ]
+        decisions = np.empty((len(actions) - 1, n_codes, n_actions), dtype=np.int64)
+        decisions[...] = np.reshape(actions[1:], (-1, 1, 1))
         return cls(query, actions[0], decisions, n_actions)
 
 
@@ -364,55 +364,59 @@ class _OptimisticQAgent:
 
     def _sweep(self, qset):
         """Backward optimistic backup over every (values, action) of the
-        current query set; vectorized form of the per-key backup."""
-        H, A, c = self.dims.horizon, self.dims.n_actions, self.c_bonus
+        current query set; vectorized form of the per-key backup.
+
+        The mean reward and the bonus c sqrt(H^2/N) are formed for all steps
+        at once.  An unvisited entry gets an infinite bonus, so the clamp
+        leaves it at the optimistic H; its zero counts add nothing before.
+        """
+        H, c = self.dims.horizon, self.c_bonus
         qt = self.qt
-        nc = qt.n_codes(qset)
-        v_next = np.zeros(nc)
-        for h in range(H, 0, -1):
-            n = qt.n[(h, qset)]
-            q = np.full((nc, A), float(H))
-            visited = n > 0
-            if visited.any():
-                nn = np.where(visited, n, 1)
-                est = qt.rsum[(h, qset)] / nn
-                if h < H:
-                    est = est + (qt.succ[(h, qset)] @ v_next) / nn
-                est = est + c * np.sqrt(H * H / nn)
-                q[visited] = np.minimum(est, float(H))[visited]
-            qt.q[(h, qset)] = q
-            if (q < 0.0).any() or (q > H).any():
-                self.invariant_violations.append(
-                    f"episode {self.episode}: Q outside [0, {H}] at step {h}"
-                )
-            v_next = q.max(axis=1)
+        n, succ, q = qt.n[qset], qt.succ[qset], qt.q[qset]
+        visited = n > 0
+        nn = np.where(visited, n, 1)
+        mean = qt.rsum[qset] / nn
+        bonus = np.where(visited, c * np.sqrt(H * H / nn), np.inf)
+        v_next = None
+        for i in range(H - 1, -1, -1):
+            est = mean[i]
+            if v_next is not None:
+                est = est + (succ[i] @ v_next) / nn[i]
+            np.minimum(est + bonus[i], float(H), out=q[i])
+            v_next = q[i].max(axis=1)
+        bad = (q < 0.0) | (q > H)
+        if bad.any():
+            self.invariant_violations.extend(
+                f"episode {self.episode}: Q outside [0, {H}] at step {h}"
+                for h in range(H, 0, -1)
+                if bad[h - 1].any()
+            )
 
     def _build_policy(self, qset):
         """Predictive-greedy policy: the step-h action maximizes the
         estimated distribution over current values (from successor counts
         of the previous step's key; initial-value counts at step 1; uniform
         where unseen) against the just-swept Q."""
-        dims, qt = self.dims, self.qt
-        H, A = dims.horizon, dims.n_actions
-        nc = qt.n_codes(qset)
+        qt = self.qt
+        q = qt.q[qset]
+        nc = q.shape[1]
         counts1 = self.init_counts.get(qset)
         if counts1 is None or counts1.sum() == 0:
             pred1 = np.full(nc, 1.0 / nc)
         else:
             pred1 = counts1 / counts1.sum()
-        first = int(np.argmax(pred1 @ qt.q[(1, qset)]))
-        decisions = []
-        for h in range(2, H + 1):
-            qarr = qt.q[(h, qset)]  # (nc, A)
-            default = int(np.argmax(qarr.mean(axis=0)))
-            # scores[c, a, a'] = sum_v succ[c, a, v] * Q[v, a']; scaling by
-            # 1/N leaves the argmax unchanged
-            scores = np.einsum("cav,vb->cab", qt.succ[(h - 1, qset)], qarr)
-            dec = np.where(
-                qt.n[(h - 1, qset)] > 0, scores.argmax(axis=2), default
-            ).astype(np.int64)
-            decisions.append(dec)
-        self.episode_policy = MarkovEpisodePolicy(qset, first, decisions, A)
+        first = int(np.argmax(pred1 @ q[0]))
+        later = q[1:]  # (H-1, nc, A): steps 2..H
+        default = later.mean(axis=1).argmax(axis=1)
+        # scores[i, c, a, a'] = sum_v succ[i, c, a, v] * Q[i + 1, v, a'] for
+        # the step-(i + 2) action; scaling by 1/N leaves the argmax unchanged
+        scores = np.einsum("hcav,hvb->hcab", qt.succ[qset], later)
+        decisions = np.where(
+            qt.n[qset][:-1] > 0, scores.argmax(axis=3), default[:, None, None]
+        )
+        self.episode_policy = MarkovEpisodePolicy(
+            qset, first, decisions, self.dims.n_actions
+        )
 
     # -- protocol ---------------------------------------------------------
 

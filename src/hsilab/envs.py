@@ -92,7 +92,8 @@ class EnvModel:
     (H-1, d, V, A, V); exactly one is set, per ``transition_form``.
     ``emissions`` maps (h, query) -> (n_obs, n_hidden) column-stochastic
     tables, for models whose class_tag is Class2; otherwise None.
-    Per-query value codes and evidence kernels are cached on first use.
+    Per-query value codes, evidence kernels and the samplers' list rows
+    are cached on first use.
     """
 
     name: str
@@ -108,6 +109,7 @@ class EnvModel:
     _joint_cache: np.ndarray | None = field(default=None, repr=False, compare=False)
     _codes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _evidence: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _rows: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n_states(self):
@@ -268,6 +270,17 @@ class EnvModel:
             self._codes[query] = codes
         return codes
 
+    def sampling_rows(self):
+        """The initial distribution and, in product form, the (H-1, d, V, A, V)
+        transition rows as nested Python lists, built once and cached, so
+        each draw walks the same floats without converting a row.  Joint
+        tables stay arrays (None here): as lists, one at MAX_TABLE_CELLS
+        would take more than 4 GiB."""
+        if self._rows is None:
+            product = None if self.product is None else self.product.tolist()
+            self._rows = (self.initial.tolist(), product)
+        return self._rows
+
     def evidence(self, h, query):
         """Evidence kernel of step-h feedback under a query, cached.
 
@@ -318,7 +331,7 @@ class EnvModel:
 
 def sample_initial(m, rng):
     """Draw the episode's first state index."""
-    return _draw_categorical(m.initial, rng.init)
+    return _draw_categorical(m.sampling_rows()[0], rng.init)
 
 
 def transition(m, h, s, a, rng):
@@ -331,10 +344,10 @@ def transition(m, h, s, a, rng):
     if not 1 <= h <= H - 1:
         raise ValueError(f"no transition out of step {h} (horizon {H})")
     if m.transition_form == "product":
-        vec = m.state_vectors[s]
+        rows = m.sampling_rows()[1][h - 1]
         nxt = [
-            _draw_categorical(m.product[h - 1, i, vec[i], a], rng.transition)
-            for i in range(m.dims.d)
+            _draw_categorical(rows[i][v][a], rng.transition)
+            for i, v in enumerate(m.state_vectors[s].tolist())
         ]
         return encode_state(nxt, m.dims.alphabet_size)
     return _draw_categorical(m.joint[h - 1, s, a], rng.transition)

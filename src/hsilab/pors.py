@@ -272,10 +272,7 @@ class ConfidenceSet:
 
 
 def _screen(loglik, beta):
-    best = float(np.max(loglik))
-    return tuple(
-        i for i in range(len(loglik)) if float(loglik[i]) >= best - beta
-    )
+    return tuple((loglik >= loglik.max() - beta).nonzero()[0].tolist())
 
 
 def default_beta(dims, n_episodes, delta, scale=1.0):
@@ -454,7 +451,7 @@ class PorsAgent:
 
     def begin_episode(self, episode):
         conf = ConfidenceSet(_screen(self.loglik, self.beta), self.beta,
-                             self.loglik)
+                             self.loglik.copy())
         plan = optimistic_plan(conf, self.context.plans)
         self.set_log.append(conf.indices)
         self.plan_log.append((plan.candidate_index, plan.policy_index))

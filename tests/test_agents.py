@@ -274,8 +274,8 @@ def test_local_floor_holds_exactly(d, dq_raw, theta1, theta2, seed, rewards):
 def test_qtable_fresh_entries_are_optimistic():
     qt = QTable(3, 2, 2)
     qset = qt.ensure((0,))
-    assert np.all(qt.q[(1, qset)] == 3.0)
-    assert np.all(qt.q[(2, qset)] == 3.0)
+    assert np.all(qt.q[qset][0] == 3.0)
+    assert np.all(qt.q[qset][1] == 3.0)
 
 
 def q_backup(qt, key, c_bonus, horizon):
@@ -290,19 +290,19 @@ def q_backup(qt, key, c_bonus, horizon):
     qset = tuple(qset)
     code = encode_state(values, qt.alphabet_size)
     qt.ensure(qset)
-    n = int(qt.n[(h, qset)][code, action])
+    n = int(qt.n[qset][h - 1, code, action])
     if n == 0:
         value = float(horizon)
     else:
-        r_hat = qt.rsum[(h, qset)][code, action] / n
+        r_hat = qt.rsum[qset][h - 1, code, action] / n
         pv = 0.0
         if h < horizon:
-            counts = qt.succ[(h, qset)][code, action]
-            nxt = qt.q[(h + 1, qset)].max(axis=1)
+            counts = qt.succ[qset][h - 1, code, action]
+            nxt = qt.q[qset][h].max(axis=1)
             for v_code in np.flatnonzero(counts):
                 pv += (counts[v_code] / n) * nxt[v_code]
         value = min(r_hat + pv + c_bonus * math.sqrt(horizon * horizon / n), float(horizon))
-    qt.q[(h, qset)][code, action] = value
+    qt.q[qset][h - 1, code, action] = value
     return value
 
 
@@ -318,7 +318,7 @@ def test_q_backup_clamps_at_horizon():
     qset = qt.ensure((0,))
     for _ in range(9):
         qt.record(2, qset, 0, 0, 1.0, 1)
-    qt.q[(3, qset)][1, :] = 2.0
+    qt.q[qset][2, 1, :] = 2.0
     assert q_backup(qt, (2, qset, (0,), 0), 1.0, 3) == 3.0
 
 
@@ -328,7 +328,7 @@ def test_q_backup_sum_hand_example():
     qset = qt.ensure((0,))
     for _ in range(900):
         qt.record(2, qset, 0, 0, 0.5, 1)
-    qt.q[(3, qset)][1, :] = 0.5
+    qt.q[qset][2, 1, :] = 0.5
     assert q_backup(qt, (2, qset, (0,), 0), 1.0, 3) == 1.1
 
 
@@ -353,10 +353,12 @@ def test_sweep_matches_per_key_backup():
     )
     agent, _ = _run_optll(env, 200, seed=7)
     qt = agent.qt
-    qsets = {qs for (_, qs) in qt.n}
+    qsets = set(qt.n)
     for qs in qsets:
         agent._sweep(qs)
-    snapshot = {key: arr.copy() for key, arr in qt.q.items()}
+    snapshot = {
+        (h, qs): qt.q[qs][h - 1].copy() for qs in qsets for h in range(1, 4)
+    }
     for qs in qsets:
         nc = qt.n_codes(qs)
         for h in range(3, 0, -1):
@@ -364,8 +366,107 @@ def test_sweep_matches_per_key_backup():
                 values = decode_state(code, 2, len(qs))
                 for a in range(2):
                     q_backup(qt, (h, qs, values, a), agent.c_bonus, 3)
-    for key, expected in snapshot.items():
-        np.testing.assert_allclose(qt.q[key], expected, rtol=0, atol=1e-12)
+    for (h, qs), expected in snapshot.items():
+        np.testing.assert_allclose(qt.q[qs][h - 1], expected, rtol=0, atol=1e-12)
+
+
+def sweep_reference(qt, qset, c_bonus, episode):
+    """Reference for ``_sweep``: the per-step backward backup, one step's
+    (n_codes, A) arrays at a time.  Returns the (H, n_codes, A) Q stack and
+    the invariant messages, without touching the table."""
+    H, A = qt.horizon, qt.n_actions
+    nc = qt.n_codes(qset)
+    out = np.empty((H, nc, A))
+    violations = []
+    v_next = np.zeros(nc)
+    for h in range(H, 0, -1):
+        n = qt.n[qset][h - 1]
+        q = np.full((nc, A), float(H))
+        visited = n > 0
+        if visited.any():
+            nn = np.where(visited, n, 1)
+            est = qt.rsum[qset][h - 1] / nn
+            if h < H:
+                est = est + (qt.succ[qset][h - 1] @ v_next) / nn
+            est = est + c_bonus * np.sqrt(H * H / nn)
+            q[visited] = np.minimum(est, float(H))[visited]
+        out[h - 1] = q
+        if (q < 0.0).any() or (q > H).any():
+            violations.append(f"episode {episode}: Q outside [0, {H}] at step {h}")
+        v_next = q.max(axis=1)
+    return out, violations
+
+
+def build_policy_reference(qt, qset, init_counts, q):
+    """Reference for ``_build_policy``: one einsum, mean and masked argmax
+    per step 2..H.  Returns the first action and the per-step decisions."""
+    nc = qt.n_codes(qset)
+    if init_counts is None or init_counts.sum() == 0:
+        pred1 = np.full(nc, 1.0 / nc)
+    else:
+        pred1 = init_counts / init_counts.sum()
+    first = int(np.argmax(pred1 @ q[0]))
+    decisions = []
+    for h in range(2, qt.horizon + 1):
+        qarr = q[h - 1]
+        default = int(np.argmax(qarr.mean(axis=0)))
+        scores = np.einsum("cav,vb->cab", qt.succ[qset][h - 2], qarr)
+        dec = np.where(
+            qt.n[qset][h - 2] > 0, scores.argmax(axis=2), default
+        ).astype(np.int64)
+        decisions.append(dec)
+    return first, decisions
+
+
+@st.composite
+def _recorded_tables(draw):
+    """An op-tll or op-mll agent whose table for one query set holds random
+    statistics: visit runs with rewards from a small grid (ties are common,
+    and a negative reward breaks the [0, H] invariant), random successors
+    and random initial-value counts."""
+    V = draw(st.integers(2, 3))
+    H = draw(st.integers(1, 4))
+    A = draw(st.integers(2, 3))
+    dq = draw(st.integers(1, 3))
+    dims = Dims(d=dq + 1, alphabet_size=V, d_query=dq, horizon=H, n_actions=A)
+    c = draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]))
+    cls = OptllAgent if dq == 1 else OpmllAgent
+    agent = cls(dims, 100, np.random.default_rng(0), c_bonus=c)
+    agent.episode = draw(st.integers(1, 50))
+    qset = agent.qt.ensure(tuple(range(dq)))
+    nc = V**dq
+    for _ in range(draw(st.integers(0, 40))):
+        h = draw(st.integers(1, H))
+        code = draw(st.integers(0, nc - 1))
+        action = draw(st.integers(0, A - 1))
+        r = draw(st.sampled_from([0.0, 0.5, 1.0, 0.3, -4.0]))
+        succ = draw(st.integers(0, nc - 1)) if h < H else None
+        for _ in range(draw(st.integers(1, 30))):
+            agent.qt.record(h, qset, code, action, r, succ)
+    counts = draw(st.lists(st.integers(0, 3), min_size=nc, max_size=nc))
+    agent.init_counts[qset] = np.array(counts, dtype=float)
+    return agent, qset
+
+
+@given(_recorded_tables())
+@settings(max_examples=300, deadline=None)
+def test_stacked_sweep_and_policy_equal_per_step_reference(case):
+    agent, qset = case
+    qt = agent.qt
+    want_q, want_violations = sweep_reference(qt, qset, agent.c_bonus, agent.episode)
+    agent._sweep(qset)
+    assert np.array_equal(qt.q[qset], want_q)
+    assert agent.invariant_violations == want_violations
+    want_first, want_decisions = build_policy_reference(
+        qt, qset, agent.init_counts[qset], want_q
+    )
+    agent._build_policy(qset)
+    policy = agent.episode_policy
+    assert policy.first_action == want_first
+    assert policy.decisions.shape == (qt.horizon - 1, qt.n_codes(qset), qt.n_actions)
+    assert policy.decisions.dtype == np.int64
+    for got, want in zip(policy.decisions, want_decisions):
+        assert np.array_equal(got, want)
 
 
 def test_counts_stay_consistent():
@@ -376,11 +477,12 @@ def test_counts_stay_consistent():
     agent, _ = _run_optll(env, 150, seed=11)
     qt = agent.qt
     total = 0
-    for (h, qs), n in qt.n.items():
-        total += int(n.sum())
-        if h < 3:
-            # every recorded visit below the last step has exactly one successor
-            assert (qt.succ[(h, qs)].sum(axis=2) == n).all()
+    for qs, n_stack in qt.n.items():
+        for h, n in enumerate(n_stack, start=1):
+            total += int(n.sum())
+            if h < 3:
+                # every recorded visit below the last step has exactly one successor
+                assert (qt.succ[qs][h - 1].sum(axis=2) == n).all()
     assert total == 150 * 3
     assert sum(int(c.sum()) for c in agent.init_counts.values()) == 150
     assert agent.invariant_violations == []
@@ -434,7 +536,7 @@ def test_optimistic_estimate_rarely_below_true_value():
                 pred = (
                     np.full(2, 0.5) if counts.sum() == 0 else counts / counts.sum()
                 )
-                _out.append(float((pred @ _agent.qt.q[(1, (0,))]).max()))
+                _out.append(float((pred @ _agent.qt.q[(0,)][0]).max()))
 
         agent.begin_episode = recording_begin
         for k in range(1, 121):
@@ -618,6 +720,24 @@ def test_markov_policy_from_sequence_replays_actions():
     twin = MarkovEpisodePolicy.from_sequence((0, 1, 1), (1,), 2, 2)
     assert policy.key() == twin.key()
     assert len({policy.key(), twin.key()}) == 1  # usable as a cache key
+
+
+def test_markov_policy_action_matrix_is_one_hot_of_decisions():
+    decisions = np.array([[[1, 0], [2, 2], [0, 1]], [[2, 1], [0, 0], [1, 2]]])
+    policy = MarkovEpisodePolicy((0,), 2, decisions, 3)
+    for h in (2, 3):
+        mat = policy.action_matrix(h)
+        assert mat.shape == (3, 2, 3) and mat.dtype == np.float64
+        for code in range(3):
+            for prev in range(2):
+                want = np.zeros(3)
+                want[decisions[h - 2, code, prev]] = 1.0
+                assert np.array_equal(mat[code, prev], want)
+                assert policy.action(h, code, prev) == decisions[h - 2, code, prev]
+    other = MarkovEpisodePolicy((0,), 2, decisions.copy(), 3)
+    assert policy.key() == other.key()
+    other.decisions[1, 2, 1] = 0
+    assert policy.key() != other.key()
 
 
 def test_uniform_markov_policy_distributions():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hsilab import envs
-from hsilab.core import Dims, Feedback, UnsupportedFeedbackError
+from hsilab.core import Dims, Feedback, UnsupportedFeedbackError, encode_state
 from hsilab.envs import (
     EnvModel,
     SampleRng,
@@ -291,6 +291,35 @@ def test_product_transition_sampling_frequencies():
     for t in range(4):
         se = np.sqrt(probs[t] * (1 - probs[t]) / n)
         assert abs(counts[t] / n - probs[t]) < 3.5 * se + 1e-9
+
+
+@given(
+    st.integers(1, 3), st.integers(2, 3), st.integers(2, 4), st.integers(1, 3),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_product_sampling_draws_the_reference_stream(d, V, H, A, seed):
+    # the samplers read cached list rows; a reference that indexes the
+    # arrays directly must draw the same states from the same generators
+    dims = Dims(d=d, alphabet_size=V, d_query=1, horizon=H, n_actions=A)
+    m = random_independent_model(dims, seed % 1000)
+    rng, ref = SampleRng(seed), SampleRng(seed)
+    actions = np.random.default_rng(seed).integers(A, size=(20, H))
+    for episode in range(20):
+        s = sample_initial(m, rng)
+        assert s == _draw_categorical(m.initial, ref.init)
+        for h in range(1, H):
+            a = int(actions[episode, h - 1])
+            nxt = transition(m, h, s, a, rng)
+            vec = m.state_vectors[s]
+            want = [
+                _draw_categorical(m.product[h - 1, i, vec[i], a], ref.transition)
+                for i in range(d)
+            ]
+            assert nxt == encode_state(want, V)
+            s = nxt
+    assert rng.init.random() == ref.init.random()
+    assert rng.transition.random() == ref.transition.random()
 
 
 def test_reward_is_bernoulli_with_known_mean():

@@ -43,6 +43,7 @@ from hsilab.pors import (
     level_node_counts,
     optimistic_plan,
 )
+from hsilab import pors
 from hsilab.serialize import dump_candidates, load_candidates
 from policy_reference import (
     first_best_policy,
@@ -403,6 +404,41 @@ def test_confidence_set_validation():
         build_confidence_set([truth], [], [policies[0]], beta=1.0)
     with pytest.raises(ValueError):
         build_confidence_set([truth], [], [], beta=-1.0)
+
+
+def test_kept_confidence_set_is_a_snapshot(monkeypatch):
+    # the set screened at an episode's start keeps that episode's scores;
+    # folding in later feedback must not move them
+    truth = build_controlled_drift_instance()
+    wrong = build_controlled_drift_instance(stay_controlled=0.2)
+    candidates = [truth, wrong]
+    agent = PorsAgent(truth.dims, candidates, 10,
+                      context=PlanningContext.build(candidates))
+    kept = []
+
+    def keep(conf, plans, _plan=pors.optimistic_plan):
+        kept.append(conf)
+        return _plan(conf, plans)
+
+    monkeypatch.setattr(pors, "optimistic_plan", keep)
+    env_rng = SampleRng(6)
+    seen = []
+    for k in range(1, 4):
+        seen.append(agent.loglik.copy())
+        run_episode(agent, truth, k, env_rng)
+    assert len(kept) == 3 and not np.array_equal(agent.loglik, seen[0])
+    for conf, scores in zip(kept, seen):
+        assert conf.loglik.tolist() == scores.tolist()
+        assert conf.loglik is not agent.loglik
+
+
+def test_screen_keeps_scores_within_beta_of_the_best():
+    loglik = np.array([-3.0, -1.0, -math.inf, -2.0, -1.5])
+    assert _screen(loglik, 0.5) == (1, 4)
+    assert _screen(loglik, 1.0) == (1, 3, 4)
+    assert _screen(loglik, 0.0) == (1,)
+    assert all(type(i) is int for i in _screen(loglik, 2.0))
+    assert _screen(np.full(3, -math.inf), 0.0) == (0, 1, 2)
 
 
 def test_screening_gap_grows_monotonically():
