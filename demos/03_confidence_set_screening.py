@@ -47,7 +47,7 @@ print(f"optimal value under the truth: {v_star:.3f}")
 print(f"confidence width (delta=0.05): {default_beta(truth.dims, EPISODES, 0.05):.1f}")
 print()
 
-agent = PorsAgent(truth.dims, candidates, EPISODES, context=context)
+agent = PorsAgent(context, EPISODES)
 played_values = {}  # exact value under the truth of each policy played
 rng = SampleRng(0)
 cum_regret = 0.0

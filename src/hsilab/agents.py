@@ -13,6 +13,9 @@ backup and greedy policy take a handful of array operations.
   replacement so every sub-state is covered within the block, and a local
   reward-driven weight layer inside the block.
 
+The weight updates are module-level functions of a ``WeightState``, which
+holds d, d_query, the block length kappa and the block's leader.
+
 Feedback timing: the values of a step's state arrive only after that
 step's action, so the policy chooses the step-h action from the previous
 step's revealed values and action, through an estimated one-step
@@ -33,6 +36,7 @@ from .envs import (
 )
 
 WEIGHT_RENORM_THRESHOLD = 1e100
+MAX_SEQUENCES = 65536  # action sequences the epsilon-greedy bandit tabulates
 
 
 class ScheduleError(RuntimeError):
@@ -86,7 +90,6 @@ class WeightState:
         self.prev_query_set = None
         self.block_pool = []
         self.leader = None
-        self.episodes_in_block = 0
         self.recompute_global_p()
 
     def recompute_global_p(self):
@@ -121,7 +124,7 @@ class WeightState:
         return out
 
 
-def optll_update(ws, chosen_i, episode_reward, d, horizon=None):
+def optll_update(ws, chosen_i, episode_reward, horizon=None):
     """Importance-weighted exponential update after one episode.
 
     Only the queried sub-state's weight moves:
@@ -134,12 +137,12 @@ def optll_update(ws, chosen_i, episode_reward, d, horizon=None):
     p_prev = ws.global_p[chosen_i]
     if p_prev <= 0.0:
         raise ValueError(f"chosen sub-state {chosen_i} had probability {p_prev}")
-    ws.global_w[chosen_i] *= math.exp(ws.theta1 * episode_reward / (d * p_prev))
+    ws.global_w[chosen_i] *= math.exp(ws.theta1 * episode_reward / (ws.d * p_prev))
     ws.recompute_global_p()
     return ws
 
 
-def opmll_global_update(ws, block_rewards, chosen_set_history, d, d_query, horizon=None):
+def opmll_global_update(ws, block_rewards, chosen_set_history, horizon=None):
     """Block-boundary update of the global (leader) weights.
 
     w_i *= exp((d-1) theta1 / (d (d_query-1)) * sum of episode rewards of
@@ -155,7 +158,8 @@ def opmll_global_update(ws, block_rewards, chosen_set_history, d, d_query, horiz
         )
     for r in block_rewards:
         _check_episode_reward(r, horizon)
-    factor = (d - 1) * ws.theta1 / (d * (d_query - 1))
+    d = ws.d
+    factor = (d - 1) * ws.theta1 / (d * (ws.d_query - 1))
     gains = np.zeros(d)
     for r, qset in zip(block_rewards, chosen_set_history):
         for i in qset:
@@ -165,15 +169,16 @@ def opmll_global_update(ws, block_rewards, chosen_set_history, d, d_query, horiz
     return ws
 
 
-def opmll_select_supporting(ws, leader, d_query, rng):
-    """Query set for one episode: the leader plus d_query-1 supporters
+def opmll_select_supporting(ws, rng):
+    """Query set for one episode: the block's leader plus d_query-1 supporters
     drawn uniformly without replacement from the block pool (sub-states
     not yet used this block); the pool refills when it runs short, which
     forces full coverage inside each block.
     """
-    if d_query < 2:
+    if ws.d_query < 2:
         raise ValueError("supporter selection requires d_query >= 2")
-    need = d_query - 1
+    leader = ws.leader
+    need = ws.d_query - 1
     chosen = []
     pool = [i for i in ws.block_pool if i != leader]
     if len(pool) < need:
@@ -188,11 +193,10 @@ def opmll_select_supporting(ws, leader, d_query, rng):
     ws.block_pool = pool
     ws.prev_query_set = ws.query_set
     ws.query_set = tuple(sorted([leader] + chosen))
-    ws.episodes_in_block += 1
     return ws.query_set
 
 
-def opmll_local_update(ws, episode_reward, d_query, horizon=None):
+def opmll_local_update(ws, episode_reward, horizon=None):
     """In-block local update: previous query set's weights gain
     exp(theta2 * R / d_query); the local mixture is then recomputed over
     the current query set.
@@ -203,7 +207,7 @@ def opmll_local_update(ws, episode_reward, d_query, horizon=None):
     if ws.prev_query_set is None:
         raise ValueError("no previous query set to update from")
     for i in ws.prev_query_set:
-        ws.local_w[i] *= math.exp(ws.theta2 * episode_reward / d_query)
+        ws.local_w[i] *= math.exp(ws.theta2 * episode_reward / ws.d_query)
     ws.recompute_local_p()
     return ws
 
@@ -467,9 +471,7 @@ class OptllAgent(_OptimisticQAgent):
     def begin_episode(self, k):
         self.episode = k
         if self._chosen is not None:
-            optll_update(
-                self.ws, self._chosen, self._last_total, self.dims.d, self.dims.horizon
-            )
+            optll_update(self.ws, self._chosen, self._last_total, self.dims.horizon)
             self.invariant_violations.extend(
                 f"episode {k}: {v}" for v in self.ws.floor_violations()
             )
@@ -494,7 +496,6 @@ class OpmllAgent(_OptimisticQAgent):
             else float(theta2)
         )
         self.ws = WeightState(dims.d, dims.d_query, self.theta1, self.theta2)
-        self.kappa = self.ws.kappa
         self._block_rewards = []
         self._block_sets = []
         self.selection_log = []  # (episode, leader, query set) per episode
@@ -502,32 +503,25 @@ class OpmllAgent(_OptimisticQAgent):
 
     def begin_episode(self, k):
         self.episode = k
-        d, dq = self.dims.d, self.dims.d_query
-        boundary = (k - 1) % self.kappa == 0
+        boundary = (k - 1) % self.ws.kappa == 0
         if boundary:
             if k > 1:
                 opmll_global_update(
-                    self.ws,
-                    self._block_rewards,
-                    self._block_sets,
-                    d,
-                    dq,
-                    self.dims.horizon,
+                    self.ws, self._block_rewards, self._block_sets, self.dims.horizon
                 )
                 self.invariant_violations.extend(
                     f"episode {k}: {v}" for v in self.ws.floor_violations()
                 )
             self.ws.leader = _draw_categorical(self.ws.global_p, self.rng)
-            self.ws.block_pool = [i for i in range(d) if i != self.ws.leader]
+            self.ws.block_pool = [i for i in range(self.dims.d) if i != self.ws.leader]
             self.ws.local_w = self.ws.global_w.copy()
             self.ws.query_set = None
             self.ws.prev_query_set = None
-            self.ws.episodes_in_block = 0
             self._block_rewards = []
             self._block_sets = []
-        qset = opmll_select_supporting(self.ws, self.ws.leader, dq, self.rng)
+        qset = opmll_select_supporting(self.ws, self.rng)
         if not boundary:
-            opmll_local_update(self.ws, self._last_total, dq, self.dims.horizon)
+            opmll_local_update(self.ws, self._last_total, self.dims.horizon)
         else:
             self.ws.recompute_local_p()
         self.invariant_violations.extend(
@@ -608,10 +602,10 @@ class EpsilonGreedySequenceAgent:
     (ties -> lowest sequence index).  The sequence index is the big-endian
     action code, so lexicographically earlier sequences break ties."""
 
-    def __init__(self, dims, rng, epsilon=0.25, max_sequences=65536):
+    def __init__(self, dims, rng, epsilon=0.25):
         n_seq = dims.n_actions**dims.horizon
-        if n_seq > max_sequences:
-            raise ValueError(f"{n_seq} sequences exceed the cap {max_sequences}")
+        if n_seq > MAX_SEQUENCES:
+            raise ValueError(f"{n_seq} sequences exceed the cap {MAX_SEQUENCES}")
         self.dims = dims
         self.rng = rng
         self.epsilon = float(epsilon)

@@ -320,11 +320,6 @@ class EnvModel:
         vcode = encode_state(feedback.values(), self.dims.alphabet_size)
         return vcode * n_obs + (obs or 0)
 
-    def evidence_row(self, h, feedback):
-        """Likelihood of one step's feedback (revealed values and emitted
-        symbol) in every state: one row of the evidence kernel."""
-        return self.evidence(h, tuple(feedback.query))[self.evidence_index(h, feedback)]
-
 
 # -- sampling ---------------------------------------------------------------
 

@@ -46,6 +46,7 @@ from .envs import (
     random_independent_model,
 )
 from .agents import (
+    MAX_SEQUENCES,
     EpsilonGreedySequenceAgent,
     FixedPolicyAgent,
     MarkovEpisodePolicy,
@@ -308,6 +309,10 @@ def _check_compatibility(spec, env, source):
             fail(f"multi-query learner needs d_query>=2, env has {env.dims.d_query}")
     if spec.kind == "pors" and env.class_tag != "Class2":
         fail(f"needs an emission model (Class2), env is {env.class_tag}")
+    if spec.kind == "epsilon-greedy-seq":
+        n_seq = env.dims.n_actions**env.dims.horizon
+        if n_seq > MAX_SEQUENCES:
+            fail(f"{n_seq} action sequences exceed the cap {MAX_SEQUENCES}")
 
 
 def _check_csv_field(value, what, where):
@@ -386,6 +391,11 @@ def load_config(path):
         raise ConfigError(
             f"{source}:{env_sec.line}: unknown env builder {env_kind!r}; "
             f"known: {', '.join(_ENV_SCHEMAS)}"
+        )
+    if ex["verify"] and env_kind not in _VERIFIERS:
+        raise ConfigError(
+            f"{source}: verify = on needs a verifiable env builder "
+            f"({', '.join(_VERIFIERS)}), got {env_kind!r}"
         )
     env_params = _typed_params(
         _section_kv(env_sec, source), _ENV_SCHEMAS[env_kind], f"env {env_kind}", source
@@ -516,14 +526,7 @@ _AGENT_BUILDERS = {
         c_bonus=spec.params["c-bonus"],
     ),
     "pors": lambda spec, dims, n_episodes, rng, context: PorsAgent(
-        dims,
-        context.candidates,
-        n_episodes,
-        rng,
-        beta=spec.params["beta"],
-        delta=spec.params["delta"],
-        policy_cap=spec.params["policy-cap"],
-        context=context,
+        context, n_episodes, beta=spec.params["beta"], delta=spec.params["delta"]
     ),
     "epsilon-greedy-seq": lambda spec, dims, n_episodes, rng, context: (
         EpsilonGreedySequenceAgent(dims, rng, epsilon=spec.params["epsilon"])
@@ -670,7 +673,7 @@ def run_suite(cfg):
     reporting is off.
     """
     env = cfg.env_model
-    if cfg.verify and cfg.env_kind in _VERIFIERS:
+    if cfg.verify:
         report = _VERIFIERS[cfg.env_kind](cfg.env_params)
         if not report.passed:
             raise VerificationFailure(report.format())

@@ -12,8 +12,10 @@ for step h (the queried values of the step-h state, plus the emitted symbol
 when the model has emissions) arrives only after the step-h action, so the
 tree branches between steps: the action and query at step h depend on
 feedback from steps 1..h-1 only.  A tree node's children are laid out like
-the rows of the model's evidence kernel (``EnvModel.evidence``), so exact
-policy evaluation pushes each node's row times the kernel to its children.
+the rows of the model's evidence kernel (``EnvModel.evidence``): exact
+policy evaluation pushes each node's row times the kernel to its children,
+and the agent and the filter step to the child whose index is the row a
+step's feedback selects (``EnvModel.evidence_index``).
 
 Candidates are scored in one batched pass per episode
 (``feedback_log_likelihood``): the trace is checked against the played
@@ -34,7 +36,7 @@ import math
 
 import numpy as np
 
-from .core import ConfigError, OracleSizeError, encode_state
+from .core import ConfigError, OracleSizeError
 
 DEFAULT_POLICY_CAP = 4096
 DEFAULT_VALUE_CAP = 10**6
@@ -48,21 +50,16 @@ class TreePolicy:
     """Deterministic history-dependent policy over feedback branches.
 
     Level h (1-based) has ``branching ** (h - 1)`` nodes.  A node's child
-    after feedback (value code v, emitted symbol o) is
-    ``node * branching + v * obs_mult + o`` with o = 0 when the model emits
-    nothing.  ``actions[h - 1][node]`` and ``queries[h - 1][node]`` give the
-    step-h decision at each node.
+    after step-h feedback is ``node * branching + row``, where row is the
+    evidence-kernel row the feedback selects (``EnvModel.evidence_index``).
+    ``actions[h - 1][node]`` and ``queries[h - 1][node]`` give the step-h
+    decision at each node.
     """
 
     horizon: int
-    n_value_codes: int
-    obs_mult: int
+    branching: int
     actions: tuple
     queries: tuple
-
-    @property
-    def branching(self):
-        return self.n_value_codes * self.obs_mult
 
     def action_at(self, h, node):
         return self.actions[h - 1][node]
@@ -70,14 +67,19 @@ class TreePolicy:
     def query_at(self, h, node):
         return self.queries[h - 1][node]
 
-    def child(self, node, value_code, observation):
-        obs = 0 if observation is None else observation
-        return node * self.branching + value_code * self.obs_mult + obs
+    def child(self, node, row):
+        return node * self.branching + row
+
+
+def tree_branching(dims):
+    """Children per tree node: the rows of an evidence kernel, one per
+    (value code, emitted symbol)."""
+    return dims.n_query_values * max(dims.n_observations, 1)
 
 
 def level_node_counts(dims):
     """Nodes per level of a feedback tree for these dimensions."""
-    branching = dims.n_query_values * max(dims.n_observations, 1)
+    branching = tree_branching(dims)
     return [branching ** (h - 1) for h in range(1, dims.horizon + 1)]
 
 
@@ -88,8 +90,7 @@ def _tree_policy(dims, choices):
     n_q = len(qsets)
     return TreePolicy(
         dims.horizon,
-        dims.n_query_values,
-        max(dims.n_observations, 1),
+        tree_branching(dims),
         tuple(tuple(c // n_q for c in level) for level in choices),
         tuple(tuple(qsets[c % n_q] for c in level) for level in choices),
     )
@@ -135,7 +136,7 @@ def _best_tree(model):
     qsets = dims.query_sets()
     n_q = len(qsets)
     n_choice = dims.n_actions * n_q
-    b = dims.n_query_values * max(dims.n_observations, 1)
+    b = tree_branching(dims)
     joint = model.joint_transitions() if H > 1 else None
 
     def solve(h, node, row):
@@ -235,7 +236,7 @@ def feedback_log_likelihood(cfilter, policy, trace):
         ):
             return np.full(len(cfilter.candidates), -np.inf)
         row = first.evidence_index(rec.h, rec.feedback)
-        node = node * policy.branching + row  # kernel rows are tree children
+        node = policy.child(node, row)
         steps.append((rec.h, rec.action, query, row))
     H = first.dims.horizon
     totals = [0.0] * len(cfilter.candidates)
@@ -260,22 +261,17 @@ def feedback_log_likelihood(cfilter, policy, trace):
 
 @dataclass
 class ConfidenceSet:
-    """Candidate indices whose total feedback log-likelihood is within
-    ``beta`` of the best candidate's."""
+    """Candidate indices whose total feedback log-likelihood is within the
+    confidence slack of the best candidate's."""
 
     indices: tuple
-    beta: float
-    loglik: np.ndarray
-
-    def __contains__(self, index):
-        return index in self.indices
 
 
 def _screen(loglik, beta):
     return tuple((loglik >= loglik.max() - beta).nonzero()[0].tolist())
 
 
-def default_beta(dims, n_episodes, delta, scale=1.0):
+def default_beta(dims, n_episodes, delta):
     """Confidence slack for a K-episode run at confidence 1 - delta.
 
     Grows with the parameter count of the unknown pieces (hidden-state
@@ -290,9 +286,7 @@ def default_beta(dims, n_episodes, delta, scale=1.0):
     o = max(dims.n_observations, 1)
     n_params = n_hidden * dims.n_actions + dims.alphabet_size * o
     log_arg = n_hidden * dims.n_actions * o * dims.horizon * n_episodes
-    return scale * (
-        n_params * math.log(log_arg) + math.log(n_episodes / delta)
-    )
+    return n_params * math.log(log_arg) + math.log(n_episodes / delta)
 
 
 # -- exact policy evaluation ---------------------------------------------------
@@ -410,39 +404,27 @@ class PlanningContext:
 
 
 class PorsAgent:
-    """Optimistic confidence-set learner over a finite candidate class.
+    """Optimistic confidence-set learner over the candidate class of a
+    planning context.
 
     Each episode: screen candidates by cumulative feedback log-likelihood,
     play the best plan of the most optimistic survivor, and fold the
     episode's feedback into every candidate's score with one batched
-    ``feedback_log_likelihood`` pass over the context's stacked tables.  A
-    given context must have been built for these very models, in this
-    order.  Planning is deterministic; the rng argument is accepted for
-    interface uniformity with the other agents but never drawn from.
+    ``feedback_log_likelihood`` pass over the context's stacked tables.
+    Planning is deterministic, so the agent holds no rng.
     """
 
     name = "pors"
 
-    def __init__(self, dims, candidates, n_episodes, rng=None, beta=None,
-                 delta=0.05, policy_cap=DEFAULT_POLICY_CAP, context=None):
-        if context is None:
-            context = PlanningContext.build(candidates, policy_cap)
-        held = context.candidates
-        if len(held) != len(candidates) or any(
-            a is not b for a, b in zip(held, candidates)
-        ):
-            raise ConfigError(
-                "planning context was built for other candidates: the "
-                "given models must be the context's, in the same order"
-            )
-        self.dims = dims
+    def __init__(self, context, n_episodes, beta=None, delta=0.05):
+        self.dims = context.candidates[0].dims
         self.context = context
         self.beta = (
-            default_beta(dims, n_episodes, delta) if beta is None else beta
+            default_beta(self.dims, n_episodes, delta) if beta is None else beta
         )
         if self.beta < 0.0:
             raise ValueError(f"beta must be nonnegative, got {self.beta}")
-        self.loglik = np.zeros(len(candidates))
+        self.loglik = np.zeros(len(context.candidates))
         self.set_log = []
         self.plan_log = []
         self.episode_policy = None
@@ -450,8 +432,7 @@ class PorsAgent:
         self._node = 0
 
     def begin_episode(self, episode):
-        conf = ConfidenceSet(_screen(self.loglik, self.beta), self.beta,
-                             self.loglik.copy())
+        conf = ConfidenceSet(_screen(self.loglik, self.beta))
         plan = optimistic_plan(conf, self.context.plans)
         self.set_log.append(conf.indices)
         self.plan_log.append((plan.candidate_index, plan.policy_index))
@@ -464,10 +445,8 @@ class PorsAgent:
         return policy.action_at(h, self._node), policy.query_at(h, self._node)
 
     def observe(self, h, action, feedback):
-        vcode = encode_state(feedback.values(), self.dims.alphabet_size)
-        self._node = self.episode_policy.child(
-            self._node, vcode, feedback.observation
-        )
+        row = self.context.candidates[0].evidence_index(h, feedback)
+        self._node = self.episode_policy.child(self._node, row)
 
     def end_episode(self, trace):
         self.loglik += feedback_log_likelihood(

@@ -15,7 +15,12 @@ import math
 import numpy as np
 
 from hsilab.envs import EnvModel
-from hsilab.pors import TreePolicy, evaluate_policy_value, level_node_counts
+from hsilab.pors import (
+    TreePolicy,
+    evaluate_policy_value,
+    level_node_counts,
+    tree_branching,
+)
 
 
 def full_history_policies(dims):
@@ -25,7 +30,6 @@ def full_history_policies(dims):
     qsets = dims.query_sets()
     n_q = len(qsets)
     counts = level_node_counts(dims)
-    n_obs = max(dims.n_observations, 1)
     policies = []
     for assign in product(range(dims.n_actions * n_q), repeat=sum(counts)):
         actions, queries, pos = [], [], 0
@@ -36,11 +40,7 @@ def full_history_policies(dims):
             pos += n_nodes
         policies.append(
             TreePolicy(
-                dims.horizon,
-                dims.n_query_values,
-                n_obs,
-                tuple(actions),
-                tuple(queries),
+                dims.horizon, tree_branching(dims), tuple(actions), tuple(queries)
             )
         )
     return policies
@@ -85,7 +85,10 @@ def trace_log_likelihood(m, trace):
     total = 0.0
     H = m.dims.horizon
     for rec in trace.steps:
-        post = p * m.evidence_row(rec.h, rec.feedback)
+        row = m.evidence(rec.h, tuple(rec.feedback.query))[
+            m.evidence_index(rec.h, rec.feedback)
+        ]
+        post = p * row
         mass = float(post.sum())
         if mass == 0.0:
             return float("-inf")

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from conftest import record_acceptance
-from hsilab.core import Dims, encode_state
+from hsilab.core import Dims
 from hsilab.envs import (
     EnvModel,
     SampleRng,
@@ -183,7 +183,7 @@ def pors_suite():
     covered = []
     ratios = []
     for seed in range(50):
-        agent = PorsAgent(truth.dims, candidates, 2000, context=context)
+        agent = PorsAgent(context, 2000)
         rng = SampleRng(seed)
         cum = 0.0
         reg500 = None
@@ -434,11 +434,7 @@ def _play_tree_policy(env, policy, episode, rng):
             return policy.action_at(h, self.node), policy.query_at(h, self.node)
 
         def observe(self, h, action, fb):
-            self.node = policy.child(
-                self.node,
-                encode_state(fb.values(), env.dims.alphabet_size),
-                fb.observation,
-            )
+            self.node = policy.child(self.node, env.evidence_index(h, fb))
 
         def end_episode(self, trace):
             pass

@@ -80,7 +80,7 @@ def test_optll_update_hand_example():
     # d=2, theta1=0.1, uniform weights, query 0 earns episode reward 2:
     # only w_0 moves, by exp(theta1 * R / (d * p_0)) = exp(0.2).
     ws = WeightState(2, 1, 0.1)
-    optll_update(ws, 0, 2.0, 2)
+    optll_update(ws, 0, 2.0)
     assert ws.global_w[0] == math.exp(0.2)
     assert ws.global_w[1] == 1.0
     assert ws.global_p[0] == 0.5448505975812301
@@ -89,7 +89,7 @@ def test_optll_update_hand_example():
 
 def test_optll_zero_reward_is_noop():
     ws = WeightState(2, 1, 0.1)
-    optll_update(ws, 1, 0.0, 2)
+    optll_update(ws, 1, 0.0)
     assert np.all(ws.global_w == 1.0)
     assert np.all(ws.global_p == 0.5)
 
@@ -97,9 +97,9 @@ def test_optll_zero_reward_is_noop():
 def test_optll_update_rejects_bad_rewards():
     ws = WeightState(2, 1, 0.1)
     with pytest.raises(ValueError):
-        optll_update(ws, 0, -0.5, 2)
+        optll_update(ws, 0, -0.5)
     with pytest.raises(ValueError):
-        optll_update(ws, 0, 3.5, 2, horizon=3)
+        optll_update(ws, 0, 3.5, horizon=3)
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +112,7 @@ def test_opmll_global_symmetric_hand_example():
     # the mixture stays exactly uniform.
     ws = WeightState(2, 2, 0.1, 0.2)
     assert ws.kappa == 1
-    opmll_global_update(ws, [2.0], [(0, 1)], 2, 2)
+    opmll_global_update(ws, [2.0], [(0, 1)])
     assert np.all(ws.global_w == math.exp(0.1))
     assert np.all(ws.global_p == 0.5)
 
@@ -121,7 +121,7 @@ def test_opmll_global_factor():
     # d=3, d_query=2: factor (d-1) theta1 / (d (d_query-1)) = 2 theta1 / 3,
     # applied to the summed rewards of the episodes containing each index.
     ws = WeightState(3, 2, 0.1, 0.2)
-    opmll_global_update(ws, [1.0, 0.0], [(0, 1), (0, 2)], 3, 2)
+    opmll_global_update(ws, [1.0, 0.0], [(0, 1), (0, 2)])
     factor = (3 - 1) * 0.1 / (3 * (2 - 1))
     assert ws.global_w[0] == math.exp(factor * 1.0)
     assert ws.global_w[1] == math.exp(factor * 1.0)
@@ -130,16 +130,16 @@ def test_opmll_global_factor():
 
 def test_opmll_global_zero_block_is_noop():
     ws = WeightState(3, 2, 0.1, 0.2)
-    opmll_global_update(ws, [0.0, 0.0], [(0, 1), (0, 2)], 3, 2)
+    opmll_global_update(ws, [0.0, 0.0], [(0, 1), (0, 2)])
     assert np.all(ws.global_w == 1.0)
 
 
 def test_opmll_global_schedule_errors():
     ws = WeightState(3, 2, 0.1, 0.2)  # kappa = 2
     with pytest.raises(ScheduleError):
-        opmll_global_update(ws, [1.0], [(0, 1)], 3, 2)
+        opmll_global_update(ws, [1.0], [(0, 1)])
     with pytest.raises(ValueError):
-        opmll_global_update(ws, [1.0, 1.0], [(0, 1)], 3, 2)
+        opmll_global_update(ws, [1.0, 1.0], [(0, 1)])
 
 
 def test_opmll_local_hand_example():
@@ -148,7 +148,7 @@ def test_opmll_local_hand_example():
     ws = WeightState(2, 2, 0.1, 0.2)
     ws.query_set = (0, 1)
     ws.prev_query_set = (0, 1)
-    opmll_local_update(ws, 1.0, 2)
+    opmll_local_update(ws, 1.0)
     assert np.all(ws.local_w == math.exp(0.1))
     assert np.all(ws.local_p == 0.5)
 
@@ -157,7 +157,7 @@ def test_opmll_local_requires_previous_set():
     ws = WeightState(2, 2, 0.1, 0.2)
     ws.query_set = (0, 1)
     with pytest.raises(ValueError):
-        opmll_local_update(ws, 1.0, 2)
+        opmll_local_update(ws, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -169,8 +169,8 @@ def test_select_supporting_rotates_without_replacement():
     ws.leader = 0
     ws.block_pool = [1, 2]
     rng = np.random.default_rng(0)
-    first = opmll_select_supporting(ws, 0, 2, rng)
-    second = opmll_select_supporting(ws, 0, 2, rng)
+    first = opmll_select_supporting(ws, rng)
+    second = opmll_select_supporting(ws, rng)
     assert first[0] == 0 and second[0] == 0
     # the two supporters differ, so a full block covers every sub-state
     assert {first[1], second[1]} == {1, 2}
@@ -181,7 +181,7 @@ def test_select_supporting_full_query_uses_everything():
     ws = WeightState(3, 3, 0.1, 0.2)
     ws.leader = 1
     ws.block_pool = [0, 2]
-    qs = opmll_select_supporting(ws, 1, 3, np.random.default_rng(0))
+    qs = opmll_select_supporting(ws, np.random.default_rng(0))
     assert qs == (0, 1, 2)
 
 
@@ -194,8 +194,8 @@ def test_select_supporting_refills_short_pool():
     ws.leader = 0
     ws.block_pool = [1, 2, 3]
     rng = np.random.default_rng(1)
-    first = opmll_select_supporting(ws, 0, 3, rng)
-    second = opmll_select_supporting(ws, 0, 3, rng)
+    first = opmll_select_supporting(ws, rng)
+    second = opmll_select_supporting(ws, rng)
     assert len(first) == len(second) == 3
     assert set(first) | set(second) == {0, 1, 2, 3}
 
@@ -235,7 +235,7 @@ def test_weight_renorm_keeps_probabilities():
 def test_global_floor_holds_exactly(d, theta1, updates):
     ws = WeightState(d, 1, theta1)
     for idx, reward_value in updates:
-        optll_update(ws, idx % d, reward_value, d, horizon=3)
+        optll_update(ws, idx % d, reward_value, horizon=3)
         assert ws.floor_violations() == []
         assert ws.global_p.min() >= ws.theta1 / d
         assert abs(ws.global_p.sum() - 1.0) <= 1e-9
@@ -257,12 +257,12 @@ def test_local_floor_holds_exactly(d, dq_raw, theta1, theta2, seed, rewards):
     ws.block_pool = [i for i in range(d) if i != 0]
     rng = np.random.default_rng(seed)
     for reward_value in rewards:
-        qs = opmll_select_supporting(ws, ws.leader, dq, rng)
+        qs = opmll_select_supporting(ws, rng)
         assert len(qs) == dq and ws.leader in qs and set(qs) <= set(range(d))
         if ws.prev_query_set is None:
             ws.recompute_local_p()
         else:
-            opmll_local_update(ws, reward_value, dq, horizon=3)
+            opmll_local_update(ws, reward_value, horizon=3)
         assert ws.floor_violations() == []
         assert ws.local_p.min() >= ws.theta2 / dq
 
@@ -600,7 +600,7 @@ def test_opmll_block_schedule_and_coverage():
     for k in range(1, 41):
         run_episode(agent, env, k, rng_env)
     assert agent.invariant_violations == []
-    assert agent.kappa == 2
+    assert agent.ws.kappa == 2
     log = agent.selection_log
     assert [entry[0] for entry in log] == list(range(1, 41))
     for start in range(0, 40, 2):

@@ -436,7 +436,7 @@ def test_evidence_row_rejects_mismatched_observations():
     for m, obs in ((drift, None), (drift, 2), (groups, 0)):
         fb = Feedback(query=(0,), hsi=((0, 1),), observation=obs, reward=0.0)
         with pytest.raises(UnsupportedFeedbackError):
-            m.evidence_row(1, fb)
+            m.evidence_index(1, fb)
 
 
 # -- controlled-drift family ---------------------------------------------------------

@@ -179,6 +179,41 @@ def test_cli_run_rejects_oversized_groups_without_traceback(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_run_rejects_oversized_sequence_bandit_without_traceback(tmp_path):
+    # 2^17 = 131072 action sequences are over agents.MAX_SEQUENCES; the
+    # config must be refused when it loads, not when the first run starts
+    text = (
+        "[experiment]\nepisodes = 2\nseeds = 0\n\n"
+        "[env builder=tree]\nalphabet-size = 2\nd = 3\nn-actions = 2\n"
+        "epsilon = 0.1\nhorizon = 17\n\n[algo name=epsilon-greedy-seq]\n"
+    )
+    cfg_path = _write(tmp_path, text)
+    proc = _hsilab_under_memory_limit("run", cfg_path, "-o", str(tmp_path / "out"))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
+    assert "131072 action sequences exceed the cap 65536" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_run_rejects_verify_without_verifier_without_traceback(tmp_path):
+    # random-class1 has no structural checks, so verify = on cannot be honoured
+    text = (
+        "[experiment]\nepisodes = 2\nseeds = 0\nverify = on\n\n"
+        "[env builder=random-class1]\nd = 2\nalphabet-size = 2\n"
+        "horizon = 2\nn-actions = 2\n\n[algo name=uniform]\n"
+    )
+    cfg_path = _write(tmp_path, text)
+    proc = _hsilab_under_memory_limit("run", cfg_path, "-o", str(tmp_path / "out"))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(
+        f"error: {cfg_path}: verify = on needs a verifiable env builder "
+        "(groups, flat-emission, tree), got 'random-class1'"
+    )
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_verify_rejects_oversized_groups_without_traceback():
     proc = _hsilab_under_memory_limit("verify", "groups", "d=100000")
     assert proc.returncode == 1
