@@ -566,12 +566,11 @@ class UniformRandomAgent:
 
 
 class FixedPolicyAgent:
-    """Plays one Markov episode policy forever (stochastic rows allowed)."""
+    """Plays one deterministic Markov episode policy forever."""
 
-    def __init__(self, dims, policy, rng):
+    def __init__(self, dims, policy):
         self.dims = dims
         self.episode_policy = policy
-        self.rng = rng
         self.invariant_violations = []
         self._prev_code = None
         self._prev_action = None
@@ -582,11 +581,7 @@ class FixedPolicyAgent:
 
     def act(self, h):
         pol = self.episode_policy
-        if h == 1:
-            row = pol.first_distribution()
-        else:
-            row = pol.action_matrix(h)[self._prev_code, self._prev_action]
-        return _draw_categorical(row, self.rng), pol.query
+        return pol.action(h, self._prev_code, self._prev_action), pol.query
 
     def observe(self, h, action, fb):
         self._prev_code = encode_state(fb.values(), self.dims.alphabet_size)

@@ -17,6 +17,11 @@ Every section is resolved by ``_typed_params`` against a schema of typed
 keys; ``_ENV_BUILDERS`` names the one function that builds each env and
 ``_AGENT_BUILDERS`` the one that builds each algorithm's agent.
 
+``load_config`` decides everything a run needs before any run starts: it
+builds the env, each pors algorithm's planning context and each fixed
+algorithm's policy, and refuses a config whose results table would exceed
+``envs.MAX_TABLE_CELLS`` rows.  ``run_suite`` then only runs.
+
 Each (algorithm, seed) run draws its own random streams from a seed hashed
 out of (master seed, algorithm label, environment name, seed), so results
 never depend on the order runs execute in and rerunning a config reproduces
@@ -33,6 +38,7 @@ import numpy as np
 
 from .core import ConfigError, Dims
 from .envs import (
+    MAX_TABLE_CELLS,
     SampleRng,
     build_controlled_drift_instance,
     build_hard_instance_flat_emission,
@@ -90,9 +96,13 @@ class VerificationFailure(RuntimeError):
 
 @dataclass
 class AlgoSpec:
+    """One [algo] section; ``prepared`` is what load_config made its agents
+    from (a pors PlanningContext, a fixed MarkovEpisodePolicy) or None."""
+
     kind: str
     label: str
     params: dict
+    prepared: object = field(default=None, repr=False)
 
 
 @dataclass
@@ -107,9 +117,7 @@ class ExperimentConfig:
     oracle_cap: int
     regret_mode: str
     verify: bool
-    source: str
     env_model: object = field(repr=False)
-    candidate_classes: dict = field(default_factory=dict, repr=False)
 
 
 def _section_kv(section, source):
@@ -326,8 +334,9 @@ def _check_csv_field(value, what, where):
 
 def load_config(path):
     """Parse and fully validate a config file; every invariant is checked
-    (environment built, candidate classes loaded, compatibility verified)
-    before any run starts."""
+    (environment built, compatibility verified, pors planning contexts and
+    fixed policies made and kept on their ``AlgoSpec``) before any run
+    starts."""
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
@@ -370,6 +379,12 @@ def load_config(path):
         ) from None
     if len(set(seeds)) != len(seeds):
         raise ConfigError(f"{source}: duplicate seeds in {seeds}")
+    n_rows = ex["episodes"] * len(seeds) * len(algo_secs)
+    if n_rows > MAX_TABLE_CELLS:
+        raise ConfigError(
+            f"{source}: episodes x seeds x algorithms = {n_rows} result rows, "
+            f"over the cap of {MAX_TABLE_CELLS}"
+        )
     master_seed = ex["master-seed"]
     env_override = os.environ.get(MASTER_SEED_ENV_VAR)
     if env_override is not None:
@@ -405,7 +420,6 @@ def load_config(path):
 
     algos = []
     labels = set()
-    candidate_classes = {}
     for sec in algo_secs:
         kind = sec.args.get("name")
         if kind is None:
@@ -440,14 +454,14 @@ def load_config(path):
                         f"{source}: candidate {cand.name!r} dimensions do not "
                         f"match env {env_model.name!r}"
                     )
-                if cand.class_tag != "Class2":
-                    raise ConfigError(
-                        f"{source}: candidate {cand.name!r} is {cand.class_tag}; "
-                        "pors candidates must be emission models (Class2)"
-                    )
-            candidate_classes[label] = cands
+            try:
+                spec.prepared = PlanningContext.build(
+                    cands, policy_cap=params["policy-cap"]
+                )
+            except ConfigError as exc:
+                raise ConfigError(f"{source}: algorithm {label!r}: {exc}") from exc
         if kind == "fixed":
-            _fixed_policy(spec, env_model.dims, source)  # validates
+            spec.prepared = _fixed_policy(spec, env_model.dims, source)
         algos.append(spec)
 
     return ExperimentConfig(
@@ -461,9 +475,7 @@ def load_config(path):
         oracle_cap=ex["oracle-cap"],
         regret_mode=ex["regret-mode"],
         verify=ex["verify"],
-        source=source,
         env_model=env_model,
-        candidate_classes=candidate_classes,
     )
 
 
@@ -503,21 +515,19 @@ def derive_run_seed(master_seed, algo_label, env_name, seed):
     return int.from_bytes(digest[:8], "little")
 
 
-# The agent of each [algo name=...] kind, built from its spec, the env's
-# dims, the episode budget, the run's agent rng and the planning context
-# (built only for pors, None otherwise).
+# The agent of each [algo name=...] kind, built from its spec (with what
+# load_config prepared), the env's dims, the episode budget and the run's
+# agent rng.
 _AGENT_BUILDERS = {
-    "uniform": lambda spec, dims, n_episodes, rng, context: UniformRandomAgent(
-        dims, rng
-    ),
-    "op-tll": lambda spec, dims, n_episodes, rng, context: OptllAgent(
+    "uniform": lambda spec, dims, n_episodes, rng: UniformRandomAgent(dims, rng),
+    "op-tll": lambda spec, dims, n_episodes, rng: OptllAgent(
         dims,
         n_episodes,
         rng,
         theta1=spec.params["theta1"],
         c_bonus=spec.params["c-bonus"],
     ),
-    "op-mll": lambda spec, dims, n_episodes, rng, context: OpmllAgent(
+    "op-mll": lambda spec, dims, n_episodes, rng: OpmllAgent(
         dims,
         n_episodes,
         rng,
@@ -525,15 +535,13 @@ _AGENT_BUILDERS = {
         theta2=spec.params["theta2"],
         c_bonus=spec.params["c-bonus"],
     ),
-    "pors": lambda spec, dims, n_episodes, rng, context: PorsAgent(
-        context, n_episodes, beta=spec.params["beta"], delta=spec.params["delta"]
+    "pors": lambda spec, dims, n_episodes, rng: PorsAgent(
+        spec.prepared, n_episodes, beta=spec.params["beta"], delta=spec.params["delta"]
     ),
-    "epsilon-greedy-seq": lambda spec, dims, n_episodes, rng, context: (
+    "epsilon-greedy-seq": lambda spec, dims, n_episodes, rng: (
         EpsilonGreedySequenceAgent(dims, rng, epsilon=spec.params["epsilon"])
     ),
-    "fixed": lambda spec, dims, n_episodes, rng, context: FixedPolicyAgent(
-        dims, _fixed_policy(spec, dims, "<config>"), rng
-    ),
+    "fixed": lambda spec, dims, n_episodes, rng: FixedPolicyAgent(dims, spec.prepared),
 }
 
 
@@ -633,13 +641,11 @@ class ResultsTable:
         return summaries
 
 
-def _execute_run(spec, env, cfg, seed, context, value_cache, want_values):
+def _execute_run(spec, env, cfg, seed, value_cache, want_values):
     run_seed = derive_run_seed(cfg.master_seed, spec.label, env.name, seed)
     agent_rng = derive_generator(run_seed, "agent")
     env_rng = SampleRng(run_seed)
-    agent = _AGENT_BUILDERS[spec.kind](
-        spec, env.dims, cfg.n_episodes, agent_rng, context
-    )
+    agent = _AGENT_BUILDERS[spec.kind](spec, env.dims, cfg.n_episodes, agent_rng)
     rewards = np.empty(cfg.n_episodes)
     values = np.empty(cfg.n_episodes) if want_values else None
     for k in range(1, cfg.n_episodes + 1):
@@ -665,12 +671,13 @@ def _execute_run(spec, env, cfg, seed, context, value_cache, want_values):
 def run_suite(cfg):
     """Execute every (algorithm, seed) run and assemble the results table.
 
-    'auto' means expected regret, from the exact value of each played
-    policy.  Every played policy can be evaluated: a pors run's candidates
-    share the env's dims, and its planning context has evaluated each
-    candidate's plan at the same size cap before the first episode, raising
-    if one is over it.  Oracle size errors for V* propagate unless regret
-    reporting is off.
+    Builds nothing an algorithm needs: ``load_config`` made each pors
+    planning context and fixed policy.  'auto' means expected regret, from
+    the exact value of each played policy.  Every played policy can be
+    evaluated: a pors run's candidates share the env's dims, and its
+    planning context evaluated each candidate's plan at the same size cap
+    when the config loaded.  Oracle size errors for V* propagate unless
+    regret reporting is off.
     """
     env = cfg.env_model
     if cfg.verify:
@@ -683,18 +690,10 @@ def run_suite(cfg):
     mode = "expected" if cfg.regret_mode == "auto" else cfg.regret_mode
     runs = []
     for spec in cfg.algos:
-        context = None
-        if spec.kind == "pors":
-            context = PlanningContext.build(
-                cfg.candidate_classes[spec.label],
-                policy_cap=spec.params["policy-cap"],
-            )
         value_cache = {}
         for seed in cfg.seeds:
             runs.append(
-                _execute_run(
-                    spec, env, cfg, seed, context, value_cache, mode == "expected"
-                )
+                _execute_run(spec, env, cfg, seed, value_cache, mode == "expected")
             )
     return ResultsTable(
         env_name=env.name,

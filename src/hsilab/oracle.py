@@ -30,6 +30,7 @@ deliberately ignores them as well).
 import numpy as np
 
 from .core import OracleSizeError
+from .envs import MAX_TABLE_CELLS
 
 DEFAULT_NODE_CAP = 10**6
 
@@ -46,15 +47,22 @@ def _plan(m, cap):
     12 decimals) and expanded in (query, action, branch) order; step-H
     successors are scored in bulk by their best action's expected reward.
     The count of expanded beliefs is capped: exceeding the cap raises
-    rather than approximates.
+    rather than approximates.  So do stacked kernels of more than
+    ``envs.MAX_TABLE_CELLS`` cells, refused before they are allocated, and
+    a horizon deeper than the recursion (one call per step) can go.
     """
     dims = m.dims
     H, A, S = dims.horizon, dims.n_actions, m.n_states
     qsets = dims.query_sets()
     Q = len(qsets)
+    R = len(m.evidence(1, qsets[0]))  # kernel rows per query set
+    if (H - 1) * Q * R * S > MAX_TABLE_CELLS:
+        raise OracleSizeError(
+            f"belief tree for model {m.name!r} needs a ({H - 1}, {Q * R}, {S}) "
+            f"evidence stack, over the cap of {MAX_TABLE_CELLS} cells"
+        )
     kernels = [np.vstack([m.evidence(h, q) for q in qsets]) for h in range(1, H)]
     moves = [t.reshape(S, A * S) for t in m.joint_transitions()]
-    R = len(m.evidence(1, qsets[0]))  # kernel rows per query set
     memo = {}
     stats = {"nodes": 0, "memo_hits": 0}
 
@@ -100,7 +108,13 @@ def _plan(m, cap):
         a, qi = divmod(int(np.argmax(values)), Q)  # ties: lowest (a, q)
         return float(values[a, qi]), a, qsets[qi]
 
-    value, action, query = expand(1, np.array(m.initial, dtype=float))
+    try:
+        value, action, query = expand(1, np.array(m.initial, dtype=float))
+    except RecursionError:
+        raise OracleSizeError(
+            f"belief tree for model {m.name!r} is {H} steps deep, past the "
+            "interpreter's recursion limit"
+        ) from None
     return value, action, query, stats
 
 

@@ -129,7 +129,9 @@ def _best_tree(model):
     child values is highest; unreached nodes keep choice 0.  A node's row
     is its joint mass over states, pushed to the children with
     ``evaluate_policy_value``'s arithmetic.  The index reads the per-node
-    choices in mixed radix, root first and the last node fastest.
+    choices in mixed radix, root first and the last node fastest.  The
+    recursion makes one call per step; a horizon deeper than it can go
+    raises OracleSizeError.
     """
     dims = model.dims
     H = dims.horizon
@@ -156,8 +158,15 @@ def _best_tree(model):
                 best = (value, picks)
         return best
 
+    try:
+        picks = solve(1, 0, np.asarray(model.initial, float))[1]
+    except RecursionError:
+        raise OracleSizeError(
+            f"policy tree for model {model.name!r} is {H} steps deep, past "
+            "the interpreter's recursion limit"
+        ) from None
     choices = [[0] * n for n in level_node_counts(dims)]
-    for h, node, choice in solve(1, 0, np.asarray(model.initial, float))[1]:
+    for h, node, choice in picks:
         choices[h - 1][node] = choice
     index = 0
     for choice in (c for level in choices for c in level):

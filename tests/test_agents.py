@@ -31,6 +31,7 @@ from hsilab.core import Dims, decode_state, encode_state
 from hsilab.envs import (
     EnvModel,
     SampleRng,
+    build_hard_instance_flat_emission,
     build_hard_instance_groups,
     derive_generator,
     random_independent_model,
@@ -681,15 +682,11 @@ def test_run_episode_single_step_horizon():
         np.zeros((0, 2, 2, 2)),
         rewards,
     )
-    match = FixedPolicyAgent(
-        dims, MarkovEpisodePolicy.from_sequence((0,), (0,), 2, 2), np.random.default_rng(0)
-    )
+    match = FixedPolicyAgent(dims, MarkovEpisodePolicy.from_sequence((0,), (0,), 2, 2))
     trace = run_episode(match, env, 1, SampleRng(3))
     assert len(trace.steps) == 1
     assert trace.total_reward == 1.0  # reward mean 1 is deterministic
-    miss = FixedPolicyAgent(
-        dims, MarkovEpisodePolicy.from_sequence((1,), (0,), 2, 2), np.random.default_rng(0)
-    )
+    miss = FixedPolicyAgent(dims, MarkovEpisodePolicy.from_sequence((1,), (0,), 2, 2))
     assert run_episode(miss, env, 1, SampleRng(3)).total_reward == 0.0
 
 
@@ -720,6 +717,32 @@ def test_markov_policy_from_sequence_replays_actions():
     twin = MarkovEpisodePolicy.from_sequence((0, 1, 1), (1,), 2, 2)
     assert policy.key() == twin.key()
     assert len({policy.key(), twin.key()}) == 1  # usable as a cache key
+
+
+def test_fixed_agent_plays_its_policy_at_every_step():
+    env = build_hard_instance_flat_emission(0.1)
+    dims = env.dims
+    rng = SampleRng(5)
+    replay = FixedPolicyAgent(
+        dims, MarkovEpisodePolicy.from_sequence((0, 1, 1, 0), (1,), 2, 2)
+    )
+    for k in range(1, 6):
+        trace = run_episode(replay, env, k, rng)
+        assert [rec.action for rec in trace.steps] == [0, 1, 1, 0]
+        assert all(rec.feedback.query == (1,) for rec in trace.steps)
+    # a policy whose actions depend on the previous step's feedback
+    decisions = np.array(
+        [[[(h + code + prev) % 2 for prev in range(2)] for code in range(2)]
+         for h in range(dims.horizon - 1)]
+    )
+    policy = MarkovEpisodePolicy((0,), 1, decisions, 2)
+    reactive = FixedPolicyAgent(dims, policy)
+    for k in range(1, 21):
+        steps = run_episode(reactive, env, k, rng).steps
+        assert steps[0].action == 1
+        for prev, rec in zip(steps, steps[1:]):
+            code = encode_state(prev.feedback.values(), dims.alphabet_size)
+            assert rec.action == decisions[rec.h - 2, code, prev.action]
 
 
 def test_markov_policy_action_matrix_is_one_hot_of_decisions():

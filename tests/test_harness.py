@@ -12,6 +12,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from hsilab.agents import MarkovEpisodePolicy
 from hsilab.core import ConfigError, Dims
 from hsilab.envs import EnvModel, build_controlled_drift_instance, controlled_drift_candidates
 from hsilab import harness
@@ -27,6 +28,7 @@ from hsilab.harness import (
     verify_instance,
     write_results_csv,
 )
+from hsilab.pors import PlanningContext
 from hsilab.serialize import dump_candidates, dump_model
 from hsilab import cli
 
@@ -214,6 +216,68 @@ def test_cli_run_rejects_verify_without_verifier_without_traceback(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["run", "oracle"])
+def test_cli_rejects_horizon_past_recursion_limit_without_traceback(
+    tmp_path, command
+):
+    # the belief planner recurses once per step; 1500 steps is past the
+    # interpreter's recursion limit
+    text = (
+        "[experiment]\nepisodes = 2\nseeds = 0\n\n"
+        "[env builder=random-class1]\nd = 1\nalphabet-size = 2\nd-query = 1\n"
+        "horizon = 1500\nn-actions = 2\n\n[algo name=uniform]\n"
+    )
+    cfg_path = _write(tmp_path, text)
+    out = ["-o", str(tmp_path / "out")] if command == "run" else []
+    proc = _hsilab_under_memory_limit(command, cfg_path, *out)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(
+        "error: belief tree for model 'random-class1-s0' is 1500 steps deep"
+    )
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_oracle_rejects_oversized_kernel_stack_without_traceback(tmp_path):
+    # C(12, 6) = 924 query sets x 2^6 value codes = 59136 kernel rows over
+    # 4096 states, for each of 3 steps: 5.4 GiB, refused before any of it is
+    # allocated
+    text = (
+        "[experiment]\nepisodes = 2\nseeds = 0\n\n"
+        "[env builder=random-class1]\nd = 12\nalphabet-size = 2\nd-query = 6\n"
+        "horizon = 4\nn-actions = 2\n\n[algo name=uniform]\n"
+    )
+    proc = _hsilab_under_memory_limit("oracle", _write(tmp_path, text))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(
+        "error: belief tree for model 'random-class1-s0' needs a (3, 59136, 4096) "
+        "evidence stack, over the cap of 134217728 cells"
+    )
+    assert "Traceback" not in proc.stderr
+
+
+def test_cli_run_rejects_oversized_results_table_without_traceback(tmp_path):
+    # 10^13 episodes x 2 seeds x 2 algorithms result rows
+    text = GROUPS_CFG.replace("episodes = 10", "episodes = 10000000000000")
+    cfg_path = _write(tmp_path, text)
+    proc = _hsilab_under_memory_limit("run", cfg_path, "-o", str(tmp_path / "out"))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(
+        f"error: {cfg_path}: episodes x seeds x algorithms = 40000000000000 "
+        "result rows, over the cap of 134217728"
+    )
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_results_table_cap_is_checked_at_load(tmp_path):
+    at_cap = GROUPS_CFG.replace("episodes = 10", f"episodes = {2**25}")
+    assert load_config(_write(tmp_path, at_cap)).n_episodes == 2**25
+    over = GROUPS_CFG.replace("episodes = 10", f"episodes = {2**25 + 1}")
+    with pytest.raises(ConfigError, match="134217732 result rows"):
+        load_config(_write(tmp_path, over))
+
+
 def test_cli_verify_rejects_oversized_groups_without_traceback():
     proc = _hsilab_under_memory_limit("verify", "groups", "d=100000")
     assert proc.returncode == 1
@@ -358,6 +422,65 @@ def test_fixed_policy_validation(tmp_path):
     bad_len = GROUPS_CFG + "\n[algo name=fixed label=f]\nactions = 0,1\nquery = 0\n"
     with pytest.raises(ConfigError, match="actions"):
         load_config(_write(tmp_path, bad_len))
+
+
+def test_unbuildable_pors_context_stops_the_config_before_any_episode(
+    tmp_path, monkeypatch, capsys
+):
+    path = _drift_config(
+        tmp_path,
+        "[algo name=uniform]\n\n"
+        "[algo name=pors]\ncandidates = {cands}\npolicy-cap = 1\n",
+    )
+    with pytest.raises(
+        ConfigError, match="algorithm 'pors': policy family exceeds cap 1"
+    ):
+        load_config(path)
+    episodes = []
+    run_episode = harness.run_episode
+
+    def counting(*args):
+        episodes.append(args[2])
+        return run_episode(*args)
+
+    monkeypatch.setattr(harness, "run_episode", counting)
+    out = tmp_path / "out"
+    assert cli.main(["run", path, "-o", str(out)]) == 1
+    assert "policy family exceeds cap 1" in capsys.readouterr().err
+    assert episodes == []
+    assert not out.exists()
+
+
+def test_agents_are_built_from_what_the_config_load_prepared(tmp_path, monkeypatch):
+    calls = []
+    fixed_policy, build = harness._fixed_policy, PlanningContext.build
+
+    def counting_fixed(*args):
+        calls.append("fixed")
+        return fixed_policy(*args)
+
+    def counting_build(*args, **kwargs):
+        calls.append("pors")
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "_fixed_policy", counting_fixed)
+    monkeypatch.setattr(PlanningContext, "build", staticmethod(counting_build))
+    path = _drift_config(
+        tmp_path,
+        "[algo name=pors]\ncandidates = {cands}\n\n"
+        "[algo name=fixed]\nactions = 0\nquery = 0\n\n[algo name=uniform]\n",
+    )
+    cfg = load_config(path)
+    pors, fixed, uniform = cfg.algos
+    assert isinstance(pors.prepared, PlanningContext)
+    assert isinstance(fixed.prepared, MarkovEpisodePolicy)
+    assert fixed.prepared.query == (0,) and fixed.prepared.first_action == 0
+    assert uniform.prepared is None
+    assert "prepared" not in repr(pors)
+    assert calls == ["pors", "fixed"]
+    cfg.seeds = (0, 1, 2)
+    assert len(run_suite(cfg).runs) == 9
+    assert calls == ["pors", "fixed"]  # once per algorithm, not per run
 
 
 # ---------------------------------------------------------------------------

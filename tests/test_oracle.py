@@ -223,6 +223,22 @@ def test_node_cap_raises():
         optimal_value(m, cap=nodes - 1)
 
 
+def test_kernel_stack_cap_raises(monkeypatch):
+    from hsilab import oracle
+
+    m = build_hard_instance_groups(3, 0.1)
+    dims = m.dims
+    # (H - 1) steps x (query sets x kernel rows per query set) x states
+    qsets = dims.query_sets()
+    rows = len(qsets) * len(m.evidence(1, qsets[0]))
+    cells = (dims.horizon - 1) * rows * m.n_states
+    monkeypatch.setattr(oracle, "MAX_TABLE_CELLS", cells)
+    assert abs(optimal_value(m) - 0.6) < 1e-12
+    monkeypatch.setattr(oracle, "MAX_TABLE_CELLS", cells - 1)
+    with pytest.raises(OracleSizeError, match=f"over the cap of {cells - 1} cells"):
+        optimal_value(m)
+
+
 # -- exact filtering (the reference in policy_reference) -------------------------------
 
 

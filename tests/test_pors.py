@@ -470,6 +470,26 @@ def test_best_tree_policy_achieves_optimal_value():
     assert abs(best.value - v_star) < 1e-9
 
 
+def test_best_tree_refuses_a_horizon_past_the_recursion_limit():
+    # one action, one query set, one value and one symbol: the only policy's
+    # tree is a path of 1500 nodes, so only the recursion depth is large
+    H = 1500
+    dims = Dims(
+        d=1, alphabet_size=1, d_query=1, horizon=H, n_actions=1, n_observations=1
+    )
+    path = EnvModel.from_joint(
+        "path",
+        dims,
+        "Class2",
+        np.ones(1),
+        np.ones((H - 1, 1, 1, 1)),
+        np.zeros((H, 1, 1)),
+        emissions={(h, (0,)): np.ones((1, 1)) for h in range(1, H + 1)},
+    )
+    with pytest.raises(OracleSizeError, match="'path' is 1500 steps deep"):
+        PlanningContext.build([path])
+
+
 def test_policy_value_cap():
     truth = build_controlled_drift_instance()
     policies = full_history_policies(truth.dims)
