@@ -324,11 +324,12 @@ def run_episode(agent, env, k, rng):
     trace = EpisodeTrace(episode=k)
     H = env.dims.horizon
     emits = env.class_tag == "Class2"
+    vectors = env.sampling_rows()[2]
     for h in range(1, H + 1):
         action, query = agent.act(h)
         r = reward(env, h, s, action, rng)
-        vec = env.state_vectors[s]
-        hsi = tuple((i, int(vec[i])) for i in query)
+        vec = vectors[s]
+        hsi = tuple((i, vec[i]) for i in query)
         obs = emit_observation(env, h, s, query, rng) if emits else None
         fb = Feedback(query=tuple(query), hsi=hsi, observation=obs, reward=r)
         agent.observe(h, action, fb)
@@ -595,7 +596,11 @@ class EpsilonGreedySequenceAgent:
     """Bandit over open-loop action sequences: with probability epsilon play
     a uniformly random sequence, otherwise the best empirical mean so far
     (ties -> lowest sequence index).  The sequence index is the big-endian
-    action code, so lexicographically earlier sequences break ties."""
+    action code, so lexicographically earlier sequences break ties.
+
+    ``totals`` and ``counts`` are the bandit's only statistics; a
+    sequence's total is 0 wherever its count is 0.  Each sequence's actions
+    and episode policy are built on its first play and reused after."""
 
     def __init__(self, dims, rng, epsilon=0.25):
         n_seq = dims.n_actions**dims.horizon
@@ -610,6 +615,7 @@ class EpsilonGreedySequenceAgent:
         self.invariant_violations = []
         self.episode_policy = None
         self._seq = None
+        self._played = {}  # sequence index -> (actions, MarkovEpisodePolicy)
 
     def sequence_actions(self, index):
         A, H = self.dims.n_actions, self.dims.horizon
@@ -620,8 +626,8 @@ class EpsilonGreedySequenceAgent:
         return tuple(reversed(out))
 
     def best_sequence(self):
-        means = np.where(self.counts > 0, self.totals / np.maximum(self.counts, 1), 0.0)
-        return int(np.argmax(means))
+        # an unplayed sequence's mean is its zero total over 1
+        return int((self.totals / np.maximum(self.counts, 1)).argmax())
 
     def begin_episode(self, k):
         if self.rng.random() < self.epsilon:
@@ -629,13 +635,19 @@ class EpsilonGreedySequenceAgent:
         else:
             idx = self.best_sequence()
         self._seq = idx
-        self._actions = self.sequence_actions(idx)
-        self.episode_policy = MarkovEpisodePolicy.from_sequence(
-            self._actions,
-            self.dims.query_sets()[0],
-            self.dims.n_query_values,
-            self.dims.n_actions,
-        )
+        played = self._played.get(idx)
+        if played is None:
+            actions = self.sequence_actions(idx)
+            played = self._played[idx] = (
+                actions,
+                MarkovEpisodePolicy.from_sequence(
+                    actions,
+                    self.dims.query_sets()[0],
+                    self.dims.n_query_values,
+                    self.dims.n_actions,
+                ),
+            )
+        self._actions, self.episode_policy = played
 
     def act(self, h):
         return self._actions[h - 1], self.episode_policy.query

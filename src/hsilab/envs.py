@@ -271,14 +271,15 @@ class EnvModel:
         return codes
 
     def sampling_rows(self):
-        """The initial distribution and, in product form, the (H-1, d, V, A, V)
-        transition rows as nested Python lists, built once and cached, so
-        each draw walks the same floats without converting a row.  Joint
-        tables stay arrays (None here): as lists, one at MAX_TABLE_CELLS
-        would take more than 4 GiB."""
+        """The initial distribution, in product form the (H-1, d, V, A, V)
+        transition rows (else None), and the (S, d) state vectors, as
+        nested Python lists of floats and ints, built once and cached, so
+        each draw and each revealed value reads a Python number without
+        converting a row.  Joint tables stay arrays: as lists, one at
+        MAX_TABLE_CELLS would take more than 4 GiB."""
         if self._rows is None:
             product = None if self.product is None else self.product.tolist()
-            self._rows = (self.initial.tolist(), product)
+            self._rows = (self.initial.tolist(), product, self.state_vectors.tolist())
         return self._rows
 
     def evidence(self, h, query):
@@ -339,10 +340,11 @@ def transition(m, h, s, a, rng):
     if not 1 <= h <= H - 1:
         raise ValueError(f"no transition out of step {h} (horizon {H})")
     if m.transition_form == "product":
-        rows = m.sampling_rows()[1][h - 1]
+        _, product, vectors = m.sampling_rows()
+        rows = product[h - 1]
         nxt = [
             _draw_categorical(rows[i][v][a], rng.transition)
-            for i, v in enumerate(m.state_vectors[s].tolist())
+            for i, v in enumerate(vectors[s])
         ]
         return encode_state(nxt, m.dims.alphabet_size)
     return _draw_categorical(m.joint[h - 1, s, a], rng.transition)
@@ -350,7 +352,7 @@ def transition(m, h, s, a, rng):
 
 def reward(m, h, s, a, rng):
     """Bernoulli reward draw with mean r_h[s, a]; always one draw."""
-    mean = m.rewards[h - 1, s, a]
+    mean = m.rewards.item(h - 1, s, a)
     return 1.0 if rng.reward.random() < mean else 0.0
 
 

@@ -377,6 +377,9 @@ class PlanningContext:
     family is "full-history" when all (n_actions * n_query_sets) **
     total_nodes tree policies fit under the policy cap, searched by
     ``_best_tree``, and "open-loop" (``enumerate_policies``) otherwise.
+    A class whose last tree level times its states exceeds
+    ``DEFAULT_VALUE_CAP``, which ``evaluate_policy_value`` would refuse
+    for every plan, raises OracleSizeError before either search runs.
     """
 
     filter: CandidateFilter
@@ -391,8 +394,14 @@ class PlanningContext:
     def build(cls, candidates, policy_cap=DEFAULT_POLICY_CAP):
         cfilter = CandidateFilter(candidates)
         dims = cfilter.candidates[0].dims
+        counts = level_node_counts(dims)
+        if counts[-1] * dims.n_states > DEFAULT_VALUE_CAP:
+            raise OracleSizeError(
+                f"policy evaluation needs {counts[-1]} x {dims.n_states} table "
+                f"at step {dims.horizon}, over cap {DEFAULT_VALUE_CAP}"
+            )
         n_choice = dims.n_actions * len(dims.query_sets())
-        n_nodes = sum(level_node_counts(dims))
+        n_nodes = sum(counts)
         if math.log(n_choice) * n_nodes <= math.log(policy_cap) + 1e-12:
             label, best = "full-history", _best_tree
         else:

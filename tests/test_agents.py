@@ -27,16 +27,26 @@ from hsilab.agents import (
     optll_update,
     run_episode,
 )
-from hsilab.core import Dims, decode_state, encode_state
+from hsilab.core import (
+    Dims,
+    EpisodeTrace,
+    Feedback,
+    StepRecord,
+    decode_state,
+    encode_state,
+)
 from hsilab.envs import (
     EnvModel,
     SampleRng,
+    _draw_categorical,
     build_hard_instance_flat_emission,
     build_hard_instance_groups,
     derive_generator,
+    emit_observation,
     random_independent_model,
 )
 from hsilab.oracle import optimal_value
+from policy_reference import random_hidden_observation_model
 
 
 # ---------------------------------------------------------------------------
@@ -690,6 +700,96 @@ def test_run_episode_single_step_horizon():
     assert run_episode(miss, env, 1, SampleRng(3)).total_reward == 0.0
 
 
+def run_episode_reference(agent, env, k, rng):
+    """``run_episode`` as it read the model before the samplers' cached list
+    rows: a numpy state-vector row per step, numpy reward means and
+    array-indexed product rows.  The loop must produce the same traces
+    and leave every stream in the same state."""
+    agent.begin_episode(k)
+    s = _draw_categorical(env.initial, rng.init)
+    trace = EpisodeTrace(episode=k)
+    H = env.dims.horizon
+    emits = env.class_tag == "Class2"
+    for h in range(1, H + 1):
+        action, query = agent.act(h)
+        r = 1.0 if rng.reward.random() < env.rewards[h - 1, s, action] else 0.0
+        vec = env.state_vectors[s]
+        hsi = tuple((i, int(vec[i])) for i in query)
+        obs = emit_observation(env, h, s, query, rng) if emits else None
+        fb = Feedback(query=tuple(query), hsi=hsi, observation=obs, reward=r)
+        agent.observe(h, action, fb)
+        trace.append(StepRecord(h=h, action=action, feedback=fb))
+        if h < H:
+            if env.transition_form == "product":
+                nxt = [
+                    _draw_categorical(env.product[h - 1, i, v, action], rng.transition)
+                    for i, v in enumerate(env.state_vectors[s].tolist())
+                ]
+                s = encode_state(nxt, env.dims.alphabet_size)
+            else:
+                s = _draw_categorical(env.joint[h - 1, s, action], rng.transition)
+    agent.end_episode(trace)
+    return trace
+
+
+@st.composite
+def _episode_envs(draw):
+    """A random Generic joint-form, Class1 product-form or Class2 emitting
+    model."""
+    kind = draw(st.sampled_from(["generic", "class1", "class2"]))
+    d = draw(st.integers(1, 3))
+    V, A, H = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    d_query = draw(st.integers(1, d))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "class2":
+        dims = Dims(d, V, d_query, H, A, n_observations=draw(st.integers(1, 3)))
+        return random_hidden_observation_model(gen, dims)
+    dims = Dims(d, V, d_query, H, A)
+    if kind == "class1":
+        return random_independent_model(dims, gen)
+    S = dims.n_states
+    return EnvModel.from_joint(
+        "random-generic",
+        dims,
+        "Generic",
+        gen.dirichlet(np.ones(S)),
+        gen.dirichlet(np.ones(S), size=(H - 1, S, A)),
+        gen.random((H, S, A)),
+    )
+
+
+def _episode_agent(kind, dims, seed):
+    rng = derive_generator(seed, "agent")
+    if kind == "uniform":
+        return UniformRandomAgent(dims, rng)
+    if kind == "sequence":
+        return EpsilonGreedySequenceAgent(dims, rng)
+    A = dims.n_actions
+    decisions = rng.integers(A, size=(dims.horizon - 1, dims.n_query_values, A))
+    policy = MarkovEpisodePolicy(dims.query_sets()[-1], A - 1, decisions, A)
+    return FixedPolicyAgent(dims, policy)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    _episode_envs(),
+    st.sampled_from(["uniform", "sequence", "fixed"]),
+    st.integers(0, 2**16),
+)
+def test_run_episode_equals_the_array_indexing_reference(env, kind, seed):
+    agent = _episode_agent(kind, env.dims, seed)
+    ref_agent = _episode_agent(kind, env.dims, seed)
+    rng, ref = SampleRng(seed), SampleRng(seed)
+    for k in range(1, 9):
+        trace = run_episode(agent, env, k, rng)
+        assert trace == run_episode_reference(ref_agent, env, k, ref)
+        for step in trace.steps:
+            assert all(type(v) is int for _, v in step.feedback.hsi)
+    for label in SampleRng.STREAMS:
+        state = getattr(rng, label).bit_generator.state
+        assert state == getattr(ref, label).bit_generator.state
+
+
 def test_uniform_agent_reward_mean_on_groups():
     env = build_hard_instance_groups(2, 0.1)
     agent = UniformRandomAgent(env.dims, derive_generator(11, "agent"))
@@ -803,3 +903,51 @@ def test_sequence_agent_greedy_choice_and_ties():
     agent.begin_episode(1)
     assert agent._seq == 2  # epsilon=0 always exploits
     assert agent.sequence_actions(2) == (1, 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.sampled_from([0.0, 0.25, 0.75, 1.0]),
+    st.integers(0, 2**16),
+    st.lists(st.integers(0, 3), max_size=60),
+)
+def test_best_sequence_is_the_first_argmax_of_the_masked_means(
+    A, H, epsilon, seed, totals
+):
+    # drives the bandit's own loop; the means of unplayed sequences are 0
+    # whatever the tables hold, so all-zero tables and ties are common
+    dims = Dims(d=1, alphabet_size=2, d_query=1, horizon=H, n_actions=A)
+    agent = EpsilonGreedySequenceAgent(dims, np.random.default_rng(seed), epsilon)
+
+    def masked_means():
+        counts = agent.counts
+        return np.where(counts > 0, agent.totals / np.maximum(counts, 1), 0.0)
+
+    assert agent.best_sequence() == 0
+    for k, total in enumerate(totals, start=1):
+        agent.begin_episode(k)
+        agent.end_episode(EpisodeTrace(episode=k, total_reward=float(min(total, H))))
+        means = masked_means()
+        best = agent.best_sequence()
+        assert best == int(np.argmax(means))
+        assert means[:best].max(initial=-1.0) < means[best] == means.max()
+
+
+def test_sequence_agent_builds_each_policy_once():
+    dims = Dims(d=2, alphabet_size=2, d_query=1, horizon=3, n_actions=2)
+    agent = EpsilonGreedySequenceAgent(dims, derive_generator(5, "agent"), epsilon=1.0)
+    seen = {}
+    for k in range(1, 200):
+        agent.begin_episode(k)
+        policy = agent.episode_policy
+        assert seen.setdefault(agent._seq, policy) is policy
+        actions = agent.sequence_actions(agent._seq)
+        fresh = MarkovEpisodePolicy.from_sequence(
+            actions, dims.query_sets()[0], dims.n_query_values, dims.n_actions
+        )
+        assert policy.key() == fresh.key()
+        assert [agent.act(h) for h in range(1, 4)] == [(a, fresh.query) for a in actions]
+        agent.end_episode(EpisodeTrace(episode=k))
+    assert len(seen) == agent.n_seq  # every one of the 8 sequences replayed

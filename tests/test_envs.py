@@ -322,6 +322,22 @@ def test_product_sampling_draws_the_reference_stream(d, V, H, A, seed):
     assert rng.transition.random() == ref.transition.random()
 
 
+@pytest.mark.parametrize(
+    "m",
+    [
+        build_hard_instance_tree(2, 3, 2, 0.1),
+        random_independent_model(Dims(3, 3, 2, 3, 2), 4),
+        build_controlled_drift_instance(),
+    ],
+    ids=["joint", "product", "emitting"],
+)
+def test_sampling_rows_cache_state_vectors_as_python_ints(m):
+    rows = m.sampling_rows()
+    assert rows is m.sampling_rows()
+    assert rows[2] == m.state_vectors.tolist()
+    assert all(type(v) is int for vec in rows[2] for v in vec)
+
+
 def test_reward_is_bernoulli_with_known_mean():
     dims = Dims(d=1, alphabet_size=2, d_query=1, horizon=1, n_actions=1)
     m = EnvModel.from_joint(

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -31,6 +32,7 @@ from hsilab.harness import (
 from hsilab.pors import PlanningContext
 from hsilab.serialize import dump_candidates, dump_model
 from hsilab import cli
+from policy_reference import random_hidden_observation_model
 
 
 GROUPS_CFG = """
@@ -144,6 +146,32 @@ def _hsilab_under_memory_limit(*args):
         capture_output=True, text=True, env=env, timeout=60,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
     )
+
+
+def test_cli_run_refuses_an_oversized_pors_tree_before_planning(tmp_path):
+    # one action, one query set and one symbol at horizon 22: the plan's
+    # 2^21 x 2 value table is over pors.DEFAULT_VALUE_CAP, refused before
+    # the tree search starts
+    dims = Dims(
+        d=1, alphabet_size=2, d_query=1, horizon=22, n_actions=1, n_observations=1
+    )
+    deep = random_hidden_observation_model(np.random.default_rng(0), dims)
+    dump_model(deep, tmp_path / "deep.model")
+    dump_candidates([deep], tmp_path / "cands.cfg")
+    text = (
+        "[experiment]\nepisodes = 2\nseeds = 0\n\n"
+        f"[env builder=file]\npath = {tmp_path / 'deep.model'}\n\n"
+        f"[algo name=pors]\ncandidates = {tmp_path / 'cands.cfg'}\n"
+    )
+    cfg_path = _write(tmp_path, text)
+    t0 = time.perf_counter()
+    proc = _hsilab_under_memory_limit("run", cfg_path, "-o", str(tmp_path / "out"))
+    assert time.perf_counter() - t0 < 20.0
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
+    assert "2097152 x 2 table at step 22" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_run_rejects_oversized_env_without_traceback(tmp_path):
@@ -449,6 +477,35 @@ def test_unbuildable_pors_context_stops_the_config_before_any_episode(
     assert "policy family exceeds cap 1" in capsys.readouterr().err
     assert episodes == []
     assert not out.exists()
+
+
+def test_sequence_bandit_run_evaluates_each_played_sequence_once(
+    tmp_path, monkeypatch
+):
+    # the bandit hands back one policy object per sequence; the value
+    # cache must still miss exactly once per distinct sequence played
+    played, evaluated = [], []
+    evaluate = harness.oracle.evaluate_markov_policy
+
+    class Recording(harness.EpsilonGreedySequenceAgent):
+        def begin_episode(self, k):
+            super().begin_episode(k)
+            played.append(self._seq)
+
+    def counting(env, policy):
+        evaluated.append(policy.key())
+        return evaluate(env, policy)
+
+    monkeypatch.setattr(harness, "EpsilonGreedySequenceAgent", Recording)
+    monkeypatch.setattr(harness.oracle, "evaluate_markov_policy", counting)
+    text = (
+        "[experiment]\nepisodes = 300\nseeds = 0\n\n"
+        "[env builder=tree]\nalphabet-size = 2\nd = 3\nn-actions = 2\n"
+        "epsilon = 0.1\n\n[algo name=epsilon-greedy-seq]\n"
+    )
+    table = run_suite(load_config(_write(tmp_path, text)))
+    assert len(played) == len(table.runs[0].policy_values) == 300
+    assert len(evaluated) == len(set(evaluated)) == len(set(played)) > 1
 
 
 def test_agents_are_built_from_what_the_config_load_prepared(tmp_path, monkeypatch):

@@ -4,6 +4,7 @@ likelihoods, candidate screening, and optimistic planning."""
 import inspect
 import math
 import re
+import time
 
 import numpy as np
 import pytest
@@ -488,6 +489,21 @@ def test_best_tree_refuses_a_horizon_past_the_recursion_limit():
     )
     with pytest.raises(OracleSizeError, match="'path' is 1500 steps deep"):
         PlanningContext.build([path])
+
+
+def test_planning_context_refuses_an_oversized_tree_before_planning():
+    # one action, one query set and one symbol: the full-history family has
+    # one policy whatever the cap, but its 2^21-node last level times 2
+    # states is over the value cap, so the build must refuse before
+    # walking the tree (which took 50 s)
+    dims = Dims(
+        d=1, alphabet_size=2, d_query=1, horizon=22, n_actions=1, n_observations=1
+    )
+    deep = random_hidden_observation_model(np.random.default_rng(0), dims)
+    t0 = time.perf_counter()
+    with pytest.raises(OracleSizeError, match="2097152 x 2 table at step 22"):
+        PlanningContext.build([deep], policy_cap=1)
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_policy_value_cap():
