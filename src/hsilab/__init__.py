@@ -59,7 +59,6 @@ from .pors import (
     PorsAgent,
     TreePolicy,
     default_beta,
-    enumerate_policies,
     evaluate_policy_value,
     feedback_log_likelihood,
     optimistic_plan,
@@ -121,7 +120,6 @@ __all__ = [
     "dump_model",
     "emit_plot_svg",
     "encode_state",
-    "enumerate_policies",
     "estimate_cross_covariance",
     "evaluate_markov_policy",
     "evaluate_policy_value",

@@ -62,7 +62,6 @@ from .agents import (
     run_episode,
 )
 from .pors import (
-    DEFAULT_POLICY_CAP,
     PlanningContext,
     PorsAgent,
     TreePolicy,
@@ -230,7 +229,6 @@ _ALGO_SCHEMAS = {
         "candidates": (str, REQUIRED),
         "beta": (float, None),
         "delta": (float, 0.05),
-        "policy-cap": (int, DEFAULT_POLICY_CAP),
     },
     "epsilon-greedy-seq": {"epsilon": (float, 0.25)},
     "fixed": {"actions": (str, REQUIRED), "query": (str, REQUIRED)},
@@ -245,7 +243,6 @@ _ALGO_RANGES = {
     "epsilon": ("in [0, 1]", lambda x: 0.0 <= x <= 1.0),
     "beta": (">= 0", lambda x: x >= 0.0),
     "delta": ("in (0, 1)", lambda x: 0.0 < x < 1.0),
-    "policy-cap": (">= 1", lambda x: x >= 1),
 }
 
 
@@ -455,9 +452,7 @@ def load_config(path):
                         f"match env {env_model.name!r}"
                     )
             try:
-                spec.prepared = PlanningContext.build(
-                    cands, policy_cap=params["policy-cap"]
-                )
+                spec.prepared = PlanningContext.build(cands)
             except ConfigError as exc:
                 raise ConfigError(f"{source}: algorithm {label!r}: {exc}") from exc
         if kind == "fixed":

@@ -16,7 +16,8 @@ The planner expands each distinct belief once, in one batch of products
 (``_plan``).  Its ``nodes`` count those expansions (the root and the
 distinct beliefs of steps 2 to H-1) and the node cap bounds them;
 ``memo_hits`` counts successors found already expanded.  Step-H beliefs
-are scored in bulk and counted in neither.
+are scored in bulk and counted in neither.  On request it also records
+each expanded belief's best decision, from which ``pors`` reads its plans.
 
 Timing convention: the feedback for a step (queried values of that step's
 state, plus any emitted observation) arrives after the step's action, so a
@@ -35,7 +36,29 @@ from .envs import MAX_TABLE_CELLS
 DEFAULT_NODE_CAP = 10**6
 
 
-def _plan(m, cap):
+def _step_tables(m):
+    """Per step h < H: the evidence kernels of every query set stacked in
+    one ``(Q * R, S)`` array (row ``q * R + r``), and the transitions with
+    all actions side by side, ``(S, A * S)``."""
+    qsets = m.dims.query_sets()
+    kernels = [np.vstack([m.evidence(h, q) for q in qsets])
+               for h in range(1, m.dims.horizon)]
+    moves = [t.reshape(m.n_states, -1) for t in m.joint_transitions()]
+    return kernels, moves
+
+
+def _successors(p, kernel, move):
+    """One step of belief p: the mass of each stacked kernel row, the rows
+    with mass, and the successor belief of every (row with mass, action),
+    ``(len(rows), A, S)``."""
+    w = p * kernel
+    mass = w.sum(axis=1)
+    rows = np.flatnonzero(mass)
+    succ = ((w[rows] / mass[rows, None]) @ move).reshape(len(rows), -1, len(p))
+    return mass, rows, succ
+
+
+def _plan(m, cap, decisions=None):
     """Backward induction over the reachable belief tree.
 
     Returns (value, first action, first query, stats).  Each expanded
@@ -43,13 +66,17 @@ def _plan(m, cap):
     query set are the nonzero rows of the belief times the step's stacked
     evidence kernels (row ``q * R + r``), and one product with the step's
     transitions, all actions side by side, gives the successor of every
-    (branch, action).  Successors are memoized on (step, belief rounded to
-    12 decimals) and expanded in (query, action, branch) order; step-H
-    successors are scored in bulk by their best action's expected reward.
-    The count of expanded beliefs is capped: exceeding the cap raises
-    rather than approximates.  So do stacked kernels of more than
-    ``envs.MAX_TABLE_CELLS`` cells, refused before they are allocated, and
-    a horizon deeper than the recursion (one call per step) can go.
+    (branch, action) (``_successors``).  Successors are memoized on (step,
+    belief rounded to 12 decimals) and expanded in (query, action, branch)
+    order; step-H successors are scored in bulk by their best action's
+    expected reward.  Given a dict ``decisions``, it maps the memo key of
+    each expanded belief, the root's included, to its first best (action,
+    query index) and a copy of the belief; V* alone records nothing, as
+    the copies would double its memory.  The count of expanded beliefs is
+    capped: exceeding the cap raises rather than approximates.  So do
+    stacked kernels of more than ``envs.MAX_TABLE_CELLS`` cells, refused
+    before they are allocated, and a horizon deeper than the recursion (one
+    call per step) can go.
     """
     dims = m.dims
     H, A, S = dims.horizon, dims.n_actions, m.n_states
@@ -61,12 +88,11 @@ def _plan(m, cap):
             f"belief tree for model {m.name!r} needs a ({H - 1}, {Q * R}, {S}) "
             f"evidence stack, over the cap of {MAX_TABLE_CELLS} cells"
         )
-    kernels = [np.vstack([m.evidence(h, q) for q in qsets]) for h in range(1, H)]
-    moves = [t.reshape(S, A * S) for t in m.joint_transitions()]
+    kernels, moves = _step_tables(m)
     memo = {}
     stats = {"nodes": 0, "memo_hits": 0}
 
-    def expand(h, p):
+    def expand(h, p, key):
         stats["nodes"] += 1
         if stats["nodes"] > cap:
             raise OracleSizeError(
@@ -76,24 +102,25 @@ def _plan(m, cap):
         if h == H:
             # a one-step episode: feedback after the action cannot be used
             best_a = int(np.argmax(expected_r))
-            return float(expected_r[best_a]), best_a, qsets[0]
-        w = p * kernels[h - 1]
-        mass = w.sum(axis=1)
-        rows = np.flatnonzero(mass)
-        succ = ((w[rows] / mass[rows, None]) @ moves[h - 1]).reshape(-1, A, S)
+            if decisions is not None:
+                decisions[key] = (best_a, 0, p.copy())
+            return float(expected_r[best_a]), best_a, 0
+        mass, rows, succ = _successors(p, kernels[h - 1], moves[h - 1])
         if h + 1 == H:
             child = (succ @ m.rewards[H - 1]).max(axis=2)  # (B, A)
         else:
             child = np.empty((len(rows), A))
-            keys = np.round(succ, 12)
+            rounded = np.round(succ, 12)
             bounds = np.searchsorted(rows, np.arange(Q + 1) * R)
             for qi in range(Q):
                 for a in range(A):
                     for b in range(bounds[qi], bounds[qi + 1]):
-                        key = (h + 1, keys[b, a].tobytes())
-                        value = memo.get(key)
+                        succ_key = (h + 1, rounded[b, a].tobytes())
+                        value = memo.get(succ_key)
                         if value is None:
-                            value = memo[key] = expand(h + 1, succ[b, a])[0]
+                            value = memo[succ_key] = expand(
+                                h + 1, succ[b, a], succ_key
+                            )[0]
                         else:
                             stats["memo_hits"] += 1
                         child[b, a] = value
@@ -106,16 +133,19 @@ def _plan(m, cap):
         terms[rows + rows // R + 1] = mass[rows, None] * child
         values = np.cumsum(terms.reshape(Q, R + 1, A), axis=1)[:, -1].T  # (A, Q)
         a, qi = divmod(int(np.argmax(values)), Q)  # ties: lowest (a, q)
-        return float(values[a, qi]), a, qsets[qi]
+        if decisions is not None:
+            decisions[key] = (a, qi, p.copy())
+        return float(values[a, qi]), a, qi
 
+    root = np.array(m.initial, dtype=float)
     try:
-        value, action, query = expand(1, np.array(m.initial, dtype=float))
+        value, action, qi = expand(1, root, (1, np.round(root, 12).tobytes()))
     except RecursionError:
         raise OracleSizeError(
             f"belief tree for model {m.name!r} is {H} steps deep, past the "
             "interpreter's recursion limit"
         ) from None
-    return value, action, query, stats
+    return value, action, qsets[qi], stats
 
 
 def optimal_value(m, cap=DEFAULT_NODE_CAP):

@@ -25,20 +25,19 @@ candidate axis (``CandidateFilter``).
 
 The optimistic step is a max over surviving candidates of each one's own
 optimum, so each candidate's best policy is planned once, before the first
-episode.  When the full history-dependent family fits under the policy cap,
-that is a finite-horizon recursion over tree nodes (Smallwood & Sondik
-1973); otherwise the open-loop family is enumerated and evaluated.
+episode, by the backward induction over its belief tree that also gives
+V* (``oracle._plan``; Smallwood & Sondik 1973): the plan is the tree that
+plays the decision recorded for each reached feedback history's belief.
 """
 
 from dataclasses import dataclass
-from itertools import product as iter_product
 import math
 
 import numpy as np
 
 from .core import ConfigError, OracleSizeError
+from .oracle import DEFAULT_NODE_CAP, _plan, _step_tables, _successors
 
-DEFAULT_POLICY_CAP = 4096
 DEFAULT_VALUE_CAP = 10**6
 
 
@@ -96,82 +95,47 @@ def _tree_policy(dims, choices):
     )
 
 
-def enumerate_policies(dims, cap=DEFAULT_POLICY_CAP):
-    """The open-loop family: action sequences crossed with per-step queries.
+def _dp_tree(model):
+    """The tree policy that plays the model's belief DP (``oracle._plan``).
 
-    Listed lexicographically over per-step choices, the last step's fastest;
-    raises ConfigError when the family exceeds the cap.  A candidate plays
-    the first policy of highest value, but exact ties are not decided by
-    this order: the queries of one action sequence have equal values, and
-    ``evaluate_policy_value`` rounds each query's branches differently, so
-    their computed values differ by an ulp.
-    """
-    n_choice = dims.n_actions * len(dims.query_sets())
-    if n_choice**dims.horizon > cap:
-        raise ConfigError(
-            f"policy family exceeds cap {cap}: {n_choice}^{dims.horizon} "
-            "open-loop policies"
-        )
-    counts = level_node_counts(dims)
-    return [
-        _tree_policy(dims, [(c,) * n for c, n in zip(assign, counts)])
-        for assign in iter_product(range(n_choice), repeat=dims.horizon)
-    ]
-
-
-def _best_tree(model):
-    """The lexicographically first optimal full-history tree policy of a
-    model, and its index in enumeration order.
-
-    A tree policy's value is a sum over its nodes, and once a node's choice
-    is fixed its child subtrees add up independently.  So the recursion
-    takes, at each reached node, the first choice whose reward plus best
-    child values is highest; unreached nodes keep choice 0.  A node's row
-    is its joint mass over states, pushed to the children with
-    ``evaluate_policy_value``'s arithmetic.  The index reads the per-node
-    choices in mixed radix, root first and the last node fastest.  The
-    recursion makes one call per step; a horizon deeper than it can go
-    raises OracleSizeError.
+    Level by level from the root, each reached node takes the recorded
+    decision of its belief's memo key.  The successors of the recorded
+    belief, formed with the DP's own arithmetic (``oracle._successors``),
+    are the beliefs of the node's children under the chosen query and
+    action: each kernel row of the chosen query set with mass leads to
+    child ``node * branching + row % R``.  Step-H nodes take the first best
+    action of their belief's expected reward and query 0, as the DP scores
+    them; unreached nodes keep choice 0.
     """
     dims = model.dims
     H = dims.horizon
-    qsets = dims.query_sets()
-    n_q = len(qsets)
-    n_choice = dims.n_actions * n_q
-    b = tree_branching(dims)
-    joint = model.joint_transitions() if H > 1 else None
-
-    def solve(h, node, row):
-        best = None
-        for choice in range(n_choice):
-            a, qi = divmod(choice, n_q)
-            value = float(row @ model.rewards[h - 1, :, a])
-            picks = [(h, node, choice)]
-            if h < H:
-                branches = row * model.evidence(h, qsets[qi])
-                for child, w in enumerate(branches, start=node * b):
-                    if w.any():
-                        sub = solve(h + 1, child, w @ joint[h - 1, :, a, :])
-                        value += sub[0]
-                        picks += sub[1]
-            if best is None or value > best[0]:
-                best = (value, picks)
-        return best
-
-    try:
-        picks = solve(1, 0, np.asarray(model.initial, float))[1]
-    except RecursionError:
-        raise OracleSizeError(
-            f"policy tree for model {model.name!r} is {H} steps deep, past "
-            "the interpreter's recursion limit"
-        ) from None
+    n_q = len(dims.query_sets())
+    R = tree_branching(dims)
+    decisions = {}
+    _plan(model, DEFAULT_NODE_CAP, decisions)
+    kernels, moves = _step_tables(model)
     choices = [[0] * n for n in level_node_counts(dims)]
-    for h, node, choice in picks:
-        choices[h - 1][node] = choice
-    index = 0
-    for choice in (c for level in choices for c in level):
-        index = index * n_choice + choice
-    return _tree_policy(dims, choices), index
+    # (node, memo key of its belief), keyed as _plan keys its memo
+    root = np.asarray(model.initial, dtype=float)
+    level = [(0, (1, np.round(root, 12).tobytes()))]
+    for h in range(1, H + 1):
+        reached, level = level, []
+        for node, key in reached:
+            a, qi, p = decisions[key]
+            choices[h - 1][node] = a * n_q + qi
+            if h == H:
+                continue
+            _, rows, succ = _successors(p, kernels[h - 1], moves[h - 1])
+            mine = np.flatnonzero(rows // R == qi)
+            children = (node * R + rows[mine] % R).tolist()
+            if h + 1 < H:
+                rounded = np.round(succ[mine, a], 12)
+                level += [(c, (h + 1, k.tobytes())) for c, k in zip(children, rounded)]
+            else:
+                best = (succ @ model.rewards[H - 1])[mine, a].argmax(axis=1)
+                for child, b in zip(children, best.tolist()):
+                    choices[H - 1][child] = b * n_q
+    return _tree_policy(dims, choices)
 
 
 # -- likelihood ----------------------------------------------------------------
@@ -350,7 +314,6 @@ class PlanResult:
     policy: TreePolicy
     value: float
     candidate_index: int
-    policy_index: int
 
 
 def optimistic_plan(conf_set, plans):
@@ -371,19 +334,16 @@ def optimistic_plan(conf_set, plans):
 class PlanningContext:
     """Episode-independent planning results, shareable across runs.
 
-    Holds the class's stacked filter tables (``CandidateFilter``), the
-    policy family's label and each candidate's plan: its first policy of
-    highest value in that family, the exact value and the index.  The
-    family is "full-history" when all (n_actions * n_query_sets) **
-    total_nodes tree policies fit under the policy cap, searched by
-    ``_best_tree``, and "open-loop" (``enumerate_policies``) otherwise.
-    A class whose last tree level times its states exceeds
-    ``DEFAULT_VALUE_CAP``, which ``evaluate_policy_value`` would refuse
-    for every plan, raises OracleSizeError before either search runs.
+    Holds the class's stacked filter tables (``CandidateFilter``) and each
+    candidate's plan: the tree policy that plays its belief DP
+    (``_dp_tree``), which attains the candidate's optimal value, and that
+    tree's exact value (``evaluate_policy_value``).  A class whose last
+    tree level times its states exceeds ``DEFAULT_VALUE_CAP``, which
+    ``evaluate_policy_value`` would refuse for every plan, raises
+    OracleSizeError before any planning runs.
     """
 
     filter: CandidateFilter
-    label: str
     plans: list
 
     @property
@@ -391,7 +351,7 @@ class PlanningContext:
         return self.filter.candidates
 
     @classmethod
-    def build(cls, candidates, policy_cap=DEFAULT_POLICY_CAP):
+    def build(cls, candidates):
         cfilter = CandidateFilter(candidates)
         dims = cfilter.candidates[0].dims
         counts = level_node_counts(dims)
@@ -400,25 +360,11 @@ class PlanningContext:
                 f"policy evaluation needs {counts[-1]} x {dims.n_states} table "
                 f"at step {dims.horizon}, over cap {DEFAULT_VALUE_CAP}"
             )
-        n_choice = dims.n_actions * len(dims.query_sets())
-        n_nodes = sum(counts)
-        if math.log(n_choice) * n_nodes <= math.log(policy_cap) + 1e-12:
-            label, best = "full-history", _best_tree
-        else:
-            label = "open-loop"
-            policies = enumerate_policies(dims, policy_cap)
-
-            def best(cand):
-                values = [evaluate_policy_value(cand, p) for p in policies]
-                j = int(np.argmax(values))
-                return policies[j], j
-
         plans = []
         for i, cand in enumerate(cfilter.candidates):
-            policy, index = best(cand)
-            value = evaluate_policy_value(cand, policy)
-            plans.append(PlanResult(policy, value, i, index))
-        return cls(cfilter, label, plans)
+            policy = _dp_tree(cand)
+            plans.append(PlanResult(policy, evaluate_policy_value(cand, policy), i))
+        return cls(cfilter, plans)
 
 
 class PorsAgent:
@@ -453,7 +399,7 @@ class PorsAgent:
         conf = ConfidenceSet(_screen(self.loglik, self.beta))
         plan = optimistic_plan(conf, self.context.plans)
         self.set_log.append(conf.indices)
-        self.plan_log.append((plan.candidate_index, plan.policy_index))
+        self.plan_log.append(plan.candidate_index)
         self.episode_policy = plan.policy
         self.optimistic_value = plan.value
         self._node = 0

@@ -2,9 +2,11 @@
 feedback likelihood, and random models with noisy symbols to run them on.
 
 ``full_history_policies`` lists every deterministic history-dependent tree
-policy of a (small) model, in the order whose index ``PlanningContext``
-reports as a plan's ``policy_index``; ``first_best_policy`` scores them all
-under one model and returns the first of highest value.
+policy of a (small) model, lexicographic over per-node choices;
+``first_best_policy`` scores them all under one model and returns the first
+of highest value.  ``best_tree`` finds that policy by a recursion over tree
+nodes instead, which reaches horizons past enumeration; ``PlanningContext``
+reads each plan off the oracle's belief DP and must match its value.
 ``trace_log_likelihood`` is the exact filter of one model on its own, which
 ``pors.feedback_log_likelihood`` runs for a whole class at once.
 """
@@ -17,6 +19,7 @@ import numpy as np
 from hsilab.envs import EnvModel
 from hsilab.pors import (
     TreePolicy,
+    _tree_policy,
     evaluate_policy_value,
     level_node_counts,
     tree_branching,
@@ -51,6 +54,47 @@ def first_best_policy(model, policies):
     values = [evaluate_policy_value(model, p) for p in policies]
     j = int(np.argmax(values))
     return j, policies[j], values[j]
+
+
+def best_tree(model):
+    """The lexicographically first optimal full-history tree policy.
+
+    A tree policy's value is a sum over its nodes, and once a node's choice
+    is fixed its child subtrees add up independently.  So the recursion
+    takes, at each reached node, the first choice whose reward plus best
+    child values is highest; unreached nodes keep choice 0.  A node's row
+    is its joint mass over states, pushed to the children with
+    ``evaluate_policy_value``'s arithmetic.  Its cost grows like (choices x
+    branches) ** horizon.
+    """
+    dims = model.dims
+    H = dims.horizon
+    qsets = dims.query_sets()
+    n_q = len(qsets)
+    b = tree_branching(dims)
+    joint = model.joint_transitions() if H > 1 else None
+
+    def solve(h, node, row):
+        best = None
+        for choice in range(dims.n_actions * n_q):
+            a, qi = divmod(choice, n_q)
+            value = float(row @ model.rewards[h - 1, :, a])
+            picks = [(h, node, choice)]
+            if h < H:
+                branches = row * model.evidence(h, qsets[qi])
+                for child, w in enumerate(branches, start=node * b):
+                    if w.any():
+                        sub = solve(h + 1, child, w @ joint[h - 1, :, a, :])
+                        value += sub[0]
+                        picks += sub[1]
+            if best is None or value > best[0]:
+                best = (value, picks)
+        return best
+
+    choices = [[0] * n for n in level_node_counts(dims)]
+    for h, node, choice in solve(1, 0, np.asarray(model.initial, float))[1]:
+        choices[h - 1][node] = choice
+    return _tree_policy(dims, choices)
 
 
 def random_hidden_observation_model(gen, dims):

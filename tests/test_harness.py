@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from hsilab.agents import MarkovEpisodePolicy
-from hsilab.core import ConfigError, Dims
+from hsilab.core import ConfigError, Dims, OracleSizeError
 from hsilab.envs import EnvModel, build_controlled_drift_instance, controlled_drift_candidates
 from hsilab import harness
 from hsilab.harness import (
@@ -148,10 +148,10 @@ def _hsilab_under_memory_limit(*args):
     )
 
 
-def test_cli_run_refuses_an_oversized_pors_tree_before_planning(tmp_path):
-    # one action, one query set and one symbol at horizon 22: the plan's
-    # 2^21 x 2 value table is over pors.DEFAULT_VALUE_CAP, refused before
-    # the tree search starts
+def _oversized_pors_config(tmp_path, algo_lines=""):
+    """A one-action, one-symbol file env at horizon 22 with itself as the
+    only pors candidate: the plan's 2^21 x 2 value table is over
+    pors.DEFAULT_VALUE_CAP."""
     dims = Dims(
         d=1, alphabet_size=2, d_query=1, horizon=22, n_actions=1, n_observations=1
     )
@@ -160,10 +160,15 @@ def test_cli_run_refuses_an_oversized_pors_tree_before_planning(tmp_path):
     dump_candidates([deep], tmp_path / "cands.cfg")
     text = (
         "[experiment]\nepisodes = 2\nseeds = 0\n\n"
-        f"[env builder=file]\npath = {tmp_path / 'deep.model'}\n\n"
+        f"[env builder=file]\npath = {tmp_path / 'deep.model'}\n\n{algo_lines}"
         f"[algo name=pors]\ncandidates = {tmp_path / 'cands.cfg'}\n"
     )
-    cfg_path = _write(tmp_path, text)
+    return _write(tmp_path, text)
+
+
+def test_cli_run_refuses_an_oversized_pors_tree_before_planning(tmp_path):
+    # the plan's value table is refused before the belief DP starts
+    cfg_path = _oversized_pors_config(tmp_path)
     t0 = time.perf_counter()
     proc = _hsilab_under_memory_limit("run", cfg_path, "-o", str(tmp_path / "out"))
     assert time.perf_counter() - t0 < 20.0
@@ -330,23 +335,32 @@ _GROUPS_ENV = "[env builder=groups]\nd = 2\nepsilon = 0.1"
 
 
 @pytest.mark.parametrize(
-    "env_lines, algo_lines, key",
+    "env_lines, algo_lines, message",
     [
-        (_DRIFT_ENV, "[algo name=pors]\npolicy-cap = 0", "policy-cap"),
-        (_DRIFT_ENV, "[algo name=pors]\nbeta = -1", "beta"),
-        (_DRIFT_ENV, "[algo name=pors]\ndelta = 2", "delta"),
-        (_GROUPS_ENV, "[algo name=op-tll]\nc-bonus = nan", "c-bonus"),
-        (_GROUPS_ENV, "[algo name=op-tll]\nc-bonus = inf", "c-bonus"),
-        (_GROUPS_ENV, "[algo name=op-tll]\ntheta1 = -1", "theta1"),
+        # a key that no longer exists is unknown, not ignored
+        (
+            _DRIFT_ENV,
+            "[algo name=pors]\npolicy-cap = 4096",
+            "unknown algo pors key 'policy-cap'",
+        ),
+        (_DRIFT_ENV, "[algo name=pors]\nbeta = -1", "beta must be"),
+        (_DRIFT_ENV, "[algo name=pors]\ndelta = 2", "delta must be"),
+        (_GROUPS_ENV, "[algo name=op-tll]\nc-bonus = nan", "c-bonus must be"),
+        (_GROUPS_ENV, "[algo name=op-tll]\nc-bonus = inf", "c-bonus must be"),
+        (_GROUPS_ENV, "[algo name=op-tll]\ntheta1 = -1", "theta1 must be"),
         (
             "[env builder=groups]\nd = 3\nepsilon = 0.1\nd-query = 2",
             "[algo name=op-mll]\ntheta2 = 1.5",
-            "theta2",
+            "theta2 must be",
         ),
-        (_GROUPS_ENV, "[algo name=epsilon-greedy-seq]\nepsilon = 1.5", "epsilon"),
+        (
+            _GROUPS_ENV,
+            "[algo name=epsilon-greedy-seq]\nepsilon = 1.5",
+            "epsilon must be",
+        ),
     ],
     ids=[
-        "pors-policy-cap-0",
+        "pors-policy-cap-removed",
         "pors-beta-negative",
         "pors-delta-2",
         "op-tll-c-bonus-nan",
@@ -357,7 +371,7 @@ _GROUPS_ENV = "[env builder=groups]\nd = 2\nepsilon = 0.1"
     ],
 )
 def test_bad_algo_parameter_rejected_at_load(
-    tmp_path, capsys, env_lines, algo_lines, key
+    tmp_path, capsys, env_lines, algo_lines, message
 ):
     if "pors" in algo_lines:
         cand_path = tmp_path / "candidates.cfg"
@@ -368,10 +382,12 @@ def test_bad_algo_parameter_rejected_at_load(
         f"output-dir = {tmp_path / 'out'}\n\n{env_lines}\n\n{algo_lines}\n"
     )
     path = _write(tmp_path, text)
-    with pytest.raises(ConfigError, match=f"{key} must be"):
+    with pytest.raises(ConfigError, match=message):
         load_config(path)
     assert cli.main(["run", path]) == 1
-    assert f"{key} must be" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
 
@@ -455,14 +471,8 @@ def test_fixed_policy_validation(tmp_path):
 def test_unbuildable_pors_context_stops_the_config_before_any_episode(
     tmp_path, monkeypatch, capsys
 ):
-    path = _drift_config(
-        tmp_path,
-        "[algo name=uniform]\n\n"
-        "[algo name=pors]\ncandidates = {cands}\npolicy-cap = 1\n",
-    )
-    with pytest.raises(
-        ConfigError, match="algorithm 'pors': policy family exceeds cap 1"
-    ):
+    path = _oversized_pors_config(tmp_path, "[algo name=uniform]\n\n")
+    with pytest.raises(OracleSizeError, match="2097152 x 2 table at step 22"):
         load_config(path)
     episodes = []
     run_episode = harness.run_episode
@@ -474,7 +484,7 @@ def test_unbuildable_pors_context_stops_the_config_before_any_episode(
     monkeypatch.setattr(harness, "run_episode", counting)
     out = tmp_path / "out"
     assert cli.main(["run", path, "-o", str(out)]) == 1
-    assert "policy family exceeds cap 1" in capsys.readouterr().err
+    assert "2097152 x 2 table at step 22" in capsys.readouterr().err
     assert episodes == []
     assert not out.exists()
 
@@ -663,6 +673,24 @@ def test_pors_through_harness(tmp_path):
     assert len(rows) == 5
     for row in rows:
         assert row[6] >= -1e-12  # regret never negative for exact values
+
+
+def test_pors_regret_is_sublinear_at_drift_horizon_3(tmp_path):
+    # an open-loop fallback played plans worth 0.5 where V* is 0.8 from
+    # horizon 3 on: Reg(2000) / Reg(500) was 4.0 on both seeds
+    cand_path = tmp_path / "candidates.cfg"
+    dump_candidates(controlled_drift_candidates(horizon=3), cand_path)
+    text = (
+        "[experiment]\nepisodes = 2000\nseeds = 0,1\n\n"
+        "[env builder=controlled-drift]\nhorizon = 3\n\n"
+        f"[algo name=pors]\ncandidates = {cand_path}\n"
+    )
+    table = run_suite(load_config(_write(tmp_path, text)))
+    assert table.regret_mode == "expected"
+    assert len(table.runs) == 2
+    for run in table.runs:
+        regret = table.run_regret(run)
+        assert regret[1999] <= 2.6 * regret[499]
 
 
 def test_auto_mode_on_pors_reports_expected(tmp_path):

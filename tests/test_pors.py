@@ -35,11 +35,9 @@ from hsilab.pors import (
     PlanResult,
     PorsAgent,
     TreePolicy,
-    _best_tree,
     _screen,
     _tree_policy,
     default_beta,
-    enumerate_policies,
     evaluate_policy_value,
     feedback_log_likelihood,
     level_node_counts,
@@ -47,6 +45,7 @@ from hsilab.pors import (
 )
 from hsilab.serialize import dump_candidates, load_candidates
 from policy_reference import (
+    best_tree,
     first_best_policy,
     full_history_policies,
     random_hidden_observation_model,
@@ -81,9 +80,6 @@ def _trace_for(policy, feedback_path, reward=0.0):
 
 def test_full_history_enumeration_counts():
     policies = full_history_policies(DRIFT_DIMS)
-    truth = [build_controlled_drift_instance()]
-    assert PlanningContext.build(truth, policy_cap=1024).label == "full-history"
-    assert PlanningContext.build(truth, policy_cap=1023).label == "open-loop"
     # branching 2 values x 2 symbols = 4, so levels hold 1 and 4 nodes and
     # (2 actions x 2 query sets) ^ 5 nodes = 1024 policies
     assert level_node_counts(DRIFT_DIMS) == [1, 4]
@@ -101,22 +97,6 @@ def test_enumeration_order_and_choice_decode():
     assert policies[1].actions[1][3] == 0
     assert policies[2].actions[1][3] == 1
     assert policies[2].queries[1][3] == (0,)
-
-
-def test_open_loop_fallback():
-    dims = Dims(d=2, alphabet_size=2, d_query=1, horizon=4, n_actions=2)
-    policies = enumerate_policies(dims)
-    assert len(policies) == (2 * 2) ** 4
-    for policy in policies[:8]:
-        for level, count in enumerate(level_node_counts(dims)):
-            assert policy.actions[level] == (policy.actions[level][0],) * count
-            assert policy.queries[level] == (policy.queries[level][0],) * count
-
-
-def test_enumeration_cap_exceeded():
-    dims = Dims(d=2, alphabet_size=2, d_query=1, horizon=4, n_actions=2)
-    with pytest.raises(ConfigError):
-        enumerate_policies(dims, cap=100)
 
 
 def test_tree_child_indexing():
@@ -492,17 +472,16 @@ def test_best_tree_refuses_a_horizon_past_the_recursion_limit():
 
 
 def test_planning_context_refuses_an_oversized_tree_before_planning():
-    # one action, one query set and one symbol: the full-history family has
-    # one policy whatever the cap, but its 2^21-node last level times 2
-    # states is over the value cap, so the build must refuse before
-    # walking the tree (which took 50 s)
+    # one action, one query set and one symbol: the class has one policy,
+    # but its 2^21-node last level times 2 states is over the value cap, so
+    # the build must refuse before planning (a tree search took 50 s)
     dims = Dims(
         d=1, alphabet_size=2, d_query=1, horizon=22, n_actions=1, n_observations=1
     )
     deep = random_hidden_observation_model(np.random.default_rng(0), dims)
     t0 = time.perf_counter()
     with pytest.raises(OracleSizeError, match="2097152 x 2 table at step 22"):
-        PlanningContext.build([deep], policy_cap=1)
+        PlanningContext.build([deep])
     assert time.perf_counter() - t0 < 1.0
 
 
@@ -547,38 +526,48 @@ def _class2_models(draw, horizons):
 @settings(max_examples=40, deadline=None)
 @given(_class2_models(horizons=(2,)))
 def test_best_plan_is_first_argmax_of_enumerated_table(m):
-    # the recursion over tree nodes must return the very policy, index and
-    # value that scoring every full-history policy and taking the first
-    # best one returns, ties included
-    context = PlanningContext.build([m])
-    assert context.label == "full-history"
-    index, policy, value = first_best_policy(m, _FULL_HISTORY[m.dims])
-    plan = context.plans[0]
-    assert plan.policy == policy
-    assert plan.policy_index == index
-    assert plan.value == value
+    # the belief DP's tree must attain the value of the first best policy
+    # of the enumerated full-history family and the model's V*; which of
+    # several tied policies it picks is the DP's own choice
+    plan = PlanningContext.build([m]).plans[0]
+    _, _, value = first_best_policy(m, _FULL_HISTORY[m.dims])
+    assert plan.value == evaluate_policy_value(m, plan.policy)
+    assert abs(plan.value - value) <= 1e-12
+    assert abs(plan.value - optimal_value(m)) <= 1e-12
 
 
 @settings(max_examples=20, deadline=None)
 @given(_class2_models(horizons=(3, 4)))
 def test_best_tree_attains_optimal_value_beyond_enumeration(m):
-    tree, _ = _best_tree(m)
-    assert abs(evaluate_policy_value(m, tree) - optimal_value(m)) <= 1e-12
+    v_star = optimal_value(m)
+    assert abs(evaluate_policy_value(m, best_tree(m)) - v_star) <= 1e-12
+    assert abs(PlanningContext.build([m]).plans[0].value - v_star) <= 1e-12
 
 
-def test_open_loop_plan_is_first_argmax_of_its_family():
-    candidates = controlled_drift_candidates(horizon=3)
+def test_plans_equal_the_reference_tree_search_on_drift_candidates():
+    # at the drift family's default horizon the DP's trees are the very
+    # trees the recursion over tree nodes finds, so pors plays as before
+    candidates = controlled_drift_candidates()
     context = PlanningContext.build(candidates)
-    assert context.label == "open-loop"
-    policies = enumerate_policies(candidates[0].dims)
-    for i, cand in enumerate(candidates):
-        index, policy, value = first_best_policy(cand, policies)
-        assert context.plans[i] == PlanResult(policy, value, i, index)
+    for cand, plan in zip(candidates, context.plans):
+        assert plan.policy == best_tree(cand)
+
+
+@pytest.mark.parametrize("horizon", [2, 3, 4, 5, 6])
+def test_plans_attain_optimal_value_at_every_drift_horizon(horizon):
+    # an open-loop fallback planned 0.5 where V* is 0.8 from horizon 3 on,
+    # and its context build took 429 s at horizon 6
+    candidates = controlled_drift_candidates(horizon=horizon)
+    t0 = time.perf_counter()
+    context = PlanningContext.build(candidates)
+    assert time.perf_counter() - t0 < 5.0
+    for cand, plan in zip(candidates, context.plans):
+        assert abs(plan.value - optimal_value(cand)) <= 1e-12
 
 
 def _plans(values):
     policies = full_history_policies(DRIFT_DIMS)
-    return [PlanResult(policies[i], v, i, i) for i, v in enumerate(values)]
+    return [PlanResult(policies[i], v, i) for i, v in enumerate(values)]
 
 
 def test_optimistic_plan_tie_breaks_lexicographically():
@@ -678,11 +667,9 @@ def test_agent_coverage_and_optimism_single_seed():
     truth = build_controlled_drift_instance()
     v_star = optimal_value(truth)
     agent = _run_pors(300, seed=0, context=context)
-    for conf_indices, (cand_idx, pol_idx) in zip(agent.set_log, agent.plan_log):
+    for conf_indices, cand_idx in zip(agent.set_log, agent.plan_log):
         assert 7 in conf_indices  # the true model always survives screening
-        plan = context.plans[cand_idx]
-        assert plan.policy_index == pol_idx
-        assert plan.value >= v_star - 1e-9
+        assert context.plans[cand_idx].value >= v_star - 1e-9
     # late episodes should have screened the wrong controlled-drift rates
     survivors = set(agent.set_log[-1])
     assert 7 in survivors
