@@ -103,24 +103,23 @@ class WeightState:
             raise ValueError("no current query set")
         if self.local_w.max() > WEIGHT_RENORM_THRESHOLD:
             self.local_w /= self.local_w.max()
-        sel = np.array(self.query_set, dtype=int)
-        total = self.local_w[sel].sum()
-        self.local_p = (
-            (1.0 - self.theta2) * self.local_w[sel] / total + self.theta2 / self.d_query
-        )
+        w = self.local_w[list(self.query_set)]
+        self.local_p = (1.0 - self.theta2) * w / w.sum() + self.theta2 / self.d_query
 
     def floor_violations(self):
         """Exact floor checks; empty list when all mixtures respect them."""
         out = []
-        if self.global_p.min() < self.theta1 / self.d:
-            out.append(f"global floor broken: {self.global_p.min()} < theta1/d")
-        if abs(self.global_p.sum() - 1.0) > 1e-9:
-            out.append(f"global p sums to {self.global_p.sum()}")
+        low, total = self.global_p.min(), self.global_p.sum()
+        if low < self.theta1 / self.d:
+            out.append(f"global floor broken: {low} < theta1/d")
+        if abs(total - 1.0) > 1e-9:
+            out.append(f"global p sums to {total}")
         if self.local_p is not None:
-            if self.local_p.min() < self.theta2 / self.d_query:
-                out.append(f"local floor broken: {self.local_p.min()} < theta2/d_query")
-            if abs(self.local_p.sum() - 1.0) > 1e-9:
-                out.append(f"local p sums to {self.local_p.sum()}")
+            low, total = self.local_p.min(), self.local_p.sum()
+            if low < self.theta2 / self.d_query:
+                out.append(f"local floor broken: {low} < theta2/d_query")
+            if abs(total - 1.0) > 1e-9:
+                out.append(f"local p sums to {total}")
         return out
 
 
@@ -179,20 +178,20 @@ def opmll_select_supporting(ws, rng):
         raise ValueError("supporter selection requires d_query >= 2")
     leader = ws.leader
     need = ws.d_query - 1
-    chosen = []
     pool = [i for i in ws.block_pool if i != leader]
+    chosen = []
     if len(pool) < need:
-        chosen.extend(pool)
+        chosen = pool
         pool = [i for i in range(ws.d) if i != leader and i not in chosen]
     take = need - len(chosen)
     if take:
-        picks = rng.choice(len(pool), size=take, replace=False)
-        picked = [pool[j] for j in sorted(int(x) for x in picks)]
-        chosen.extend(picked)
-        pool = [i for i in pool if i not in picked]
+        picks = sorted(rng.choice(len(pool), size=take, replace=False).tolist())
+        chosen = chosen + [pool[j] for j in picks]
+        for j in reversed(picks):
+            del pool[j]
     ws.block_pool = pool
     ws.prev_query_set = ws.query_set
-    ws.query_set = tuple(sorted([leader] + chosen))
+    ws.query_set = tuple(sorted([leader, *chosen]))
     return ws.query_set
 
 
@@ -220,17 +219,24 @@ class QTable:
     n_codes).
 
     Fresh entries hold Q = H (optimism); counts, reward sums and successor
-    counts accumulate as episodes commit.
+    counts accumulate as episodes commit.  ``record`` also keeps each
+    entry's backup statistics current, in (H, n_codes, A) stacks: the
+    divisor ``nn`` (N, 1 while unvisited), the mean reward ``mean`` (rsum
+    / nn) and the bonus ``bonus`` (c sqrt(H^2 / N), inf while unvisited).
     """
 
-    def __init__(self, horizon, n_actions, alphabet_size):
+    def __init__(self, horizon, n_actions, alphabet_size, c_bonus=1.0):
         self.horizon = horizon
         self.n_actions = n_actions
         self.alphabet_size = alphabet_size
+        self.c_bonus = float(c_bonus)
         self.q = {}
         self.n = {}
         self.rsum = {}
         self.succ = {}
+        self.nn = {}
+        self.mean = {}
+        self.bonus = {}
 
     def n_codes(self, qset):
         return self.alphabet_size ** len(qset)
@@ -244,11 +250,20 @@ class QTable:
             self.n[qset] = np.zeros((H, nc, A), dtype=np.int64)
             self.rsum[qset] = np.zeros((H, nc, A))
             self.succ[qset] = np.zeros((H - 1, nc, A, nc), dtype=np.int64)
+            self.nn[qset] = np.ones((H, nc, A), dtype=np.int64)
+            self.mean[qset] = np.zeros((H, nc, A))
+            self.bonus[qset] = np.full((H, nc, A), np.inf)
         return qset
 
     def record(self, h, qset, code, action, step_reward, succ_code):
-        self.n[qset][h - 1, code, action] += 1
-        self.rsum[qset][h - 1, code, action] += step_reward
+        key = (h - 1, code, action)
+        n = self.n[qset].item(key) + 1
+        rsum = self.rsum[qset].item(key) + step_reward
+        self.n[qset][key] = self.nn[qset][key] = n
+        self.rsum[qset][key] = rsum
+        # the same IEEE division and square root as numpy's over whole stacks
+        self.mean[qset][key] = rsum / n
+        self.bonus[qset][key] = self.c_bonus * math.sqrt(self.horizon**2 / n)
         if succ_code is not None:
             self.succ[qset][h - 1, code, action, succ_code] += 1
 
@@ -348,13 +363,12 @@ class _OptimisticQAgent:
         self.dims = dims
         self.n_episodes = n_episodes
         self.rng = rng
-        self.c_bonus = float(c_bonus)
         self.theta1 = (
             default_theta1(dims.d, dims.horizon, n_episodes)
             if theta1 is None
             else float(theta1)
         )
-        self.qt = QTable(dims.horizon, dims.n_actions, dims.alphabet_size)
+        self.qt = QTable(dims.horizon, dims.n_actions, dims.alphabet_size, c_bonus)
         self.init_counts = {}
         self.invariant_violations = []
         self.episode_policy = None
@@ -365,23 +379,24 @@ class _OptimisticQAgent:
         self._prev_action = None
         self._last_total = None
 
+    @property
+    def c_bonus(self):
+        return self.qt.c_bonus
+
     # -- per-episode planning -------------------------------------------
 
     def _sweep(self, qset):
         """Backward optimistic backup over every (values, action) of the
         current query set; vectorized form of the per-key backup.
 
-        The mean reward and the bonus c sqrt(H^2/N) are formed for all steps
-        at once.  An unvisited entry gets an infinite bonus, so the clamp
+        The mean reward and the bonus c sqrt(H^2/N) are the ones ``record``
+        keeps.  An unvisited entry has an infinite bonus, so the clamp
         leaves it at the optimistic H; its zero counts add nothing before.
         """
-        H, c = self.dims.horizon, self.c_bonus
+        H = self.dims.horizon
         qt = self.qt
-        n, succ, q = qt.n[qset], qt.succ[qset], qt.q[qset]
-        visited = n > 0
-        nn = np.where(visited, n, 1)
-        mean = qt.rsum[qset] / nn
-        bonus = np.where(visited, c * np.sqrt(H * H / nn), np.inf)
+        succ, q = qt.succ[qset], qt.q[qset]
+        nn, mean, bonus = qt.nn[qset], qt.mean[qset], qt.bonus[qset]
         v_next = None
         for i in range(H - 1, -1, -1):
             est = mean[i]
@@ -389,12 +404,11 @@ class _OptimisticQAgent:
                 est = est + (succ[i] @ v_next) / nn[i]
             np.minimum(est + bonus[i], float(H), out=q[i])
             v_next = q[i].max(axis=1)
-        bad = (q < 0.0) | (q > H)
-        if bad.any():
+        if q.min() < 0.0 or q.max() > H:
             self.invariant_violations.extend(
                 f"episode {self.episode}: Q outside [0, {H}] at step {h}"
                 for h in range(H, 0, -1)
-                if bad[h - 1].any()
+                if (q[h - 1] < 0.0).any() or (q[h - 1] > H).any()
             )
 
     def _build_policy(self, qset):
@@ -406,13 +420,14 @@ class _OptimisticQAgent:
         q = qt.q[qset]
         nc = q.shape[1]
         counts1 = self.init_counts.get(qset)
-        if counts1 is None or counts1.sum() == 0:
+        seen = 0 if counts1 is None else counts1.sum()
+        if seen == 0:
             pred1 = np.full(nc, 1.0 / nc)
         else:
-            pred1 = counts1 / counts1.sum()
+            pred1 = counts1 / seen
         first = int(np.argmax(pred1 @ q[0]))
         later = q[1:]  # (H-1, nc, A): steps 2..H
-        default = later.mean(axis=1).argmax(axis=1)
+        default = (later.sum(axis=1) / nc).argmax(axis=1)  # mean over codes
         # scores[i, c, a, a'] = sum_v succ[i, c, a, v] * Q[i + 1, v, a'] for
         # the step-(i + 2) action; scaling by 1/N leaves the argmax unchanged
         scores = np.einsum("hcav,hvb->hcab", qt.succ[qset], later)

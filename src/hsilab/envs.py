@@ -70,6 +70,12 @@ def _draw_categorical(p, gen):
         acc += w
         if u < acc:
             return idx
+    return _last_positive(row)
+
+
+def _last_positive(row):
+    """The last index of a row with positive mass (0 when there is none):
+    the draw for a uniform at or above the row's running sum."""
     for idx in range(len(row) - 1, 0, -1):
         if row[idx] > 0.0:
             return idx
@@ -333,20 +339,33 @@ def sample_initial(m, rng):
 def transition(m, h, s, a, rng):
     """Draw the successor of (state s, action a) at step h (1 <= h <= H-1).
 
-    Product-form models consume one transition draw per sub-state, joint
+    Product-form models consume one transition draw per sub-state, taken
+    in one call (the same doubles, in order, as d scalar draws), joint
     models one draw total; the count never depends on the sampled values.
+    Each sub-state's value is read off its row as ``_draw_categorical``
+    reads it, and the values are encoded little-endian as ``encode_state``.
     """
-    H = m.dims.horizon
-    if not 1 <= h <= H - 1:
-        raise ValueError(f"no transition out of step {h} (horizon {H})")
+    dims = m.dims
+    if not 1 <= h <= dims.horizon - 1:
+        raise ValueError(f"no transition out of step {h} (horizon {dims.horizon})")
     if m.transition_form == "product":
         _, product, vectors = m.sampling_rows()
         rows = product[h - 1]
-        nxt = [
-            _draw_categorical(rows[i][v][a], rng.transition)
-            for i, v in enumerate(vectors[s])
-        ]
-        return encode_state(nxt, m.dims.alphabet_size)
+        V = dims.alphabet_size
+        draws = rng.transition.random(dims.d).tolist()
+        code, weight = 0, 1
+        for sub_rows, v, u in zip(rows, vectors[s], draws):
+            row = sub_rows[v][a]
+            acc = 0.0
+            for idx, w in enumerate(row):
+                acc += w
+                if u < acc:
+                    break
+            else:
+                idx = _last_positive(row)
+            code += idx * weight
+            weight *= V
+        return code
     return _draw_categorical(m.joint[h - 1, s, a], rng.transition)
 
 

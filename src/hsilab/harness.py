@@ -540,6 +540,16 @@ _AGENT_BUILDERS = {
 }
 
 
+class _ValueCache(dict):
+    """Exact values of the policies one algorithm played on one env, by
+    key, and the decision-prefix memo (``prefixes``) from which
+    ``evaluate_markov_policy`` resumes; both live for the algorithm's runs."""
+
+    def __init__(self):
+        super().__init__()
+        self.prefixes = {}
+
+
 def _policy_value(env, policy, cache):
     """Exact expected episode reward of the policy an agent just played."""
     if isinstance(policy, TreePolicy):
@@ -549,7 +559,7 @@ def _policy_value(env, policy, cache):
     else:
         key = policy.key()
         if key not in cache:
-            cache[key] = oracle.evaluate_markov_policy(env, policy)
+            cache[key] = oracle.evaluate_markov_policy(env, policy, cache.prefixes)
     return cache[key]
 
 
@@ -685,7 +695,7 @@ def run_suite(cfg):
     mode = "expected" if cfg.regret_mode == "auto" else cfg.regret_mode
     runs = []
     for spec in cfg.algos:
-        value_cache = {}
+        value_cache = _ValueCache()
         for seed in cfg.seeds:
             runs.append(
                 _execute_run(spec, env, cfg, seed, value_cache, mode == "expected")

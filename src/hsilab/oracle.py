@@ -167,7 +167,7 @@ def oracle_report(m, cap=DEFAULT_NODE_CAP):
     }
 
 
-def evaluate_markov_policy(m, policy):
+def evaluate_markov_policy(m, policy, memo=None):
     """Exact expected episode reward of a per-episode Markov policy.
 
     The policy queries a fixed sub-state set every step and draws the step-h
@@ -175,19 +175,42 @@ def evaluate_markov_policy(m, policy):
     values and action (the first action from an unconditional distribution).
     Protocol: ``policy.query``, ``policy.first_distribution() -> (A,)``,
     ``policy.action_matrix(h) -> (n_value_codes, A, A)`` for h >= 2.
+
+    Given a dict ``memo`` (one per model), a policy that also has
+    ``first_action`` and ``decisions`` (``MarkovEpisodePolicy``: row h - 2
+    holds the step-h actions) resumes from its longest decision prefix in
+    the memo, which maps (query, first action, ``decisions[:j]`` bytes) to
+    the (S, A) joint after step j + 1 and the value through it.  Later steps
+    run the same products on the same inputs, so the value is exactly the
+    memo-less one.  Other policies ignore the memo.
     """
-    dims = m.dims
-    H, A = dims.horizon, dims.n_actions
-    first = np.asarray(policy.first_distribution(), dtype=float)
-    mu = m.initial[:, None] * first[None, :]  # joint over (state, action)
-    total = float((mu * m.rewards[0]).sum())
+    H = m.dims.horizon
+    decisions = None if memo is None else getattr(policy, "decisions", None)
+    state, start = None, 2
+    if decisions is not None:
+        head = (policy.query, policy.first_action)
+        for j in range(H - 2, -1, -1):  # the longest prefix first
+            state = memo.get((head, decisions[:j].tobytes()))
+            if state is not None:
+                start = j + 2
+                break
+    if state is None:
+        first = np.asarray(policy.first_distribution(), dtype=float)
+        mu = m.initial[:, None] * first[None, :]  # joint over (state, action)
+        total = float((mu * m.rewards[0]).sum())
+        if decisions is not None and H > 1:
+            memo[(head, b"")] = (mu, total)
+    else:
+        mu, total = state
     if H == 1:
         return total
     vcode = m.query_codes(tuple(policy.query))[0]
     joint = m.joint_transitions()
-    for h in range(2, H + 1):
+    for h in range(start, H + 1):
         mat = np.asarray(policy.action_matrix(h), dtype=float)[vcode]  # (S, A, A')
         flow = mu[:, :, None] * joint[h - 2]  # (S, A, S')
         mu = np.einsum("sat,saA->tA", flow, mat)
         total += float((mu * m.rewards[h - 1]).sum())
+        if decisions is not None and h < H:
+            memo[(head, decisions[: h - 1].tobytes())] = (mu, total)
     return total

@@ -69,9 +69,11 @@ def _regret_run(agent, env, v_star, n_episodes, rng, checkpoints=()):
 
     The value of each episode's policy is computed exactly and cached by
     the policy's behavioural key, so repeated policies cost one oracle
-    evaluation.  Returns (final cumulative regret, {checkpoint: regret}).
+    evaluation, which resumes from the longest decision prefix it has
+    already evaluated.  Returns (final cumulative regret, {checkpoint:
+    regret}).
     """
-    cache = {}
+    cache, prefixes = {}, {}
     cum = 0.0
     snaps = {}
     for k in range(1, n_episodes + 1):
@@ -79,7 +81,7 @@ def _regret_run(agent, env, v_star, n_episodes, rng, checkpoints=()):
         key = agent.episode_policy.key()
         v = cache.get(key)
         if v is None:
-            v = evaluate_markov_policy(env, agent.episode_policy)
+            v = evaluate_markov_policy(env, agent.episode_policy, prefixes)
             cache[key] = v
         cum += v_star - v
         if k in checkpoints:

@@ -211,6 +211,54 @@ def test_select_supporting_refills_short_pool():
     assert set(first) | set(second) == {0, 1, 2, 3}
 
 
+def select_supporting_reference(ws, rng):
+    """Reference for ``opmll_select_supporting``: the list-rebuilding
+    rotation it replaced, with the same ``rng.choice`` call."""
+    leader = ws.leader
+    need = ws.d_query - 1
+    chosen = []
+    pool = [i for i in ws.block_pool if i != leader]
+    if len(pool) < need:
+        chosen.extend(pool)
+        pool = [i for i in range(ws.d) if i != leader and i not in chosen]
+    take = need - len(chosen)
+    if take:
+        picks = rng.choice(len(pool), size=take, replace=False)
+        picked = [pool[j] for j in sorted(int(x) for x in picks)]
+        chosen.extend(picked)
+        pool = [i for i in pool if i not in picked]
+    ws.block_pool = pool
+    ws.prev_query_set = ws.query_set
+    ws.query_set = tuple(sorted([leader] + chosen))
+    return ws.query_set
+
+
+@given(
+    st.integers(2, 7), st.integers(0, 6), st.integers(0, 6), st.randoms(),
+    st.integers(0, 2**32 - 1), st.integers(1, 8),
+)
+@settings(max_examples=200, deadline=None)
+def test_select_supporting_equals_the_reference(d, dq_raw, leader_raw, order, seed, n):
+    # any pool (not only the ascending ones the agent makes), several
+    # episodes in a row: same query sets, pools and generator state
+    dq = 2 + dq_raw % (d - 1)
+    leader = leader_raw % d
+    pool = [i for i in range(d) if i != leader and order.random() < 0.7]
+    order.shuffle(pool)
+    states = []
+    for _ in range(2):
+        ws = WeightState(d, dq, 0.1, 0.2)
+        ws.leader, ws.block_pool = leader, list(pool)
+        states.append((ws, derive_generator(seed, "agent")))
+    (ws, rng), (ref_ws, ref_rng) = states
+    for _ in range(n):
+        got = opmll_select_supporting(ws, rng)
+        assert got == select_supporting_reference(ref_ws, ref_rng)
+        assert ws.block_pool == ref_ws.block_pool
+        assert ws.prev_query_set == ref_ws.prev_query_set
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 # ---------------------------------------------------------------------------
 # weight renormalization
 
@@ -457,6 +505,23 @@ def _recorded_tables(draw):
     counts = draw(st.lists(st.integers(0, 3), min_size=nc, max_size=nc))
     agent.init_counts[qset] = np.array(counts, dtype=float)
     return agent, qset
+
+
+@given(_recorded_tables())
+@settings(max_examples=300, deadline=None)
+def test_record_keeps_the_backup_statistics(case):
+    # the divisor, mean reward and bonus record keeps per entry equal the
+    # whole-stack arithmetic on the counts and reward sums
+    agent, qset = case
+    qt = agent.qt
+    H, c = qt.horizon, agent.c_bonus
+    n, rsum = qt.n[qset], qt.rsum[qset]
+    nn = np.where(n > 0, n, 1)
+    assert np.array_equal(qt.nn[qset], nn)
+    assert np.array_equal(qt.mean[qset], rsum / nn)
+    assert np.array_equal(
+        qt.bonus[qset], np.where(n > 0, c * np.sqrt(H * H / nn), np.inf)
+    )
 
 
 @given(_recorded_tables())

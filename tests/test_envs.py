@@ -293,14 +293,31 @@ def test_product_transition_sampling_frequencies():
         assert abs(counts[t] / n - probs[t]) < 3.5 * se + 1e-9
 
 
+def product_transition_reference(m, h, s, a, rng):
+    """Reference for the product-form ``transition``: one scalar
+    ``_draw_categorical`` per sub-state on the model's array rows, then
+    ``encode_state``."""
+    vec = m.state_vectors[s]
+    nxt = [
+        _draw_categorical(m.product[h - 1, i, vec[i], a], rng.transition)
+        for i in range(m.dims.d)
+    ]
+    return encode_state(nxt, m.dims.alphabet_size)
+
+
+def _stream_states(rng):
+    return [getattr(rng, label).bit_generator.state for label in rng.STREAMS]
+
+
 @given(
-    st.integers(1, 3), st.integers(2, 3), st.integers(2, 4), st.integers(1, 3),
+    st.integers(1, 5), st.integers(2, 3), st.integers(2, 4), st.integers(1, 3),
     st.integers(0, 2**32 - 1),
 )
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 def test_product_sampling_draws_the_reference_stream(d, V, H, A, seed):
-    # the samplers read cached list rows; a reference that indexes the
-    # arrays directly must draw the same states from the same generators
+    # the samplers read cached list rows and take a transition's d uniforms
+    # in one call; the scalar reference on the arrays must draw the same
+    # states and leave every stream in the same state
     dims = Dims(d=d, alphabet_size=V, d_query=1, horizon=H, n_actions=A)
     m = random_independent_model(dims, seed % 1000)
     rng, ref = SampleRng(seed), SampleRng(seed)
@@ -311,15 +328,88 @@ def test_product_sampling_draws_the_reference_stream(d, V, H, A, seed):
         for h in range(1, H):
             a = int(actions[episode, h - 1])
             nxt = transition(m, h, s, a, rng)
-            vec = m.state_vectors[s]
-            want = [
-                _draw_categorical(m.product[h - 1, i, vec[i], a], ref.transition)
-                for i in range(d)
-            ]
-            assert nxt == encode_state(want, V)
+            assert nxt == product_transition_reference(m, h, s, a, ref)
+            assert _stream_states(rng) == _stream_states(ref)
             s = nxt
-    assert rng.init.random() == ref.init.random()
-    assert rng.transition.random() == ref.transition.random()
+
+
+class _ScriptedDraws:
+    """A stand-in generator that hands out given doubles in order, one per
+    scalar draw and n per ``random(n)``."""
+
+    def __init__(self, values):
+        self.values = list(values)
+        self.used = 0
+
+    def random(self, size=None):
+        if size is None:
+            self.used += 1
+            return self.values[self.used - 1]
+        self.used += size
+        return np.array(self.values[self.used - size : self.used])
+
+
+class _ScriptedRng:
+    def __init__(self, values):
+        self.transition = _ScriptedDraws(values)
+
+
+@st.composite
+def _short_product_models(draw):
+    """Product-form models whose rows sum to just under 1 (within the
+    validation tolerance), some with zero-mass tails, plus uniforms that
+    often land at or above a row's sum: the scan's fallback branch."""
+    d = draw(st.integers(1, 5))
+    V = draw(st.integers(2, 3))
+    A = draw(st.integers(1, 2))
+    dims = Dims(d=d, alphabet_size=V, d_query=1, horizon=2, n_actions=A)
+    product = np.zeros((1, d, V, A, V))
+    for i in range(d):
+        for v in range(V):
+            for a in range(A):
+                row = np.array(draw(st.lists(
+                    st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=V, max_size=V
+                ).filter(any)))
+                row /= row.sum()
+                row[np.flatnonzero(row)[-1]] -= draw(
+                    st.sampled_from([0.0, 2.0**-52, 2.0**-45, 1e-13])
+                )
+                product[0, i, v, a] = row
+    m = EnvModel.from_product(
+        name="short", dims=dims, class_tag="Class1",
+        initial=np.full(dims.n_states, 1.0 / dims.n_states), product=product,
+        rewards=np.zeros((2, dims.n_states, A)),
+    )
+    s = draw(st.integers(0, dims.n_states - 1))
+    a = draw(st.integers(0, A - 1))
+    uniforms = draw(st.lists(
+        st.sampled_from([0.0, 0.3, 0.5, 1.0 - 2.0**-50, 1.0 - 2.0**-53]),
+        min_size=d, max_size=d,
+    ))
+    return m, s, a, uniforms
+
+
+@given(_short_product_models())
+@settings(max_examples=200, deadline=None)
+def test_product_transition_fallback_equals_the_reference(case):
+    m, s, a, uniforms = case
+    rng, ref = _ScriptedRng(uniforms), _ScriptedRng(uniforms)
+    assert transition(m, 1, s, a, rng) == product_transition_reference(m, 1, s, a, ref)
+    assert rng.transition.used == ref.transition.used == m.dims.d
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(0, 3))
+@settings(max_examples=50, deadline=None)
+def test_generator_vector_draw_equals_scalar_draws(seed, n, offset):
+    # product transitions rely on numpy's Generator.random(n) returning the
+    # same doubles, in order, as n scalar random() calls, and leaving the
+    # generator in the same state
+    one, many = derive_generator(seed, "transition"), derive_generator(seed, "transition")
+    for _ in range(offset):
+        assert one.random() == many.random()
+    vector = one.random(n).tolist()
+    assert vector == [many.random() for _ in range(n)]
+    assert one.bit_generator.state == many.bit_generator.state
 
 
 @pytest.mark.parametrize(

@@ -502,9 +502,9 @@ def test_sequence_bandit_run_evaluates_each_played_sequence_once(
             super().begin_episode(k)
             played.append(self._seq)
 
-    def counting(env, policy):
+    def counting(env, policy, *memo):
         evaluated.append(policy.key())
-        return evaluate(env, policy)
+        return evaluate(env, policy, *memo)
 
     monkeypatch.setattr(harness, "EpsilonGreedySequenceAgent", Recording)
     monkeypatch.setattr(harness.oracle, "evaluate_markov_policy", counting)
@@ -516,6 +516,41 @@ def test_sequence_bandit_run_evaluates_each_played_sequence_once(
     table = run_suite(load_config(_write(tmp_path, text)))
     assert len(played) == len(table.runs[0].policy_values) == 300
     assert len(evaluated) == len(set(evaluated)) == len(set(played)) > 1
+
+
+def test_opmll_runs_evaluate_each_played_policy_once(tmp_path, monkeypatch):
+    # the prefix memo changes how a miss is computed, not how many there
+    # are: one evaluation per distinct policy key and algorithm; each
+    # algorithm's memo is its own and lives in its value cache, not on the env
+    played, evaluated, memos = {}, {}, {}
+    evaluate = harness.oracle.evaluate_markov_policy
+
+    class Recording(harness.OpmllAgent):
+        def begin_episode(self, k):
+            super().begin_episode(k)
+            played.setdefault(self, set()).add(self.episode_policy.key())
+
+    def counting(env, policy, memo):
+        memos.setdefault(id(memo), memo)
+        evaluated.setdefault(id(memo), []).append(policy.key())
+        return evaluate(env, policy, memo)
+
+    monkeypatch.setattr(harness, "OpmllAgent", Recording)
+    monkeypatch.setattr(harness.oracle, "evaluate_markov_policy", counting)
+    text = (
+        "[experiment]\nepisodes = 150\nseeds = 0,1\n\n"
+        "[env builder=random-class1]\nd = 4\nalphabet-size = 2\nd-query = 2\n"
+        "horizon = 3\nn-actions = 2\nenv-seed = 1\n\n"
+        "[algo name=op-mll]\n\n[algo name=op-mll label=again]\n"
+    )
+    cfg = load_config(_write(tmp_path, text))
+    table = run_suite(cfg)
+    assert [len(run.policy_values) for run in table.runs] == [150] * 4
+    assert len(memos) == 2 and all(memos.values())
+    runs = list(played.values())
+    for keys, algo_runs in zip(evaluated.values(), (runs[:2], runs[2:])):
+        assert len(keys) == len(set(keys)) == len(set().union(*algo_runs))
+    assert not {id(value) for value in vars(cfg.env_model).values()} & set(memos)
 
 
 def test_agents_are_built_from_what_the_config_load_prepared(tmp_path, monkeypatch):

@@ -29,7 +29,7 @@ from hsilab.oracle import (
     optimal_value,
     oracle_report,
 )
-from hsilab.agents import UniformMarkovPolicy
+from hsilab.agents import MarkovEpisodePolicy, UniformMarkovPolicy
 from hsilab.pors import evaluate_policy_value
 from policy_reference import full_history_policies, trace_log_likelihood
 
@@ -329,3 +329,68 @@ def test_markov_policy_value_matches_sampling():
     pol = UniformMarkovPolicy((0,), m.dims.n_query_values, m.dims.n_actions)
     exact = evaluate_markov_policy(m, pol)
     assert mean == pytest.approx(exact, abs=0.05)
+
+
+@st.composite
+def _prefix_sharing_policies(draw):
+    """A random model and Markov policies over several queries and first
+    actions, most of which copy an earlier policy's query, first action and
+    first decision rows and redraw the rest."""
+    H = draw(st.integers(1, 4))
+    d = draw(st.integers(2, 3))
+    A = draw(st.integers(2, 3))
+    dims = Dims(d=d, alphabet_size=2, d_query=draw(st.integers(1, d - 1)),
+                horizon=H, n_actions=A)
+    m = random_independent_model(dims, draw(st.integers(0, 999)))
+    qsets = dims.query_sets()
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    policies = []
+    for _ in range(draw(st.integers(1, 12))):
+        query = qsets[draw(st.integers(0, len(qsets) - 1))]
+        first = draw(st.integers(0, A - 1))
+        decisions = gen.integers(A, size=(H - 1, dims.n_query_values, A))
+        if policies and draw(st.integers(0, 3)):
+            base = policies[draw(st.integers(0, len(policies) - 1))]
+            query, first = base.query, base.first_action
+            keep = draw(st.integers(0, H - 1))
+            decisions[:keep] = base.decisions[:keep]
+        policies.append(MarkovEpisodePolicy(query, first, decisions, A))
+    return m, policies
+
+
+@given(_prefix_sharing_policies())
+@settings(max_examples=200, deadline=None)
+def test_prefix_memo_returns_the_plain_value_exactly(case):
+    m, policies = case
+    memo = {}
+    for policy in policies:
+        assert evaluate_markov_policy(m, policy, memo) == evaluate_markov_policy(
+            m, policy
+        )
+    # a policy without decisions ignores the memo
+    uniform = UniformMarkovPolicy(policies[0].query, m.dims.n_query_values,
+                                  m.dims.n_actions)
+    before = dict(memo)
+    assert evaluate_markov_policy(m, uniform, memo) == evaluate_markov_policy(
+        m, uniform
+    )
+    assert memo == before
+
+
+def test_prefix_memo_keeps_each_prefix_once():
+    # H = 4: a policy stores the joint after steps 1, 2 and 3 under its
+    # first 0, 1 and 2 decision rows; a policy sharing two rows adds one
+    dims = Dims(d=3, alphabet_size=2, d_query=2, horizon=4, n_actions=2)
+    m = random_independent_model(dims, 5)
+    decisions = np.zeros((3, dims.n_query_values, 2), dtype=np.int64)
+    memo = {}
+    evaluate_markov_policy(m, MarkovEpisodePolicy((0, 1), 1, decisions, 2), memo)
+    head = ((0, 1), 1)
+    assert set(memo) == {(head, decisions[:j].tobytes()) for j in range(3)}
+    other = decisions.copy()
+    other[2, 0, 0] = 1
+    evaluate_markov_policy(m, MarkovEpisodePolicy((0, 1), 1, other, 2), memo)
+    assert len(memo) == 3
+    other[1, 3, 1] = 1
+    evaluate_markov_policy(m, MarkovEpisodePolicy((0, 1), 1, other, 2), memo)
+    assert len(memo) == 4
