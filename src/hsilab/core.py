@@ -82,6 +82,12 @@ class Dims:
         """Joint values of the d_query sub-states a query reveals."""
         return self.alphabet_size**self.d_query
 
+    @property
+    def n_evidence_rows(self):
+        """Rows of an evidence kernel, one per (revealed value code, emitted
+        symbol); also the children of a feedback-tree node."""
+        return self.n_query_values * max(self.n_observations, 1)
+
     def query_sets(self):
         """All sorted d_query-subsets of sub-state indices, lexicographic."""
         return list(combinations(range(self.d), self.d_query))

@@ -10,8 +10,9 @@ every (step, query set), a table E[o, u] whose columns (one per joint value
 ``u`` of the unqueried sub-states) are distributions over observations.
 
 The model is also the one place that decides how likely a step's feedback
-is in each state: ``EnvModel.evidence`` caches, per (step, query set), the
-evidence kernel that the filter, the planner and policy evaluation share.
+is in each state: ``EnvModel.evidence_stack`` caches per step the evidence
+kernels of every query set in one array, and ``EnvModel.evidence`` is a
+view of one query set's block.
 """
 
 import hashlib
@@ -21,6 +22,7 @@ import numpy as np
 
 from .core import (
     Dims,
+    OracleSizeError,
     UnsupportedFeedbackError,
     canonical_query,
     check_state_space,
@@ -98,8 +100,8 @@ class EnvModel:
     (H-1, d, V, A, V); exactly one is set, per ``transition_form``.
     ``emissions`` maps (h, query) -> (n_obs, n_hidden) column-stochastic
     tables, for models whose class_tag is Class2; otherwise None.
-    Per-query value codes, evidence kernels and the samplers' list rows
-    are cached on first use.
+    Per-query value codes, per-step evidence stacks and the samplers' list
+    rows are cached on first use.
     """
 
     name: str
@@ -115,6 +117,7 @@ class EnvModel:
     _joint_cache: np.ndarray | None = field(default=None, repr=False, compare=False)
     _codes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _evidence: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _blocks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _rows: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
@@ -288,29 +291,49 @@ class EnvModel:
             self._rows = (self.initial.tolist(), product, self.state_vectors.tolist())
         return self._rows
 
-    def evidence(self, h, query):
-        """Evidence kernel of step-h feedback under a query, cached.
+    def evidence_stack(self, h):
+        """Evidence kernels of step-h feedback under every query set, stacked
+        in one ``(Q * R, S)`` array and cached, with R =
+        ``dims.n_evidence_rows``: rows ``qi * R`` to ``qi * R + R`` hold the
+        kernel of query set ``qi`` (``evidence``).  A stack over
+        MAX_TABLE_CELLS cells raises OracleSizeError before it is allocated.
+        """
+        stack = self._evidence.get(h)
+        if stack is None:
+            qsets = self.dims.query_sets()
+            R, S = self.dims.n_evidence_rows, self.n_states
+            if len(qsets) * R * S > MAX_TABLE_CELLS:
+                raise OracleSizeError(
+                    f"model {self.name!r} needs a ({len(qsets) * R}, {S}) step-{h} "
+                    f"evidence stack, over the cap of {MAX_TABLE_CELLS} cells"
+                )
+            n_obs = max(self.dims.n_observations, 1)
+            stack = np.zeros((len(qsets) * R, S))
+            cols = np.arange(S)
+            for qi, query in enumerate(qsets):
+                self._blocks[query] = slice(qi * R, qi * R + R)
+                vcode, hcode = self.query_codes(query)
+                rows = qi * R + vcode * n_obs + np.arange(n_obs)[:, None]
+                if self.emissions:
+                    table = np.asarray(self.emissions[(h, query)], dtype=float)
+                    stack[rows, cols] = table[:, hcode]
+                else:
+                    stack[rows[0], cols] = 1.0
+            self._evidence[h] = stack
+        return stack
 
-        Shape (n_query_values * n_obs, S) with n_obs = max(n_observations, 1):
-        row ``v * n_obs + o`` holds, per state, 1[value code = v] times the
+    def evidence(self, h, query):
+        """Evidence kernel of step-h feedback under a query: a view of its
+        block of ``evidence_stack(h)``.
+
+        Shape (``dims.n_evidence_rows``, S): with n_obs = max(n_observations,
+        1), row ``v * n_obs + o`` holds, per state, 1[value code = v] times the
         probability of emitting symbol o from the state's hidden values.  A
         model without emissions has indicator rows at o = 0 and zero rows
         elsewhere, so rows line up with ``TreePolicy.child``.
         """
-        kernel = self._evidence.get((h, query))
-        if kernel is None:
-            vcode, hcode = self.query_codes(query)
-            n_obs = max(self.dims.n_observations, 1)
-            kernel = np.zeros((self.dims.n_query_values * n_obs, self.n_states))
-            rows = vcode * n_obs + np.arange(n_obs)[:, None]
-            cols = np.arange(self.n_states)
-            if self.emissions:
-                table = np.asarray(self.emissions[(h, query)], dtype=float)
-                kernel[rows, cols] = table[:, hcode]
-            else:
-                kernel[rows[0], cols] = 1.0
-            self._evidence[(h, query)] = kernel
-        return kernel
+        stack = self.evidence_stack(h)  # fills the query sets' blocks
+        return stack[self._blocks[query]]
 
     def evidence_index(self, h, feedback):
         """Row of the step-h evidence kernel that one step's feedback

@@ -7,17 +7,17 @@ Everything here is exact-or-error: when the belief tree exceeds its node
 cap the computation raises instead of approximating.  Regret is computed
 from these values by the harness (``ResultsTable.run_regret``).
 
-Evidence comes from the model's cached evidence kernel
-(``EnvModel.evidence``): conditioning a belief on one step's feedback
+Evidence comes from the model's per-step evidence stacks, read in place
+(``EnvModel.evidence_stack``): conditioning a belief on one step's feedback
 multiplies it by a kernel row, and the feedback branches of a query are the
-nonzero rows of the belief times the kernel.
+nonzero rows of the belief times the query's block of the stack.
 
 The planner expands each distinct belief once, in one batch of products
 (``_plan``).  Its ``nodes`` count those expansions (the root and the
 distinct beliefs of steps 2 to H-1) and the node cap bounds them;
 ``memo_hits`` counts successors found already expanded.  Step-H beliefs
 are scored in bulk and counted in neither.  On request it also records
-each expanded belief's best decision, from which ``pors`` reads its plans.
+each expanded belief's best decision and its children, which ``pors`` walks.
 
 Timing convention: the feedback for a step (queried values of that step's
 state, plus any emitted observation) arrives after the step's action, so a
@@ -36,59 +36,40 @@ from .envs import MAX_TABLE_CELLS
 DEFAULT_NODE_CAP = 10**6
 
 
-def _step_tables(m):
-    """Per step h < H: the evidence kernels of every query set stacked in
-    one ``(Q * R, S)`` array (row ``q * R + r``), and the transitions with
-    all actions side by side, ``(S, A * S)``."""
-    qsets = m.dims.query_sets()
-    kernels = [np.vstack([m.evidence(h, q) for q in qsets])
-               for h in range(1, m.dims.horizon)]
-    moves = [t.reshape(m.n_states, -1) for t in m.joint_transitions()]
-    return kernels, moves
-
-
-def _successors(p, kernel, move):
-    """One step of belief p: the mass of each stacked kernel row, the rows
-    with mass, and the successor belief of every (row with mass, action),
-    ``(len(rows), A, S)``."""
-    w = p * kernel
-    mass = w.sum(axis=1)
-    rows = np.flatnonzero(mass)
-    succ = ((w[rows] / mass[rows, None]) @ move).reshape(len(rows), -1, len(p))
-    return mass, rows, succ
-
-
 def _plan(m, cap, decisions=None):
     """Backward induction over the reachable belief tree.
 
     Returns (value, first action, first query, stats).  Each expanded
     belief is one batch of numpy work: its feedback branches under every
-    query set are the nonzero rows of the belief times the step's stacked
-    evidence kernels (row ``q * R + r``), and one product with the step's
-    transitions, all actions side by side, gives the successor of every
-    (branch, action) (``_successors``).  Successors are memoized on (step,
-    belief rounded to 12 decimals) and expanded in (query, action, branch)
-    order; step-H successors are scored in bulk by their best action's
-    expected reward.  Given a dict ``decisions``, it maps the memo key of
-    each expanded belief, the root's included, to its first best (action,
-    query index) and a copy of the belief; V* alone records nothing, as
-    the copies would double its memory.  The count of expanded beliefs is
-    capped: exceeding the cap raises rather than approximates.  So do
-    stacked kernels of more than ``envs.MAX_TABLE_CELLS`` cells, refused
+    query set are the nonzero rows of the belief times the step's evidence
+    stack (row ``q * R + r``), and one product with the step's transitions,
+    all actions side by side, gives the successor of every (branch,
+    action).  Successors are memoized on (step, belief rounded to 12
+    decimals) and expanded in (query, action, branch) order; step-H
+    successors are scored in bulk by their best action's expected reward.
+    Given a dict ``decisions``, it maps the memo key of each expanded
+    belief, the root's included, to its first best (action, query index)
+    and that choice's children, one (kernel row r, child) pair per row q *
+    R + r with mass: the successor's memo key, or for a step-H successor
+    its first best action.  The count of expanded beliefs is capped:
+    exceeding the cap raises rather than approximates.  So do evidence
+    stacks of more than ``envs.MAX_TABLE_CELLS`` cells in all, refused
     before they are allocated, and a horizon deeper than the recursion (one
     call per step) can go.
     """
     dims = m.dims
     H, A, S = dims.horizon, dims.n_actions, m.n_states
     qsets = dims.query_sets()
-    Q = len(qsets)
-    R = len(m.evidence(1, qsets[0]))  # kernel rows per query set
+    Q, R = len(qsets), dims.n_evidence_rows
     if (H - 1) * Q * R * S > MAX_TABLE_CELLS:
         raise OracleSizeError(
             f"belief tree for model {m.name!r} needs a ({H - 1}, {Q * R}, {S}) "
             f"evidence stack, over the cap of {MAX_TABLE_CELLS} cells"
         )
-    kernels, moves = _step_tables(m)
+    # per step h < H: the (Q * R, S) evidence stack, read in place, and the
+    # (S, A * S) transitions with all actions side by side
+    kernels = [m.evidence_stack(h) for h in range(1, H)]
+    moves = [t.reshape(S, -1) for t in m.joint_transitions()]
     memo = {}
     stats = {"nodes": 0, "memo_hits": 0}
 
@@ -103,11 +84,15 @@ def _plan(m, cap, decisions=None):
             # a one-step episode: feedback after the action cannot be used
             best_a = int(np.argmax(expected_r))
             if decisions is not None:
-                decisions[key] = (best_a, 0, p.copy())
+                decisions[key] = (best_a, 0, ())
             return float(expected_r[best_a]), best_a, 0
-        mass, rows, succ = _successors(p, kernels[h - 1], moves[h - 1])
+        w = p * kernels[h - 1]
+        mass = w.sum(axis=1)
+        rows = np.flatnonzero(mass)
+        succ = ((w[rows] / mass[rows, None]) @ moves[h - 1]).reshape(len(rows), A, S)
         if h + 1 == H:
-            child = (succ @ m.rewards[H - 1]).max(axis=2)  # (B, A)
+            final_r = succ @ m.rewards[H - 1]  # (B, A, A') step-H rewards
+            child = final_r.max(axis=2)
         else:
             child = np.empty((len(rows), A))
             rounded = np.round(succ, 12)
@@ -134,7 +119,13 @@ def _plan(m, cap, decisions=None):
         values = np.cumsum(terms.reshape(Q, R + 1, A), axis=1)[:, -1].T  # (A, Q)
         a, qi = divmod(int(np.argmax(values)), Q)  # ties: lowest (a, q)
         if decisions is not None:
-            decisions[key] = (a, qi, p.copy())
+            mine = slice(*np.searchsorted(rows, (qi * R, qi * R + R)))
+            if h + 1 == H:
+                children = final_r[mine, a].argmax(axis=1).tolist()
+            else:
+                children = [(h + 1, k.tobytes()) for k in rounded[mine, a]]
+            branches = (rows[mine] - qi * R).tolist()
+            decisions[key] = (a, qi, tuple(zip(branches, children)))
         return float(values[a, qi]), a, qi
 
     root = np.array(m.initial, dtype=float)

@@ -26,8 +26,9 @@ candidate axis (``CandidateFilter``).
 The optimistic step is a max over surviving candidates of each one's own
 optimum, so each candidate's best policy is planned once, before the first
 episode, by the backward induction over its belief tree that also gives
-V* (``oracle._plan``; Smallwood & Sondik 1973): the plan is the tree that
-plays the decision recorded for each reached feedback history's belief.
+V* (``oracle._plan``; Smallwood & Sondik 1973): the DP records each
+belief's decision and the children it leads to, and the plan is the tree
+that walks those records from the root.
 """
 
 from dataclasses import dataclass
@@ -36,7 +37,7 @@ import math
 import numpy as np
 
 from .core import ConfigError, OracleSizeError
-from .oracle import DEFAULT_NODE_CAP, _plan, _step_tables, _successors
+from .oracle import DEFAULT_NODE_CAP, _plan
 
 DEFAULT_VALUE_CAP = 10**6
 
@@ -48,9 +49,10 @@ DEFAULT_VALUE_CAP = 10**6
 class TreePolicy:
     """Deterministic history-dependent policy over feedback branches.
 
-    Level h (1-based) has ``branching ** (h - 1)`` nodes.  A node's child
-    after step-h feedback is ``node * branching + row``, where row is the
-    evidence-kernel row the feedback selects (``EnvModel.evidence_index``).
+    Level h (1-based) has ``branching ** (h - 1)`` nodes, with branching
+    ``dims.n_evidence_rows``.  A node's child after step-h feedback is
+    ``node * branching + row``, where row is the evidence-kernel row the
+    feedback selects (``EnvModel.evidence_index``).
     ``actions[h - 1][node]`` and ``queries[h - 1][node]`` give the step-h
     decision at each node.
     """
@@ -70,72 +72,43 @@ class TreePolicy:
         return node * self.branching + row
 
 
-def tree_branching(dims):
-    """Children per tree node: the rows of an evidence kernel, one per
-    (value code, emitted symbol)."""
-    return dims.n_query_values * max(dims.n_observations, 1)
-
-
 def level_node_counts(dims):
     """Nodes per level of a feedback tree for these dimensions."""
-    branching = tree_branching(dims)
-    return [branching ** (h - 1) for h in range(1, dims.horizon + 1)]
-
-
-def _tree_policy(dims, choices):
-    """The tree policy with ``choices[h - 1][node]`` at each node, where
-    choice = action * n_query_sets + query_set_index."""
-    qsets = dims.query_sets()
-    n_q = len(qsets)
-    return TreePolicy(
-        dims.horizon,
-        tree_branching(dims),
-        tuple(tuple(c // n_q for c in level) for level in choices),
-        tuple(tuple(qsets[c % n_q] for c in level) for level in choices),
-    )
+    return [dims.n_evidence_rows ** (h - 1) for h in range(1, dims.horizon + 1)]
 
 
 def _dp_tree(model):
     """The tree policy that plays the model's belief DP (``oracle._plan``).
 
-    Level by level from the root, each reached node takes the recorded
-    decision of its belief's memo key.  The successors of the recorded
-    belief, formed with the DP's own arithmetic (``oracle._successors``),
-    are the beliefs of the node's children under the chosen query and
-    action: each kernel row of the chosen query set with mass leads to
-    child ``node * branching + row % R``.  Step-H nodes take the first best
-    action of their belief's expected reward and query 0, as the DP scores
-    them; unreached nodes keep choice 0.
+    Level by level from the root, each reached node takes the decision
+    recorded under its belief's memo key, and each recorded child (kernel
+    row r, child) of that decision is tree child ``node * branching + r``:
+    its belief's memo key, or at step H its first best action, played with
+    query 0, as the DP scores step-H beliefs.  Unreached nodes keep action 0
+    and query 0.
     """
     dims = model.dims
-    H = dims.horizon
-    n_q = len(dims.query_sets())
-    R = tree_branching(dims)
+    H, R = dims.horizon, dims.n_evidence_rows
+    qsets = dims.query_sets()
     decisions = {}
     _plan(model, DEFAULT_NODE_CAP, decisions)
-    kernels, moves = _step_tables(model)
-    choices = [[0] * n for n in level_node_counts(dims)]
+    counts = level_node_counts(dims)
+    actions = [[0] * n for n in counts]
+    queries = [[qsets[0]] * n for n in counts]
     # (node, memo key of its belief), keyed as _plan keys its memo
     root = np.asarray(model.initial, dtype=float)
     level = [(0, (1, np.round(root, 12).tobytes()))]
     for h in range(1, H + 1):
         reached, level = level, []
         for node, key in reached:
-            a, qi, p = decisions[key]
-            choices[h - 1][node] = a * n_q + qi
-            if h == H:
-                continue
-            _, rows, succ = _successors(p, kernels[h - 1], moves[h - 1])
-            mine = np.flatnonzero(rows // R == qi)
-            children = (node * R + rows[mine] % R).tolist()
-            if h + 1 < H:
-                rounded = np.round(succ[mine, a], 12)
-                level += [(c, (h + 1, k.tobytes())) for c, k in zip(children, rounded)]
-            else:
-                best = (succ @ model.rewards[H - 1])[mine, a].argmax(axis=1)
-                for child, b in zip(children, best.tolist()):
-                    choices[H - 1][child] = b * n_q
-    return _tree_policy(dims, choices)
+            a, qi, children = decisions[key]
+            actions[h - 1][node], queries[h - 1][node] = a, qsets[qi]
+            for row, child in children:
+                if h + 1 < H:
+                    level.append((node * R + row, child))
+                else:
+                    actions[H - 1][node * R + row] = child
+    return TreePolicy(H, R, tuple(map(tuple, actions)), tuple(map(tuple, queries)))
 
 
 # -- likelihood ----------------------------------------------------------------

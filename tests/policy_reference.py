@@ -2,7 +2,8 @@
 feedback likelihood, and random models with noisy symbols to run them on.
 
 ``full_history_policies`` lists every deterministic history-dependent tree
-policy of a (small) model, lexicographic over per-node choices;
+policy of a (small) model, lexicographic over per-node choices, and
+``tree_policy`` builds one from its per-node choice indices;
 ``first_best_policy`` scores them all under one model and returns the first
 of highest value.  ``best_tree`` finds that policy by a recursion over tree
 nodes instead, which reaches horizons past enumeration; ``PlanningContext``
@@ -17,36 +18,33 @@ import math
 import numpy as np
 
 from hsilab.envs import EnvModel
-from hsilab.pors import (
-    TreePolicy,
-    _tree_policy,
-    evaluate_policy_value,
-    level_node_counts,
-    tree_branching,
-)
+from hsilab.pors import TreePolicy, evaluate_policy_value, level_node_counts
 
 
 def full_history_policies(dims):
     """Every full-history tree policy, lexicographic over per-node choice
     indices (choice = action * n_query_sets + query_set_index), nodes level
     by level then by node index, the last node's choice varying fastest."""
+    n_choice = dims.n_actions * len(dims.query_sets())
+    counts = level_node_counts(dims)
+    starts = np.cumsum([0] + counts).tolist()
+    return [
+        tree_policy(dims, [assign[lo:hi] for lo, hi in zip(starts, starts[1:])])
+        for assign in product(range(n_choice), repeat=sum(counts))
+    ]
+
+
+def tree_policy(dims, choices):
+    """The tree policy with ``choices[h - 1][node]`` at each node, where
+    choice = action * n_query_sets + query_set_index."""
     qsets = dims.query_sets()
     n_q = len(qsets)
-    counts = level_node_counts(dims)
-    policies = []
-    for assign in product(range(dims.n_actions * n_q), repeat=sum(counts)):
-        actions, queries, pos = [], [], 0
-        for n_nodes in counts:
-            level = assign[pos : pos + n_nodes]
-            actions.append(tuple(c // n_q for c in level))
-            queries.append(tuple(qsets[c % n_q] for c in level))
-            pos += n_nodes
-        policies.append(
-            TreePolicy(
-                dims.horizon, tree_branching(dims), tuple(actions), tuple(queries)
-            )
-        )
-    return policies
+    return TreePolicy(
+        dims.horizon,
+        dims.n_evidence_rows,
+        tuple(tuple(c // n_q for c in level) for level in choices),
+        tuple(tuple(qsets[c % n_q] for c in level) for level in choices),
+    )
 
 
 def first_best_policy(model, policies):
@@ -71,7 +69,7 @@ def best_tree(model):
     H = dims.horizon
     qsets = dims.query_sets()
     n_q = len(qsets)
-    b = tree_branching(dims)
+    b = dims.n_evidence_rows
     joint = model.joint_transitions() if H > 1 else None
 
     def solve(h, node, row):
@@ -94,7 +92,7 @@ def best_tree(model):
     choices = [[0] * n for n in level_node_counts(dims)]
     for h, node, choice in solve(1, 0, np.asarray(model.initial, float))[1]:
         choices[h - 1][node] = choice
-    return _tree_policy(dims, choices)
+    return tree_policy(dims, choices)
 
 
 def random_hidden_observation_model(gen, dims):

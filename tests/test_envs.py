@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hsilab import envs
-from hsilab.core import Dims, Feedback, UnsupportedFeedbackError, encode_state
+from hsilab.core import (
+    Dims,
+    Feedback,
+    OracleSizeError,
+    UnsupportedFeedbackError,
+    encode_state,
+)
 from hsilab.envs import (
     EnvModel,
     SampleRng,
@@ -528,12 +534,30 @@ def test_evidence_kernel_layout():
             for o in range(2):
                 want = (v == v0) * (0.9 if o == v1 else 1.0 - 0.9)
                 assert kernel[v * 2 + o, s] == want
-    assert drift.evidence(1, (0,)) is kernel  # cached
+    assert np.shares_memory(kernel, drift.evidence_stack(1))  # held once
     groups = build_hard_instance_groups(2, 0.1)
     kernel = groups.evidence(2, (1,))
     assert kernel.shape == (groups.dims.n_query_values, groups.n_states)
     np.testing.assert_array_equal(kernel.sum(axis=0), np.ones(groups.n_states))
     assert set(kernel.ravel()) == {0.0, 1.0}
+
+
+def test_evidence_stack_refuses_over_the_cap_before_allocating(monkeypatch):
+    drift = build_controlled_drift_instance(0.8, 0.7, 0.9)
+    cells = len(drift.dims.query_sets()) * drift.dims.n_evidence_rows * drift.n_states
+    monkeypatch.setattr(envs, "MAX_TABLE_CELLS", cells - 1)
+
+    def no_alloc(*args, **kwargs):
+        raise AssertionError("allocated a stack over the cap")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(np, "zeros", no_alloc)
+        with pytest.raises(OracleSizeError, match=f"over the cap of {cells - 1} cells"):
+            drift.evidence_stack(1)
+        with pytest.raises(OracleSizeError):
+            drift.evidence(1, (0,))
+    monkeypatch.setattr(envs, "MAX_TABLE_CELLS", cells)
+    assert drift.evidence_stack(1).shape == (cells // drift.n_states, drift.n_states)
 
 
 def test_evidence_row_rejects_mismatched_observations():

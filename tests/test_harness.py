@@ -16,7 +16,7 @@ import pytest
 from hsilab.agents import MarkovEpisodePolicy
 from hsilab.core import ConfigError, Dims, OracleSizeError
 from hsilab.envs import EnvModel, build_controlled_drift_instance, controlled_drift_candidates
-from hsilab import harness
+from hsilab import envs, harness
 from hsilab.harness import (
     CSV_HEADER,
     ResultsTable,
@@ -487,6 +487,28 @@ def test_unbuildable_pors_context_stops_the_config_before_any_episode(
     assert "2097152 x 2 table at step 22" in capsys.readouterr().err
     assert episodes == []
     assert not out.exists()
+
+
+def test_cli_run_refuses_a_one_step_evidence_stack_over_the_cap(
+    tmp_path, monkeypatch, capsys
+):
+    # a one-step pors run scores feedback under the step-1 evidence stack of
+    # every query set: 2 x 4 rows x 4 states here, one cell over the cap
+    dims = Dims(d=2, alphabet_size=2, d_query=1, horizon=1, n_actions=2,
+                n_observations=2)
+    model = random_hidden_observation_model(np.random.default_rng(0), dims)
+    dump_model(model, tmp_path / "one.model")
+    dump_candidates([model], tmp_path / "cands.cfg")
+    path = _write(tmp_path, (
+        "[experiment]\nepisodes = 2\nseeds = 0\n\n"
+        f"[env builder=file]\npath = {tmp_path / 'one.model'}\n\n"
+        f"[algo name=pors]\ncandidates = {tmp_path / 'cands.cfg'}\n"
+    ))
+    monkeypatch.setattr(envs, "MAX_TABLE_CELLS", 2 * 4 * 4 - 1)
+    assert cli.main(["run", path, "-o", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "evidence stack, over the cap of 31" in err
+    assert "Traceback" not in err
 
 
 def test_sequence_bandit_run_evaluates_each_played_sequence_once(

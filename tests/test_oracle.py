@@ -229,14 +229,22 @@ def test_kernel_stack_cap_raises(monkeypatch):
     m = build_hard_instance_groups(3, 0.1)
     dims = m.dims
     # (H - 1) steps x (query sets x kernel rows per query set) x states
-    qsets = dims.query_sets()
-    rows = len(qsets) * len(m.evidence(1, qsets[0]))
+    rows = len(dims.query_sets()) * dims.n_evidence_rows
     cells = (dims.horizon - 1) * rows * m.n_states
     monkeypatch.setattr(oracle, "MAX_TABLE_CELLS", cells)
     assert abs(optimal_value(m) - 0.6) < 1e-12
     monkeypatch.setattr(oracle, "MAX_TABLE_CELLS", cells - 1)
     with pytest.raises(OracleSizeError, match=f"over the cap of {cells - 1} cells"):
         optimal_value(m)
+
+
+def test_oracle_report_pins_the_dp_on_a_five_step_instance():
+    # exact outputs, not a tolerance: a changed tie-break, branch order or
+    # memo key at H >= 3 shows here
+    m = random_independent_model(Dims(5, 2, 2, 5, 2), 0)
+    report = oracle_report(m)
+    assert report["v_star"] == 2.820157626152259
+    assert (report["nodes"], report["memo_hits"]) == (38009, 211672)
 
 
 # -- exact filtering (the reference in policy_reference) -------------------------------

@@ -1,6 +1,7 @@
 """Tests for the confidence-set planner: tree-policy families, feedback
 likelihoods, candidate screening, and optimistic planning."""
 
+import hashlib
 import inspect
 import math
 import re
@@ -36,7 +37,6 @@ from hsilab.pors import (
     PorsAgent,
     TreePolicy,
     _screen,
-    _tree_policy,
     default_beta,
     evaluate_policy_value,
     feedback_log_likelihood,
@@ -50,6 +50,7 @@ from policy_reference import (
     full_history_policies,
     random_hidden_observation_model,
     trace_log_likelihood,
+    tree_policy,
 )
 
 
@@ -270,7 +271,7 @@ def _scored_classes(draw):
         [draw(st.integers(0, n_choice - 1)) for _ in range(n)]
         for n in level_node_counts(dims)
     ]
-    policy = _tree_policy(dims, choices)
+    policy = tree_policy(dims, choices)
     player = models[draw(st.integers(0, len(models) - 1))]
     trace = _play_policy(player, policy, 1, SampleRng(draw(st.integers(0, 999))))
     if not draw(st.booleans()):
@@ -563,6 +564,36 @@ def test_plans_attain_optimal_value_at_every_drift_horizon(horizon):
     assert time.perf_counter() - t0 < 5.0
     for cand, plan in zip(candidates, context.plans):
         assert abs(plan.value - optimal_value(cand)) <= 1e-12
+
+
+def test_drift_plans_are_pinned_at_every_horizon():
+    # the values above are pinned within 1e-12 only, which a changed
+    # tie-break at H >= 3 would keep; this pins the trees themselves
+    trees = [
+        (plan.policy.actions, plan.policy.queries)
+        for horizon in range(2, 7)
+        for plan in PlanningContext.build(
+            controlled_drift_candidates(horizon=horizon)
+        ).plans
+    ]
+    digest = hashlib.sha256(repr(trees).encode()).hexdigest()
+    assert digest == "c6f034dd5e87455f9510c8bddbb40228b4daf9a39263472bda7b7560f50b595a"
+
+
+def test_planning_holds_each_evidence_kernel_once():
+    # the belief DP and the context read the model's per-step stacks in
+    # place: every kernel is a view of its step's one stack
+    candidates = controlled_drift_candidates(horizon=3)
+    models = [build_hard_instance_groups(3, 0.1), *candidates]
+    for m in models:
+        optimal_value(m)
+    PlanningContext.build(candidates)
+    for m in models:
+        for h in range(1, m.dims.horizon + 1):
+            stack = m.evidence_stack(h)
+            assert m.evidence_stack(h) is stack
+            for query in m.dims.query_sets():
+                assert np.shares_memory(m.evidence(h, query), stack)
 
 
 def _plans(values):
