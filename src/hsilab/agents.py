@@ -361,7 +361,6 @@ class _OptimisticQAgent:
 
     def __init__(self, dims, n_episodes, rng, theta1=None, c_bonus=1.0):
         self.dims = dims
-        self.n_episodes = n_episodes
         self.rng = rng
         self.theta1 = (
             default_theta1(dims.d, dims.horizon, n_episodes)

@@ -54,9 +54,8 @@ class SampleRng:
     STREAMS = ("init", "transition", "reward", "emission")
 
     def __init__(self, seed):
-        self.seed = int(seed)
         for label in self.STREAMS:
-            setattr(self, label, derive_generator(self.seed, label))
+            setattr(self, label, derive_generator(int(seed), label))
 
 
 def _draw_categorical(p, gen):
@@ -97,7 +96,7 @@ class EnvModel:
     """Immutable-after-build tabular model; validate() checks all invariants.
 
     transitions: ``joint`` of shape (H-1, S, A, S) or ``product`` of shape
-    (H-1, d, V, A, V); exactly one is set, per ``transition_form``.
+    (H-1, d, V, A, V); exactly one is set, and ``transition_form`` names it.
     ``emissions`` maps (h, query) -> (n_obs, n_hidden) column-stochastic
     tables, for models whose class_tag is Class2; otherwise None.
     Per-query value codes, per-step evidence stacks and the samplers' list
@@ -107,7 +106,6 @@ class EnvModel:
     name: str
     dims: Dims
     class_tag: str
-    transition_form: str
     initial: np.ndarray
     rewards: np.ndarray
     state_vectors: np.ndarray
@@ -123,6 +121,10 @@ class EnvModel:
     @property
     def n_states(self):
         return self.state_vectors.shape[0]
+
+    @property
+    def transition_form(self):
+        return "joint" if self.product is None else "product"
 
     @classmethod
     def from_joint(
@@ -142,7 +144,6 @@ class EnvModel:
             name=name,
             dims=dims,
             class_tag=class_tag,
-            transition_form="joint",
             initial=np.asarray(initial, dtype=float),
             rewards=np.asarray(rewards, dtype=float),
             state_vectors=np.asarray(state_vectors, dtype=np.int64),
@@ -158,7 +159,6 @@ class EnvModel:
             name=name,
             dims=dims,
             class_tag=class_tag,
-            transition_form="product",
             initial=np.asarray(initial, dtype=float),
             rewards=np.asarray(rewards, dtype=float),
             state_vectors=canonical_state_vectors(dims),
@@ -181,8 +181,8 @@ class EnvModel:
         )
         if self.class_tag not in CLASS_TAGS:
             raise ValueError(f"unknown class_tag {self.class_tag!r}")
-        if self.transition_form not in ("joint", "product"):
-            raise ValueError(f"unknown transition_form {self.transition_form!r}")
+        if (self.joint is None) == (self.product is None):
+            raise ValueError("exactly one of joint and product must be set")
         if self.state_vectors.shape != (S, d):
             raise ValueError(f"state_vectors shape {self.state_vectors.shape}")
         if self.state_vectors.min(initial=0) < 0 or self.state_vectors.max(initial=0) >= V:
@@ -210,14 +210,10 @@ class EnvModel:
             raise ValueError("reward means must lie in [0, 1]")
 
         if self.transition_form == "joint":
-            if self.product is not None or self.joint is None:
-                raise ValueError("joint form requires joint table only")
             if self.joint.shape != (H - 1, S, A, S):
                 raise ValueError(f"joint shape {self.joint.shape}")
             rows = self.joint.reshape(-1, S)
         else:
-            if self.joint is not None or self.product is None:
-                raise ValueError("product form requires product table only")
             if self.product.shape != (H - 1, d, V, A, V):
                 raise ValueError(f"product shape {self.product.shape}")
             if S != dims.n_states:
@@ -371,7 +367,7 @@ def transition(m, h, s, a, rng):
     dims = m.dims
     if not 1 <= h <= dims.horizon - 1:
         raise ValueError(f"no transition out of step {h} (horizon {dims.horizon})")
-    if m.transition_form == "product":
+    if m.product is not None:
         _, product, vectors = m.sampling_rows()
         rows = product[h - 1]
         V = dims.alphabet_size

@@ -18,9 +18,10 @@ keys; ``_ENV_BUILDERS`` names the one function that builds each env and
 ``_AGENT_BUILDERS`` the one that builds each algorithm's agent.
 
 ``load_config`` decides everything a run needs before any run starts: it
-builds the env, each pors algorithm's planning context and each fixed
-algorithm's policy, and refuses a config whose results table would exceed
-``envs.MAX_TABLE_CELLS`` rows.  ``run_suite`` then only runs.
+builds the env, runs its structural verification when the config sets
+``verify = on``, builds each pors algorithm's planning context and each
+fixed algorithm's policy, and refuses a config whose results table would
+exceed ``envs.MAX_TABLE_CELLS`` rows.  ``run_suite`` then only runs.
 
 Each (algorithm, seed) run draws its own random streams from a seed hashed
 out of (master seed, algorithm label, environment name, seed), so results
@@ -106,8 +107,6 @@ class AlgoSpec:
 
 @dataclass
 class ExperimentConfig:
-    env_kind: str
-    env_params: dict
     algos: list
     n_episodes: int
     seeds: tuple
@@ -115,7 +114,6 @@ class ExperimentConfig:
     output_dir: str
     oracle_cap: int
     regret_mode: str
-    verify: bool
     env_model: object = field(repr=False)
 
 
@@ -331,9 +329,10 @@ def _check_csv_field(value, what, where):
 
 def load_config(path):
     """Parse and fully validate a config file; every invariant is checked
-    (environment built, compatibility verified, pors planning contexts and
-    fixed policies made and kept on their ``AlgoSpec``) before any run
-    starts."""
+    (environment built and, with ``verify = on``, verified, compatibility
+    checked, pors planning contexts and fixed policies made and kept on
+    their ``AlgoSpec``) before any run starts.  A failed verification
+    raises VerificationFailure."""
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
@@ -413,6 +412,10 @@ def load_config(path):
         _section_kv(env_sec, source), _ENV_SCHEMAS[env_kind], f"env {env_kind}", source
     )
     env_model = build_env(env_kind, env_params, source)
+    if ex["verify"]:
+        report = _VERIFIERS[env_kind](env_params)
+        if not report.passed:
+            raise VerificationFailure(report.format())
     _check_csv_field(env_model.name, "env name", f"{source}:{env_sec.line}")
 
     algos = []
@@ -460,8 +463,6 @@ def load_config(path):
         algos.append(spec)
 
     return ExperimentConfig(
-        env_kind=env_kind,
-        env_params=env_params,
         algos=algos,
         n_episodes=ex["episodes"],
         seeds=seeds,
@@ -469,7 +470,6 @@ def load_config(path):
         output_dir=ex["output-dir"],
         oracle_cap=ex["oracle-cap"],
         regret_mode=ex["regret-mode"],
-        verify=ex["verify"],
         env_model=env_model,
     )
 
@@ -566,7 +566,6 @@ def _policy_value(env, policy, cache):
 @dataclass
 class RunResult:
     algo: str
-    env: str
     seed: int
     rewards: np.ndarray
     policy_values: object = None
@@ -579,7 +578,6 @@ class ResultsTable:
     env_name: str
     regret_mode: str
     v_star: object
-    n_episodes: int
     runs: list
 
     def sorted_runs(self):
@@ -602,7 +600,7 @@ class ResultsTable:
             for idx in range(len(run.rewards)):
                 yield (
                     run.algo,
-                    run.env,
+                    self.env_name,
                     run.seed,
                     idx + 1,
                     float(run.rewards[idx]),
@@ -666,7 +664,6 @@ def _execute_run(spec, env, cfg, seed, value_cache, want_values):
         )
     return RunResult(
         algo=spec.label,
-        env=env.name,
         seed=seed,
         rewards=rewards,
         policy_values=values,
@@ -676,19 +673,15 @@ def _execute_run(spec, env, cfg, seed, value_cache, want_values):
 def run_suite(cfg):
     """Execute every (algorithm, seed) run and assemble the results table.
 
-    Builds nothing an algorithm needs: ``load_config`` made each pors
-    planning context and fixed policy.  'auto' means expected regret, from
-    the exact value of each played policy.  Every played policy can be
-    evaluated: a pors run's candidates share the env's dims, and its
-    planning context evaluated each candidate's plan at the same size cap
-    when the config loaded.  Oracle size errors for V* propagate unless
-    regret reporting is off.
+    Builds and verifies nothing: ``load_config`` verified the env and made
+    each pors planning context and fixed policy.  'auto' means expected
+    regret, from the exact value of each played policy.  Every played
+    policy can be evaluated: a pors run's candidates share the env's dims,
+    and its planning context evaluated each candidate's plan at the same
+    size cap when the config loaded.  Oracle size errors for V* propagate
+    unless regret reporting is off.
     """
     env = cfg.env_model
-    if cfg.verify:
-        report = _VERIFIERS[cfg.env_kind](cfg.env_params)
-        if not report.passed:
-            raise VerificationFailure(report.format())
     v_star = None
     if cfg.regret_mode != "off":
         v_star = oracle.optimal_value(env, cap=cfg.oracle_cap)
@@ -704,7 +697,6 @@ def run_suite(cfg):
         env_name=env.name,
         regret_mode=mode,
         v_star=v_star,
-        n_episodes=cfg.n_episodes,
         runs=runs,
     )
 

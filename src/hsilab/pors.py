@@ -54,10 +54,9 @@ class TreePolicy:
     ``node * branching + row``, where row is the evidence-kernel row the
     feedback selects (``EnvModel.evidence_index``).
     ``actions[h - 1][node]`` and ``queries[h - 1][node]`` give the step-h
-    decision at each node.
+    decision at each node; the horizon H is ``len(actions)``.
     """
 
-    horizon: int
     branching: int
     actions: tuple
     queries: tuple
@@ -108,7 +107,7 @@ def _dp_tree(model):
                     level.append((node * R + row, child))
                 else:
                     actions[H - 1][node * R + row] = child
-    return TreePolicy(H, R, tuple(map(tuple, actions)), tuple(map(tuple, queries)))
+    return TreePolicy(R, tuple(map(tuple, actions)), tuple(map(tuple, queries)))
 
 
 # -- likelihood ----------------------------------------------------------------
@@ -238,12 +237,12 @@ def default_beta(dims, n_episodes, delta):
 # -- exact policy evaluation ---------------------------------------------------
 
 
-def evaluate_policy_value(model, policy, cap=DEFAULT_VALUE_CAP):
+def evaluate_policy_value(model, policy):
     """Exact expected episode reward of a tree policy under a model.
 
     Propagates the joint distribution over (feedback-tree node, state)
     forward through the episode.  Raises OracleSizeError when the per-level
-    node x state table would exceed the cap.
+    node x state table would exceed ``DEFAULT_VALUE_CAP``.
     """
     dims = model.dims
     n_states = model.n_states
@@ -253,10 +252,10 @@ def evaluate_policy_value(model, policy, cap=DEFAULT_VALUE_CAP):
     total = 0.0
     for h in range(1, dims.horizon + 1):
         n_nodes = mu.shape[0]
-        if n_nodes * n_states > cap:
+        if n_nodes * n_states > DEFAULT_VALUE_CAP:
             raise OracleSizeError(
                 f"policy evaluation needs {n_nodes} x {n_states} table at "
-                f"step {h}, over cap {cap}"
+                f"step {h}, over cap {DEFAULT_VALUE_CAP}"
             )
         for node in range(n_nodes):
             row = mu[node]
@@ -286,18 +285,15 @@ def evaluate_policy_value(model, policy, cap=DEFAULT_VALUE_CAP):
 class PlanResult:
     policy: TreePolicy
     value: float
-    candidate_index: int
 
 
 def optimistic_plan(conf_set, plans):
-    """The plan of the surviving candidate with the highest value.
+    """The index of the surviving candidate whose plan has the highest value.
 
     ``plans[i]`` is candidate i's best plan (``PlanningContext.plans``).
     Ties go to the lowest candidate index.
     """
-    return max(
-        (plans[i] for i in sorted(conf_set.indices)), key=lambda plan: plan.value
-    )
+    return max(sorted(conf_set.indices), key=lambda i: plans[i].value)
 
 
 # -- planning context and agent --------------------------------------------------
@@ -313,7 +309,9 @@ class PlanningContext:
     tree's exact value (``evaluate_policy_value``).  A class whose last
     tree level times its states exceeds ``DEFAULT_VALUE_CAP``, which
     ``evaluate_policy_value`` would refuse for every plan, raises
-    OracleSizeError before any planning runs.
+    OracleSizeError before any planning runs, and so does one whose step-H
+    evidence stack, under which the filter scores the last step's feedback
+    and which no planning step reads, is over ``envs.MAX_TABLE_CELLS``.
     """
 
     filter: CandidateFilter
@@ -333,10 +331,11 @@ class PlanningContext:
                 f"policy evaluation needs {counts[-1]} x {dims.n_states} table "
                 f"at step {dims.horizon}, over cap {DEFAULT_VALUE_CAP}"
             )
+        cfilter.candidates[0].evidence_stack(dims.horizon)
         plans = []
-        for i, cand in enumerate(cfilter.candidates):
+        for cand in cfilter.candidates:
             policy = _dp_tree(cand)
-            plans.append(PlanResult(policy, evaluate_policy_value(cand, policy), i))
+            plans.append(PlanResult(policy, evaluate_policy_value(cand, policy)))
         return cls(cfilter, plans)
 
 
@@ -354,10 +353,10 @@ class PorsAgent:
     name = "pors"
 
     def __init__(self, context, n_episodes, beta=None, delta=0.05):
-        self.dims = context.candidates[0].dims
         self.context = context
         self.beta = (
-            default_beta(self.dims, n_episodes, delta) if beta is None else beta
+            default_beta(context.candidates[0].dims, n_episodes, delta)
+            if beta is None else beta
         )
         if self.beta < 0.0:
             raise ValueError(f"beta must be nonnegative, got {self.beta}")
@@ -365,16 +364,14 @@ class PorsAgent:
         self.set_log = []
         self.plan_log = []
         self.episode_policy = None
-        self.optimistic_value = None
         self._node = 0
 
     def begin_episode(self, episode):
         conf = ConfidenceSet(_screen(self.loglik, self.beta))
-        plan = optimistic_plan(conf, self.context.plans)
+        best = optimistic_plan(conf, self.context.plans)
         self.set_log.append(conf.indices)
-        self.plan_log.append(plan.candidate_index)
-        self.episode_policy = plan.policy
-        self.optimistic_value = plan.value
+        self.plan_log.append(best)
+        self.episode_policy = self.context.plans[best].policy
         self._node = 0
 
     def act(self, h):

@@ -347,7 +347,6 @@ def _build_model(sections, source):
         name=name,
         dims=dims,
         class_tag=class_tag,
-        transition_form=form,
         initial=initial,
         rewards=rewards,
         state_vectors=np.asarray(state_vectors, dtype=np.int64),

@@ -40,7 +40,6 @@ def tree_policy(dims, choices):
     qsets = dims.query_sets()
     n_q = len(qsets)
     return TreePolicy(
-        dims.horizon,
         dims.n_evidence_rows,
         tuple(tuple(c // n_q for c in level) for level in choices),
         tuple(tuple(qsets[c % n_q] for c in level) for level in choices),

@@ -521,6 +521,25 @@ def test_envmodel_rejects_non_finite_tables(table):
         m.validate()
 
 
+def test_envmodel_needs_exactly_one_transition_table():
+    m = build_controlled_drift_instance()
+    fields = dict(
+        name=m.name,
+        dims=m.dims,
+        class_tag=m.class_tag,
+        initial=m.initial,
+        rewards=m.rewards,
+        state_vectors=m.state_vectors,
+        emissions=m.emissions,
+    )
+    joint = m.joint_transitions()
+    assert EnvModel(**fields, joint=joint).validate().transition_form == "joint"
+    assert EnvModel(**fields, product=m.product).validate().transition_form == "product"
+    for tables in ({"joint": joint, "product": m.product}, {}):
+        with pytest.raises(ValueError, match="exactly one of joint and product"):
+            EnvModel(**fields, **tables).validate()
+
+
 # -- evidence kernel ------------------------------------------------------------------
 
 

@@ -68,7 +68,6 @@ def test_load_config_defaults(tmp_path):
     assert cfg.master_seed == 0
     assert cfg.output_dir == "results"
     assert cfg.regret_mode == "auto"
-    assert cfg.verify is False
     assert [a.label for a in cfg.algos] == ["uni", "tll"]
     assert [a.kind for a in cfg.algos] == ["uniform", "op-tll"]
     assert cfg.env_model.name == "groups-d2-q1"
@@ -505,6 +504,8 @@ def test_cli_run_refuses_a_one_step_evidence_stack_over_the_cap(
         f"[algo name=pors]\ncandidates = {tmp_path / 'cands.cfg'}\n"
     ))
     monkeypatch.setattr(envs, "MAX_TABLE_CELLS", 2 * 4 * 4 - 1)
+    with pytest.raises(OracleSizeError, match="evidence stack"):
+        load_config(path)
     assert cli.main(["run", path, "-o", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "evidence stack, over the cap of 31" in err
@@ -779,10 +780,10 @@ def test_verify_on_runs_and_writes_the_same_csv(tmp_path, monkeypatch):
     assert calls == []
     text = GROUPS_CFG.replace("seeds = 0,1", "seeds = 0,1\nverify = on")
     cfg = load_config(_write(tmp_path, text, name="verify.cfg"))
-    assert cfg.verify is True
+    assert calls == [{"d": 2, "epsilon": 0.1, "d-query": 1, "n-actions": 2}]
     on = tmp_path / "on.csv"
     write_results_csv(run_suite(cfg), on)
-    assert calls == [cfg.env_params]
+    assert len(calls) == 1
     assert on.read_bytes() == off.read_bytes()
 
 
@@ -802,10 +803,10 @@ def test_regret_off_mode(tmp_path):
 
 def test_summary_ratio_edge_cases():
     runs = [
-        RunResult("a", "env", 0, np.array([1.0, 1.0, 1.0, 1.0])),
-        RunResult("b", "env", 0, np.array([1.0, 0.0, 0.0, 0.0])),
+        RunResult("a", 0, np.array([1.0, 1.0, 1.0, 1.0])),
+        RunResult("b", 0, np.array([1.0, 0.0, 0.0, 0.0])),
     ]
-    table = ResultsTable("env", "realized", 1.0, 4, runs)
+    table = ResultsTable("env", "realized", 1.0, runs)
     summary = table.summary()
     # algo a matches v_star each episode: zero quarter and final regret
     assert summary["a"]["mean_quarter_ratio"] == 1.0
@@ -1010,6 +1011,29 @@ def test_cli_verify_failure_exits_two(monkeypatch, capsys):
     monkeypatch.setattr(cli.harness, "verify_instance", failing)
     assert cli.main(["verify", "groups"]) == 2
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_cli_run_and_oracle_stop_on_a_failed_config_verification(
+    tmp_path, monkeypatch, capsys
+):
+    from hsilab.harness import CheckResult, VerificationReport
+
+    def failing(params):
+        return VerificationReport(
+            "groups", [CheckResult("doomed", False, "synthetic failure")]
+        )
+
+    monkeypatch.setitem(harness._VERIFIERS, "groups", failing)
+    text = GROUPS_CFG.replace("seeds = 0,1", "seeds = 0,1\nverify = on")
+    cfg_path = _write(tmp_path, text)
+    out_dir = tmp_path / "out"
+    assert cli.main(["run", cfg_path, "-o", str(out_dir)]) == 2
+    assert capsys.readouterr().err.startswith("verification failure:")
+    assert not (out_dir / "results.csv").exists()
+    assert cli.main(["oracle", cfg_path]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("verification failure:")
+    assert "v_star" not in captured.out
 
 
 def test_cli_plot_round_trip(tmp_path):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hsilab import pors
 from hsilab.core import (
     ConfigError,
     Dims,
@@ -101,7 +102,7 @@ def test_enumeration_order_and_choice_decode():
 
 
 def test_tree_child_indexing():
-    policy = TreePolicy(2, 4, ((0,), (0,) * 4), (((0,),), ((0,),) * 4))
+    policy = TreePolicy(4, ((0,), (0,) * 4), (((0,),), ((0,),) * 4))
     assert policy.branching == 4
     drift = build_controlled_drift_instance()
 
@@ -427,7 +428,7 @@ def test_policy_value_matches_markov_oracle_on_open_loop():
     # constant-action policies are Markov; both exact evaluators must agree
     for a1 in range(2):
         for a2 in range(2):
-            tree = TreePolicy(2, 4, ((a1,), (a2,) * 4), (((0,),), ((0,),) * 4))
+            tree = TreePolicy(4, ((a1,), (a2,) * 4), (((0,),), ((0,),) * 4))
             markov = MarkovEpisodePolicy.from_sequence((a1, a2), (0,), 2, 2)
             tree_value = evaluate_policy_value(truth, tree)
             markov_value = evaluate_markov_policy(truth, markov)
@@ -438,7 +439,7 @@ def test_open_loop_value_hand_example():
     # the drifting reward sub-state stays uniform, so any fixed action pair
     # earns exactly the final-step coin flip
     truth = build_controlled_drift_instance()
-    tree = TreePolicy(2, 4, ((0,), (0,) * 4), (((0,),), ((0,),) * 4))
+    tree = TreePolicy(4, ((0,), (0,) * 4), (((0,),), ((0,),) * 4))
     assert abs(evaluate_policy_value(truth, tree) - 0.5) < 1e-12
 
 
@@ -486,11 +487,12 @@ def test_planning_context_refuses_an_oversized_tree_before_planning():
     assert time.perf_counter() - t0 < 1.0
 
 
-def test_policy_value_cap():
+def test_policy_value_cap(monkeypatch):
     truth = build_controlled_drift_instance()
     policies = full_history_policies(truth.dims)
+    monkeypatch.setattr(pors, "DEFAULT_VALUE_CAP", 10)
     with pytest.raises(OracleSizeError):
-        evaluate_policy_value(truth, policies[0], cap=10)
+        evaluate_policy_value(truth, policies[0])
 
 
 # ---------------------------------------------------------------------------
@@ -598,25 +600,25 @@ def test_planning_holds_each_evidence_kernel_once():
 
 def _plans(values):
     policies = full_history_policies(DRIFT_DIMS)
-    return [PlanResult(policies[i], v, i) for i, v in enumerate(values)]
+    return [PlanResult(policies[i], v) for i, v in enumerate(values)]
 
 
 def test_optimistic_plan_tie_breaks_lexicographically():
     conf = ConfidenceSet((0, 1, 2))
     plans = _plans([1.0, 1.0, 1.0])
-    assert optimistic_plan(conf, plans) is plans[0]
+    assert optimistic_plan(conf, plans) == 0
     plans = _plans([1.0, 2.0, 2.0])
-    plan = optimistic_plan(conf, plans)
-    assert plan is plans[1]
-    assert plan.value == 2.0
+    best = optimistic_plan(conf, plans)
+    assert best == 1
+    assert plans[best].value == 2.0
 
 
 def test_optimistic_plan_masks_excluded_candidates():
     plans = _plans([9.0, 0.5, 0.4])
     conf = ConfidenceSet((1, 2))
-    plan = optimistic_plan(conf, plans)
-    assert plan.candidate_index == 1
-    assert plan.value == 0.5
+    best = optimistic_plan(conf, plans)
+    assert best == 1
+    assert plans[best].value == 0.5
 
 
 # ---------------------------------------------------------------------------

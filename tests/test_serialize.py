@@ -132,6 +132,13 @@ def test_missing_section_is_named_in_error():
         loads_model(without_initial)
 
 
+def test_unknown_transition_form_is_rejected():
+    text = dumps_model(build_hard_instance_groups(2, 0.1))
+    assert "transition_form = joint" in text
+    with pytest.raises(ConfigError, match="bad transition_form 'banana'"):
+        loads_model(text.replace("transition_form = joint", "transition_form = banana"))
+
+
 def test_malformed_probability_row_is_rejected():
     m = build_hard_instance_groups(2, 0.1)
     text = dumps_model(m).replace("[rewards h=4]", "[rewards h=9]")
