@@ -99,8 +99,9 @@ class EnvModel:
     (H-1, d, V, A, V); exactly one is set, and ``transition_form`` names it.
     ``emissions`` maps (h, query) -> (n_obs, n_hidden) column-stochastic
     tables, for models whose class_tag is Class2; otherwise None.
-    Per-query value codes, per-step evidence stacks and the samplers' list
-    rows are cached on first use.
+    Per-query value codes, per-step evidence stacks, the evidence row of
+    each fitting feedback and the samplers' list rows are cached on first
+    use.
     """
 
     name: str
@@ -116,6 +117,7 @@ class EnvModel:
     _codes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _evidence: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _blocks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _index: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _rows: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
@@ -334,17 +336,27 @@ class EnvModel:
     def evidence_index(self, h, feedback):
         """Row of the step-h evidence kernel that one step's feedback
         (revealed values and emitted symbol) selects; raises
-        UnsupportedFeedbackError when the symbol does not fit the model."""
-        n_obs = max(self.dims.n_observations, 1)
-        obs = feedback.observation
-        emits = bool(self.emissions)
-        if (obs is not None) != emits or not 0 <= (obs or 0) < n_obs:
-            raise UnsupportedFeedbackError(
-                f"observation {obs!r} at step {h} does not fit model "
-                f"{self.name!r} ({self.class_tag})"
-            )
-        vcode = encode_state(feedback.values(), self.dims.alphabet_size)
-        return vcode * n_obs + (obs or 0)
+        UnsupportedFeedbackError when the symbol does not fit the model.
+
+        Rows are cached by (``feedback.hsi``, ``feedback.observation``),
+        which fix the row at every step; feedback that does not fit is never
+        cached, so it raises on every call.  On the model's query sets the
+        cache holds at most Q x ``dims.n_evidence_rows`` entries.
+        """
+        key = (feedback.hsi, feedback.observation)
+        row = self._index.get(key)
+        if row is None:
+            n_obs = max(self.dims.n_observations, 1)
+            obs = feedback.observation
+            emits = bool(self.emissions)
+            if (obs is not None) != emits or not 0 <= (obs or 0) < n_obs:
+                raise UnsupportedFeedbackError(
+                    f"observation {obs!r} at step {h} does not fit model "
+                    f"{self.name!r} ({self.class_tag})"
+                )
+            vcode = encode_state(feedback.values(), self.dims.alphabet_size)
+            row = self._index[key] = vcode * n_obs + (obs or 0)
+        return row
 
 
 # -- sampling ---------------------------------------------------------------
@@ -622,6 +634,7 @@ def build_hard_instance_tree(
     _check_epsilon(epsilon)
     if d < 1:
         raise ValueError(f"need d >= 1, got {d}")
+    check_state_space(alphabet_size, d)
     S = alphabet_size**d
     if n_actions > S:
         raise ValueError(f"need n_actions <= {S}, got {n_actions}")

@@ -21,7 +21,13 @@ Candidates are scored in one batched pass per episode
 (``feedback_log_likelihood``): the trace is checked against the played
 policy once, then the forward filter (Rabiner 1989) runs for every
 candidate of the class at once, on its tables stacked along a leading
-candidate axis (``CandidateFilter``).
+candidate axis (``CandidateFilter``).  The scores depend only on the
+walked (step, action, query, kernel row) sequence, and a run's episodes
+repeat few of them, so the filter keeps each sequence's scores in a memo
+of at most ``LIKELIHOOD_MEMO_SIZE`` (4096) entries and runs once per
+distinct sequence; past the bound it scores without storing.  Each step's
+kernel row is read through ``EnvModel.evidence_index``, which caches the
+row of every feedback that fits.
 
 The optimistic step is a max over surviving candidates of each one's own
 optimum, so each candidate's best policy is planned once, before the first
@@ -40,6 +46,7 @@ from .core import ConfigError, OracleSizeError
 from .oracle import DEFAULT_NODE_CAP, _plan
 
 DEFAULT_VALUE_CAP = 10**6
+LIKELIHOOD_MEMO_SIZE = 4096
 
 
 # -- policies ------------------------------------------------------------------
@@ -115,9 +122,11 @@ def _dp_tree(model):
 
 class CandidateFilter:
     """The tables of a candidate class's forward filter, stacked along a
-    leading candidate axis: initials ``(C, S)``, transitions
-    ``(C, H-1, S, A, S)`` and, per (step, query set), evidence kernels
-    ``(C, R, S)``, stacked on first use.
+    leading candidate axis: initials ``(C, S)`` and transitions
+    ``(C, H-1, S, A, S)``.  Each candidate's evidence kernels stay in its
+    own ``EnvModel.evidence`` cache.  ``memo`` maps a walked step sequence
+    to its read-only scores (``feedback_log_likelihood``) and holds at
+    most ``LIKELIHOOD_MEMO_SIZE`` entries.
 
     The class must be non-empty, share one dimension signature and hold
     emission models (Class2) only; anything else raises ConfigError.
@@ -145,15 +154,7 @@ class CandidateFilter:
             np.stack([m.joint_transitions() for m in candidates])
             if dims.horizon > 1 else None
         )
-        self._kernels = {}
-
-    def kernels(self, h, query):
-        """Every candidate's step-h evidence kernel under a query, stacked."""
-        stack = self._kernels.get((h, query))
-        if stack is None:
-            stack = np.stack([m.evidence(h, query) for m in self.candidates])
-            self._kernels[(h, query)] = stack
-        return stack
+        self.memo = {}
 
 
 def feedback_log_likelihood(cfilter, policy, trace):
@@ -170,6 +171,11 @@ def feedback_log_likelihood(cfilter, policy, trace):
     filter run alone: condition on the step's kernel row, add the log of the
     conditioning mass, and transition, except after the last step.  A
     candidate whose mass reaches zero scores -inf.
+
+    The walked (h, action, query, row) steps fix the scores, so they are
+    looked up in ``cfilter.memo`` first; a new sequence is scored and, while
+    the memo holds fewer than ``LIKELIHOOD_MEMO_SIZE`` entries, stored.
+    Scores from the filter or the memo are read-only.
     """
     first = cfilter.candidates[0]
     steps = []
@@ -183,11 +189,15 @@ def feedback_log_likelihood(cfilter, policy, trace):
         row = first.evidence_index(rec.h, rec.feedback)
         node = policy.child(node, row)
         steps.append((rec.h, rec.action, query, row))
+    steps = tuple(steps)
+    scores = cfilter.memo.get(steps)
+    if scores is not None:
+        return scores
     H = first.dims.horizon
     totals = [0.0] * len(cfilter.candidates)
     p = cfilter.initial
     for h, action, query, row in steps:
-        post = p * cfilter.kernels(h, query)[:, row]
+        post = p * np.stack([m.evidence(h, query)[row] for m in cfilter.candidates])
         masses = post.sum(axis=1)
         for i, mass in enumerate(masses.tolist()):
             if mass == 0.0:
@@ -198,7 +208,11 @@ def feedback_log_likelihood(cfilter, policy, trace):
             masses[masses == 0.0] = 1.0  # masked candidates stay finite
             p = ((post / masses[:, None])[:, None, :]
                  @ cfilter.joint[:, h - 1, :, action, :])[:, 0]
-    return np.array(totals)
+    scores = np.array(totals)
+    scores.flags.writeable = False
+    if len(cfilter.memo) < LIKELIHOOD_MEMO_SIZE:
+        cfilter.memo[steps] = scores
+    return scores
 
 
 # -- confidence set ------------------------------------------------------------
@@ -346,7 +360,8 @@ class PorsAgent:
     Each episode: screen candidates by cumulative feedback log-likelihood,
     play the best plan of the most optimistic survivor, and fold the
     episode's feedback into every candidate's score with one batched
-    ``feedback_log_likelihood`` pass over the context's stacked tables.
+    ``feedback_log_likelihood`` call, which runs the filter once per
+    distinct feedback path.
     Planning is deterministic, so the agent holds no rng.
     """
 

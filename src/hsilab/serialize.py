@@ -22,9 +22,12 @@ Sectioned key/value format so instances can live in test fixtures::
 Probability rows are space-separated decimals printed with 17 significant
 digits, so every float64 round-trips exactly.  Candidate-class files hold
 several models back to back, each starting at its [model] section.  The
-loader re-validates every model invariant.
+loader refuses a header whose tables would exceed ``envs.MAX_TABLE_CELLS``
+cells before it allocates any of them, and re-validates every model
+invariant.
 """
 
+import math
 import re
 from dataclasses import dataclass
 from itertools import product as iter_product
@@ -32,7 +35,7 @@ from itertools import product as iter_product
 import numpy as np
 
 from .core import ConfigError, Dims
-from .envs import EnvModel, canonical_state_vectors
+from .envs import MAX_TABLE_CELLS, EnvModel, canonical_state_vectors
 
 FLOAT_FMT = "%.16e"
 
@@ -283,13 +286,30 @@ def _build_model(sections, source):
             )
         return secs[0]
 
-    if "state-vectors" in by_name:
-        sec = sole("state-vectors")
-        n_states = len(sec.rows)
-        state_vectors = _indexed_rows(sec, "s", n_states, dims.d, source, as_int=True)
-    else:
+    sv_sec = sole("state-vectors") if "state-vectors" in by_name else None
+    n_states = dims.n_states if sv_sec is None else len(sv_sec.rows)
+    H, A, V = dims.horizon, dims.n_actions, dims.alphabet_size
+    shapes = {
+        "state-vector": (n_states, dims.d),
+        "transition": (H - 1, n_states, A, n_states) if form == "joint"
+        else (H - 1, dims.d, V, A, V),
+        "reward": (H, n_states, A),
+    }
+    if by_name.get("emissions"):
+        shapes["emission"] = (dims.n_observations, dims.n_hidden)
+    for label, shape in shapes.items():
+        if math.prod(shape) > MAX_TABLE_CELLS:
+            raise ConfigError(
+                f"{source}:{head.line}: model {name!r} needs a {shape} {label} "
+                f"table, over the cap of {MAX_TABLE_CELLS} cells"
+            )
+
+    if sv_sec is None:
         state_vectors = canonical_state_vectors(dims)
-        n_states = dims.n_states
+    else:
+        state_vectors = _indexed_rows(
+            sv_sec, "s", n_states, dims.d, source, as_int=True
+        )
 
     init_sec = sole("initial")
     if len(init_sec.rows) != 1 or init_sec.rows[0][0] != "p":
@@ -304,14 +324,12 @@ def _build_model(sections, source):
         )
 
     joint = product = None
-    H, A = dims.horizon, dims.n_actions
     if form == "joint":
         joint = np.zeros((H - 1, n_states, A, n_states))
         ranges = {"h": range(1, H), "a": range(A)}
         for (h, a), sec in _keyed_sections(by_name, "transitions", ranges, source, head):
             joint[h - 1, :, a, :] = _indexed_rows(sec, "s", n_states, n_states, source)
     else:
-        V = dims.alphabet_size
         product = np.zeros((H - 1, dims.d, V, A, V))
         ranges = {"h": range(1, H), "i": range(dims.d), "a": range(A)}
         for (h, i, a), sec in _keyed_sections(

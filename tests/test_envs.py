@@ -582,10 +582,33 @@ def test_evidence_stack_refuses_over_the_cap_before_allocating(monkeypatch):
 def test_evidence_row_rejects_mismatched_observations():
     drift = build_controlled_drift_instance()
     groups = build_hard_instance_groups(2, 0.1)
+    # the same revealed value with a fitting symbol is cached first; a
+    # misfit is never cached, so it raises on every call
+    for m, fits in ((drift, 1), (groups, None)):
+        fb = Feedback(query=(0,), hsi=((0, 1),), observation=fits, reward=0.0)
+        assert m.evidence_index(1, fb) == m.evidence_index(1, fb)
     for m, obs in ((drift, None), (drift, 2), (groups, 0)):
         fb = Feedback(query=(0,), hsi=((0, 1),), observation=obs, reward=0.0)
-        with pytest.raises(UnsupportedFeedbackError):
-            m.evidence_index(1, fb)
+        for _ in range(2):
+            with pytest.raises(UnsupportedFeedbackError):
+                m.evidence_index(1, fb)
+    outside = Feedback(query=(0,), hsi=((0, 2),), observation=0, reward=0.0)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="outside"):
+            drift.evidence_index(1, outside)
+
+
+def test_evidence_rows_are_cached_once_per_fitting_feedback():
+    # row v * n_obs + o at every step; one entry per (query set, row)
+    drift = build_controlled_drift_instance()
+    dims = drift.dims
+    for h in (1, 2):
+        for query in dims.query_sets():
+            for v in range(dims.alphabet_size):
+                for o in range(dims.n_observations):
+                    fb = Feedback(query, ((query[0], v),), o, 0.0)
+                    assert drift.evidence_index(h, fb) == v * dims.n_observations + o
+    assert len(drift._index) == len(dims.query_sets()) * dims.n_evidence_rows
 
 
 # -- controlled-drift family ---------------------------------------------------------

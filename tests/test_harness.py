@@ -319,6 +319,59 @@ def test_cli_verify_rejects_oversized_groups_without_traceback():
     assert "Traceback" not in proc.stderr
 
 
+_TREE_OVERFLOW = (
+    "state space |alphabet|^d = 2^100000000000000000000 overflows the index type"
+)
+
+
+@pytest.mark.parametrize("command", ["verify", "run"])
+def test_cli_rejects_a_huge_tree_depth_without_traceback(tmp_path, command):
+    # 2 ** d for d = 10^20 is refused before the power is computed
+    if command == "verify":
+        argv = ["verify", "tree", "d=100000000000000000000"]
+        head = "error: <params>: cannot verify tree: "
+    else:
+        text = (
+            "[experiment]\nepisodes = 2\nseeds = 0\n\n"
+            "[env builder=tree]\nalphabet-size = 2\nd = 100000000000000000000\n"
+            "n-actions = 2\nepsilon = 0.1\n\n[algo name=uniform]\n"
+        )
+        cfg_path = _write(tmp_path, text)
+        argv = ["run", cfg_path, "-o", str(tmp_path / "out")]
+        head = f"error: {cfg_path}: cannot build env tree: "
+    proc = _hsilab_under_memory_limit(*argv)
+    assert proc.returncode == 1
+    assert proc.stderr == head + _TREE_OVERFLOW + "\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["oracle", "run"])
+def test_cli_rejects_a_huge_model_file_header_without_traceback(tmp_path, command):
+    # n_actions = 99999999999 would make the parser allocate a 5.8 TiB
+    # transition table before any size check
+    drift = build_controlled_drift_instance()
+    dump_model(drift, tmp_path / "drift.model")
+    text = (tmp_path / "drift.model").read_text()
+    (tmp_path / "huge.model").write_text(
+        text.replace("n_actions = 2", "n_actions = 99999999999")
+    )
+    cfg_path = _write(
+        tmp_path,
+        "[experiment]\nepisodes = 2\nseeds = 0\n\n"
+        f"[env builder=file]\npath = {tmp_path / 'huge.model'}\n\n"
+        "[algo name=uniform]\n",
+    )
+    out = ["-o", str(tmp_path / "out")] if command == "run" else []
+    proc = _hsilab_under_memory_limit(command, cfg_path, *out)
+    assert proc.returncode == 1
+    assert proc.stderr == (
+        f"error: {tmp_path / 'huge.model'}:1: model {drift.name!r} needs a "
+        "(1, 2, 2, 99999999999, 2) transition table, over the cap of "
+        "134217728 cells\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
 def test_master_seed_env_override(tmp_path, monkeypatch):
     path = _write(tmp_path, GROUPS_CFG)
     assert load_config(path).master_seed == 0

@@ -6,6 +6,7 @@ import inspect
 import math
 import re
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -249,14 +250,11 @@ def test_likelihood_matches_filter_oracle_on_played_traces():
 _zero_half_one = st.sampled_from([0.0, 0.5, 1.0])
 
 
-@st.composite
-def _scored_classes(draw):
+def _draw_class(draw):
     """A class of 1-8 models on one dimension signature, mixing random
     models with drift models whose parameters lie in {0, 1/2, 1} (so some
-    reach zero mass at step 1 or 2 while others do not), a random
-    full-history tree policy, a trace it played on a drawn model, and the
-    scores every candidate must get.  Half the traces are bent away from
-    the policy's action or query at one step; those score -inf throughout."""
+    reach zero mass at step 1 or 2 while others do not), and a random
+    full-history tree policy."""
     horizon = draw(st.sampled_from([1, 2, 3]))
     dims = Dims(2, 2, 1, horizon, 2, n_observations=2)
     gen = np.random.default_rng(draw(st.integers(0, 2**32)))
@@ -272,18 +270,30 @@ def _scored_classes(draw):
         [draw(st.integers(0, n_choice - 1)) for _ in range(n)]
         for n in level_node_counts(dims)
     ]
-    policy = tree_policy(dims, choices)
+    return models, tree_policy(dims, choices)
+
+
+def _draw_bent(draw, trace):
+    """The trace bent away from the policy's action or query at one step."""
+    h = draw(st.integers(1, len(trace.steps)))
+    rec = trace.steps[h - 1]
+    if draw(st.booleans()):
+        return _off_policy(trace, h, action=1 - rec.action)
+    return _off_policy(trace, h, query=(1 - rec.feedback.query[0],))
+
+
+@st.composite
+def _scored_classes(draw):
+    """A drawn class and policy (``_draw_class``), a trace the policy played
+    on a drawn model, and the scores every candidate must get.  Half the
+    traces are bent away from the policy's action or query at one step;
+    those score -inf throughout."""
+    models, policy = _draw_class(draw)
     player = models[draw(st.integers(0, len(models) - 1))]
     trace = _play_policy(player, policy, 1, SampleRng(draw(st.integers(0, 999))))
     if not draw(st.booleans()):
         return models, policy, trace, [trace_log_likelihood(m, trace) for m in models]
-    h = draw(st.integers(1, horizon))
-    rec = trace.steps[h - 1]
-    if draw(st.booleans()):
-        trace = _off_policy(trace, h, action=1 - rec.action)
-    else:
-        trace = _off_policy(trace, h, query=(1 - rec.feedback.query[0],))
-    return models, policy, trace, [-math.inf] * len(models)
+    return models, policy, _draw_bent(draw, trace), [-math.inf] * len(models)
 
 
 @settings(max_examples=150, deadline=None)
@@ -295,6 +305,58 @@ def test_batched_likelihood_is_bit_identical_to_per_model_filter(drawn):
     scores = feedback_log_likelihood(CandidateFilter(models), policy, trace)
     assert scores.dtype == np.float64
     assert scores.tolist() == want
+
+
+@st.composite
+def _repeated_traces(draw):
+    """A drawn class and policy, a memo bound, and 1-12 (trace, on-policy)
+    pairs: traces the policy played on drawn models from four seeds, so
+    feedback paths repeat, some of them repeated outright, and a quarter
+    bent off the policy."""
+    models, policy = _draw_class(draw)
+    bound = draw(st.sampled_from([0, 1, 2, 3, pors.LIKELIHOOD_MEMO_SIZE]))
+    traces = []
+    for _ in range(draw(st.integers(1, 12))):
+        if traces and draw(st.integers(0, 3)) == 0:
+            traces.append(traces[draw(st.integers(0, len(traces) - 1))])
+            continue
+        player = models[draw(st.integers(0, len(models) - 1))]
+        trace = _play_policy(player, policy, 1, SampleRng(draw(st.integers(0, 3))))
+        if draw(st.integers(0, 3)) == 0:
+            traces.append((_draw_bent(draw, trace), False))
+        else:
+            traces.append((trace, True))
+    return models, policy, bound, traces
+
+
+def _feedback_path(trace):
+    return tuple(
+        (r.h, r.action, r.feedback.query, r.feedback.hsi, r.feedback.observation)
+        for r in trace.steps
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(_repeated_traces())
+def test_likelihood_memo_answers_as_the_filter_and_stays_bounded(drawn):
+    # one filter scores every trace: a memo hit, a miss and a miss past the
+    # bound must all give each candidate exactly its own filter's score; the
+    # memo holds each distinct on-policy feedback path until it is full, and
+    # never an off-policy trace
+    models, policy, bound, traces = drawn
+    cfilter = CandidateFilter(models)
+    paths = set()
+    with mock.patch.object(pors, "LIKELIHOOD_MEMO_SIZE", bound):
+        for trace, on_policy in traces:
+            scores = feedback_log_likelihood(cfilter, policy, trace)
+            if on_policy:
+                want = [trace_log_likelihood(m, trace) for m in models]
+                assert scores.tolist() == want
+                assert not scores.flags.writeable
+                paths.add(_feedback_path(trace))
+            else:
+                assert scores.tolist() == [-math.inf] * len(models)
+            assert len(cfilter.memo) == min(bound, len(paths))
 
 
 # ---------------------------------------------------------------------------

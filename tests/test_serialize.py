@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from hsilab import serialize
 from hsilab.core import ConfigError, Dims
 from hsilab.envs import (
     EnvModel,
@@ -244,3 +245,38 @@ def test_keyed_section_errors(model, edit, message):
     with pytest.raises(ConfigError) as err:
         loads_model(text, source="m")
     assert str(err.value) == f"m:{line}: {message}"
+
+
+@pytest.mark.parametrize(
+    "edits, shape",
+    [
+        ({"n_actions = 2": "n_actions = 99999999999"},
+         "(1, 2, 2, 99999999999, 2) transition"),
+        ({"horizon = 2": "horizon = 1", "n_actions = 2": "n_actions = 99999999999"},
+         "(1, 4, 99999999999) reward"),
+        ({"alphabet_size = 2": "alphabet_size = 1", "d = 2": "d = 99999999999"},
+         "(1, 99999999999) state-vector"),
+        ({"n_observations = 2": "n_observations = 99999999999"},
+         "(99999999999, 2) emission"),
+    ],
+    ids=["transition", "reward", "state-vector", "emission"],
+)
+def test_oversized_header_is_refused_before_any_table_is_built(
+    monkeypatch, edits, shape
+):
+    text = dumps_model(build_controlled_drift_instance())
+    for old, new in edits.items():
+        assert old in text
+        text = text.replace(old, new)
+
+    def no_alloc(*args, **kwargs):
+        raise AssertionError("built a table from an unchecked header")
+
+    monkeypatch.setattr(np, "zeros", no_alloc)
+    monkeypatch.setattr(serialize, "canonical_state_vectors", no_alloc)
+    with pytest.raises(ConfigError) as err:
+        loads_model(text, source="m")
+    assert str(err.value) == (
+        f"m:1: model 'controlled-drift-t0.8-d0.7-e0.8' needs a {shape} table, "
+        "over the cap of 134217728 cells"
+    )
