@@ -56,8 +56,8 @@ from .pors import (
     CandidateFilter,
     ConfidenceSet,
     PlanningContext,
+    PolicyGraph,
     PorsAgent,
-    TreePolicy,
     default_beta,
     evaluate_policy_value,
     feedback_log_likelihood,
@@ -97,12 +97,12 @@ __all__ = [
     "OptllAgent",
     "OracleSizeError",
     "PlanningContext",
+    "PolicyGraph",
     "PorsAgent",
     "ResultsTable",
     "SampleRng",
     "ScheduleError",
     "StepRecord",
-    "TreePolicy",
     "UniformRandomAgent",
     "UnsupportedFeedbackError",
     "VerificationFailure",

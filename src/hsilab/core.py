@@ -85,7 +85,7 @@ class Dims:
     @property
     def n_evidence_rows(self):
         """Rows of an evidence kernel, one per (revealed value code, emitted
-        symbol); also the children of a feedback-tree node."""
+        symbol); also the children of a policy-graph node."""
         return self.n_query_values * max(self.n_observations, 1)
 
     def query_sets(self):
@@ -124,16 +124,6 @@ def hsi_value_tuple(hsi):
     """Just the revealed values of an hsi tuple of (index, value) pairs, in
     query order."""
     return tuple(v for _, v in hsi)
-
-
-def canonical_query(query, d):
-    """Validated sorted tuple of distinct sub-state indices."""
-    q = tuple(sorted(int(i) for i in query))
-    if len(set(q)) != len(q):
-        raise ValueError(f"query has repeated indices: {query}")
-    if q and (q[0] < 0 or q[-1] >= d):
-        raise ValueError(f"query index outside [0, {d}): {query}")
-    return q
 
 
 @dataclass

@@ -24,7 +24,6 @@ from .core import (
     Dims,
     OracleSizeError,
     UnsupportedFeedbackError,
-    canonical_query,
     check_state_space,
     decode_state,
     encode_state,
@@ -328,7 +327,7 @@ class EnvModel:
         1), row ``v * n_obs + o`` holds, per state, 1[value code = v] times the
         probability of emitting symbol o from the state's hidden values.  A
         model without emissions has indicator rows at o = 0 and zero rows
-        elsewhere, so rows line up with ``TreePolicy.child``.
+        elsewhere, so rows line up with ``PolicyGraph.child``.
         """
         stack = self.evidence_stack(h)  # fills the query sets' blocks
         return stack[self._blocks[query]]
@@ -410,8 +409,10 @@ def emit_observation(m, h, s, q, rng):
     """Draw the partial observation for step h under query set q.
 
     The symbol depends only on the sub-states the query leaves hidden.
+    A query that is not one of the model's query sets (sorted tuples of
+    distinct sub-state indices) has no emission table and raises
+    UnsupportedFeedbackError.
     """
-    q = canonical_query(q, m.dims.d)
     if m.class_tag != "Class2" or not m.emissions:
         raise UnsupportedFeedbackError(
             f"model {m.name!r} ({m.class_tag}) emits no partial observations"

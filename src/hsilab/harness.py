@@ -64,8 +64,8 @@ from .agents import (
 )
 from .pors import (
     PlanningContext,
+    PolicyGraph,
     PorsAgent,
-    TreePolicy,
     evaluate_policy_value,
 )
 from .serialize import load_candidates, load_model, parse_sections
@@ -265,7 +265,7 @@ def _random_class1(d, alphabet_size, d_query, horizon, n_actions, env_seed):
 
 
 # The builder of each [env builder=...] name.  Each takes its schema's keys
-# as keyword arguments, with '-' read as '_'; the verifiers build through
+# as keyword arguments, with '-' read as '_'; verify_instance builds through
 # this table too, with the _VERIFY_SCHEMAS defaults.
 _ENV_BUILDERS = {
     "groups": build_hard_instance_groups,
@@ -413,7 +413,7 @@ def load_config(path):
     )
     env_model = build_env(env_kind, env_params, source)
     if ex["verify"]:
-        report = _VERIFIERS[env_kind](env_params)
+        report = _VERIFIERS[env_kind](env_params, env_model)
         if not report.passed:
             raise VerificationFailure(report.format())
     _check_csv_field(env_model.name, "env name", f"{source}:{env_sec.line}")
@@ -552,7 +552,7 @@ class _ValueCache(dict):
 
 def _policy_value(env, policy, cache):
     """Exact expected episode reward of the policy an agent just played."""
-    if isinstance(policy, TreePolicy):
+    if isinstance(policy, PolicyGraph):
         key = policy
         if key not in cache:
             cache[key] = evaluate_policy_value(env, policy)
@@ -677,9 +677,9 @@ def run_suite(cfg):
     each pors planning context and fixed policy.  'auto' means expected
     regret, from the exact value of each played policy.  Every played
     policy can be evaluated: a pors run's candidates share the env's dims,
-    and its planning context evaluated each candidate's plan at the same
-    size cap when the config loaded.  Oracle size errors for V* propagate
-    unless regret reporting is off.
+    and each plan is a policy graph bounded by its candidate's belief DP,
+    which ran under the node cap when the config loaded.  Oracle size
+    errors for V* propagate unless regret reporting is off.
     """
     env = cfg.env_model
     v_star = None
@@ -729,7 +729,7 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _verify_groups(params):
+def _verify_groups(params, m):
     d = params["d"]
     d_query = params["d-query"]
     group_a, group_b = groups_state_vectors(d, d_query)
@@ -755,8 +755,7 @@ def _verify_groups(params):
     return VerificationReport(f"groups d={d} d-query={d_query}", checks)
 
 
-def _verify_flat_emission(params):
-    m = _build("flat-emission", params)
+def _verify_flat_emission(params, m):
     sigma = min_partial_singular_value(m)
     ok = abs(sigma) <= 1e-9
     return VerificationReport(
@@ -772,8 +771,7 @@ def _verify_flat_emission(params):
     )
 
 
-def _verify_tree(params):
-    m = _build("tree", params)
+def _verify_tree(params, m):
     eps = params["epsilon"]
     rewarded_steps = sorted(
         int(h) for h in np.flatnonzero(np.any(m.rewards > 0, axis=(1, 2))) + 1
@@ -814,6 +812,9 @@ def _verify_tree(params):
     )
 
 
+# Each verifier checks an env's parameters and the model built from them:
+# load_config passes the env it built, verify_instance builds one (groups
+# checks its own state vectors and needs no model).
 _VERIFIERS = {
     "groups": _verify_groups,
     "flat-emission": _verify_flat_emission,
@@ -849,7 +850,8 @@ def verify_instance(name, params=None):
     kv = {key: (str(value), None) for key, value in (params or {}).items()}
     resolved = _typed_params(kv, _VERIFY_SCHEMAS[name], f"verify {name}", "<params>")
     try:
-        return _VERIFIERS[name](resolved)
+        m = None if name == "groups" else _build(name, resolved)
+        return _VERIFIERS[name](resolved, m)
     except ValueError as exc:
         raise ConfigError(f"<params>: cannot verify {name}: {exc}") from exc
 

@@ -7,15 +7,16 @@ about the dynamics and are excluded), keeps every candidate within a fixed
 slack of the best score, and plays the policy that is optimal for the most
 optimistic surviving candidate.
 
-Policies are deterministic decision trees over feedback histories.  Feedback
-for step h (the queried values of the step-h state, plus the emitted symbol
-when the model has emissions) arrives only after the step-h action, so the
-tree branches between steps: the action and query at step h depend on
-feedback from steps 1..h-1 only.  A tree node's children are laid out like
-the rows of the model's evidence kernel (``EnvModel.evidence``): exact
-policy evaluation pushes each node's row times the kernel to its children,
-and the agent and the filter step to the child whose index is the row a
-step's feedback selects (``EnvModel.evidence_index``).
+Policies are deterministic policy graphs over feedback histories
+(``PolicyGraph``).  Feedback for step h (the queried values of the step-h
+state, plus the emitted symbol when the model has emissions) arrives only
+after the step-h action, so the policy moves between steps: the action and
+query at step h depend on feedback from steps 1..h-1 only.  A node's
+children are indexed like the rows of the model's evidence kernel
+(``EnvModel.evidence``): exact policy evaluation pushes each node's row
+times the kernel to its children, and the agent and the filter step to the
+child under the row a step's feedback selects
+(``EnvModel.evidence_index``).
 
 Candidates are scored in one batched pass per episode
 (``feedback_log_likelihood``): the trace is checked against the played
@@ -33,8 +34,8 @@ The optimistic step is a max over surviving candidates of each one's own
 optimum, so each candidate's best policy is planned once, before the first
 episode, by the backward induction over its belief tree that also gives
 V* (``oracle._plan``; Smallwood & Sondik 1973): the DP records each
-belief's decision and the children it leads to, and the plan is the tree
-that walks those records from the root.
+belief's decision and the children it leads to, and the plan is the graph
+with one node per recorded belief that walks those records from the root.
 """
 
 from dataclasses import dataclass
@@ -42,10 +43,9 @@ import math
 
 import numpy as np
 
-from .core import ConfigError, OracleSizeError
+from .core import ConfigError
 from .oracle import DEFAULT_NODE_CAP, _plan
 
-DEFAULT_VALUE_CAP = 10**6
 LIKELIHOOD_MEMO_SIZE = 4096
 
 
@@ -53,68 +53,69 @@ LIKELIHOOD_MEMO_SIZE = 4096
 
 
 @dataclass(frozen=True)
-class TreePolicy:
-    """Deterministic history-dependent policy over feedback branches.
+class PolicyGraph:
+    """Deterministic policy over feedback histories, held as a graph: a
+    policy graph (Kaelbling, Littman & Cassandra 1998), or finite-state
+    controller (Hansen 1998).
 
-    Level h (1-based) has ``branching ** (h - 1)`` nodes, with branching
-    ``dims.n_evidence_rows``.  A node's child after step-h feedback is
-    ``node * branching + row``, where row is the evidence-kernel row the
-    feedback selects (``EnvModel.evidence_index``).
-    ``actions[h - 1][node]`` and ``queries[h - 1][node]`` give the step-h
-    decision at each node; the horizon H is ``len(actions)``.
+    Node 0 is the root.  Node n plays ``actions[n]`` with query set
+    ``queries[n]``, and the feedback of its step moves the policy to
+    ``children[n][row]``, where row is the evidence-kernel row the feedback
+    selects (``EnvModel.evidence_index``).  Several parents may share a
+    child, and a node may lead back to itself.  The step h that
+    ``action_at`` and ``query_at`` take is not needed to read a node.
     """
 
-    branching: int
     actions: tuple
     queries: tuple
+    children: tuple
 
     def action_at(self, h, node):
-        return self.actions[h - 1][node]
+        return self.actions[node]
 
     def query_at(self, h, node):
-        return self.queries[h - 1][node]
+        return self.queries[node]
 
     def child(self, node, row):
-        return node * self.branching + row
+        return self.children[node][row]
 
 
-def level_node_counts(dims):
-    """Nodes per level of a feedback tree for these dimensions."""
-    return [dims.n_evidence_rows ** (h - 1) for h in range(1, dims.horizon + 1)]
+def _dp_graph(model):
+    """The policy graph that plays the model's belief DP (``oracle._plan``).
 
-
-def _dp_tree(model):
-    """The tree policy that plays the model's belief DP (``oracle._plan``).
-
-    Level by level from the root, each reached node takes the decision
-    recorded under its belief's memo key, and each recorded child (kernel
-    row r, child) of that decision is tree child ``node * branching + r``:
-    its belief's memo key, or at step H its first best action, played with
-    query 0, as the DP scores step-H beliefs.  Unreached nodes keep action 0
-    and query 0.
+    A walk from the root numbers the memo keys of the recorded beliefs in
+    the order it first reaches them, and each such node plays its belief's
+    recorded decision.  Each recorded child (kernel row r, child) of that
+    decision is the node's child under row r: the child belief's node, or
+    at step H a node of its own per (parent, row) that plays the child's
+    first best action with query 0, as the DP scores step-H beliefs.
+    Feedback the DP never reached leads to node 1, which plays action 0
+    with query 0 and leads back to itself.
     """
     dims = model.dims
     H, R = dims.horizon, dims.n_evidence_rows
     qsets = dims.query_sets()
     decisions = {}
     _plan(model, DEFAULT_NODE_CAP, decisions)
-    counts = level_node_counts(dims)
-    actions = [[0] * n for n in counts]
-    queries = [[qsets[0]] * n for n in counts]
-    # (node, memo key of its belief), keyed as _plan keys its memo
     root = np.asarray(model.initial, dtype=float)
-    level = [(0, (1, np.round(root, 12).tobytes()))]
-    for h in range(1, H + 1):
-        reached, level = level, []
-        for node, key in reached:
-            a, qi, children = decisions[key]
-            actions[h - 1][node], queries[h - 1][node] = a, qsets[qi]
-            for row, child in children:
-                if h + 1 < H:
-                    level.append((node * R + row, child))
-                else:
-                    actions[H - 1][node * R + row] = child
-    return TreePolicy(R, tuple(map(tuple, actions)), tuple(map(tuple, queries)))
+    keys = [(1, np.round(root, 12).tobytes())]  # memo keys, as _plan keys them
+    number = {keys[0]: 0}
+    nodes = [None, (0, qsets[0], (1,) * R)]  # (action, query, children)
+    for key in keys:  # the walk appends each key it reaches first
+        a, qi, recorded = decisions[key]
+        kids = [1] * R
+        for row, child in recorded:
+            if key[0] + 1 == H:  # a step-H best action: a node per (parent, row)
+                kids[row] = len(nodes)
+                nodes.append((child, qsets[0], (1,) * R))
+                continue
+            if child not in number:
+                number[child] = len(nodes)
+                keys.append(child)
+                nodes.append(None)  # filled when the walk reaches it
+            kids[row] = number[child]
+        nodes[number[key]] = (a, qsets[qi], tuple(kids))
+    return PolicyGraph(*zip(*nodes))
 
 
 # -- likelihood ----------------------------------------------------------------
@@ -252,43 +253,30 @@ def default_beta(dims, n_episodes, delta):
 
 
 def evaluate_policy_value(model, policy):
-    """Exact expected episode reward of a tree policy under a model.
+    """Exact expected episode reward of a policy graph under a model.
 
-    Propagates the joint distribution over (feedback-tree node, state)
-    forward through the episode.  Raises OracleSizeError when the per-level
-    node x state table would exceed ``DEFAULT_VALUE_CAP``.
+    Pushes the joint mass over (graph node, state) forward one step at a
+    time.  Where several feedback paths reach one node at a step, their
+    rows add, in the order they first reach it; on a tree that is the
+    arithmetic of one row per tree node.
     """
-    dims = model.dims
-    n_states = model.n_states
-    joint = model.joint_transitions() if dims.horizon > 1 else None
-    b = policy.branching
-    mu = np.asarray(model.initial, dtype=float).reshape(1, n_states).copy()
+    H = model.dims.horizon
+    joint = model.joint_transitions() if H > 1 else None
+    level = {0: np.asarray(model.initial, dtype=float)}
     total = 0.0
-    for h in range(1, dims.horizon + 1):
-        n_nodes = mu.shape[0]
-        if n_nodes * n_states > DEFAULT_VALUE_CAP:
-            raise OracleSizeError(
-                f"policy evaluation needs {n_nodes} x {n_states} table at "
-                f"step {h}, over cap {DEFAULT_VALUE_CAP}"
-            )
-        for node in range(n_nodes):
-            row = mu[node]
-            if not row.any():
+    for h in range(1, H + 1):
+        reached, level = level, {}
+        for node, row in reached.items():
+            action = policy.action_at(h, node)
+            total += float(row @ model.rewards[h - 1, :, action])
+            if h == H:
                 continue
-            total += float(row @ model.rewards[h - 1, :, policy.action_at(h, node)])
-        if h == dims.horizon:
-            break
-        nxt = np.zeros((n_nodes * b, n_states))
-        for node in range(n_nodes):
-            row = mu[node]
-            if not row.any():
-                continue
-            kernel = joint[h - 1, :, policy.action_at(h, node), :]
+            kernel = joint[h - 1, :, action, :]
             branches = row * model.evidence(h, policy.query_at(h, node))
-            for child, w in enumerate(branches, start=node * b):
+            for r, w in enumerate(branches):
                 if w.any():
-                    nxt[child] = w @ kernel
-        mu = nxt
+                    child, mass = policy.child(node, r), w @ kernel
+                    level[child] = level[child] + mass if child in level else mass
     return total
 
 
@@ -297,7 +285,7 @@ def evaluate_policy_value(model, policy):
 
 @dataclass
 class PlanResult:
-    policy: TreePolicy
+    policy: PolicyGraph
     value: float
 
 
@@ -318,14 +306,13 @@ class PlanningContext:
     """Episode-independent planning results, shareable across runs.
 
     Holds the class's stacked filter tables (``CandidateFilter``) and each
-    candidate's plan: the tree policy that plays its belief DP
-    (``_dp_tree``), which attains the candidate's optimal value, and that
-    tree's exact value (``evaluate_policy_value``).  A class whose last
-    tree level times its states exceeds ``DEFAULT_VALUE_CAP``, which
-    ``evaluate_policy_value`` would refuse for every plan, raises
-    OracleSizeError before any planning runs, and so does one whose step-H
-    evidence stack, under which the filter scores the last step's feedback
-    and which no planning step reads, is over ``envs.MAX_TABLE_CELLS``.
+    candidate's plan: the policy graph that plays its belief DP
+    (``_dp_graph``), which attains the candidate's optimal value, and that
+    graph's exact value (``evaluate_policy_value``).  The DP's node cap and
+    evidence-stack cap bound each graph.  A class whose step-H evidence
+    stack, under which the filter scores the last step's feedback and
+    which no planning step reads, is over ``envs.MAX_TABLE_CELLS`` raises
+    OracleSizeError before any planning runs.
     """
 
     filter: CandidateFilter
@@ -338,17 +325,11 @@ class PlanningContext:
     @classmethod
     def build(cls, candidates):
         cfilter = CandidateFilter(candidates)
-        dims = cfilter.candidates[0].dims
-        counts = level_node_counts(dims)
-        if counts[-1] * dims.n_states > DEFAULT_VALUE_CAP:
-            raise OracleSizeError(
-                f"policy evaluation needs {counts[-1]} x {dims.n_states} table "
-                f"at step {dims.horizon}, over cap {DEFAULT_VALUE_CAP}"
-            )
-        cfilter.candidates[0].evidence_stack(dims.horizon)
+        first = cfilter.candidates[0]
+        first.evidence_stack(first.dims.horizon)
         plans = []
         for cand in cfilter.candidates:
-            policy = _dp_tree(cand)
+            policy = _dp_graph(cand)
             plans.append(PlanResult(policy, evaluate_policy_value(cand, policy)))
         return cls(cfilter, plans)
 

@@ -1,15 +1,21 @@
-"""Brute-force references for the tree-policy planner and the batched
-feedback likelihood, and random models with noisy symbols to run them on.
+"""Brute-force references for the policy-graph planner, its exact
+evaluation and the batched feedback likelihood, and random models with
+noisy symbols to run them on.
 
 ``full_history_policies`` lists every deterministic history-dependent tree
 policy of a (small) model, lexicographic over per-node choices, and
-``tree_policy`` builds one from its per-node choice indices;
-``first_best_policy`` scores them all under one model and returns the first
-of highest value.  ``best_tree`` finds that policy by a recursion over tree
-nodes instead, which reaches horizons past enumeration; ``PlanningContext``
-reads each plan off the oracle's belief DP and must match its value.
-``trace_log_likelihood`` is the exact filter of one model on its own, which
-``pors.feedback_log_likelihood`` runs for a whole class at once.
+``tree_policy`` builds one, as a ``PolicyGraph`` laid out as a tree, from
+its per-node choice indices; ``first_best_policy`` scores them all under
+one model and returns the first of highest value.  ``best_tree`` finds that
+policy by a recursion over tree nodes instead, which reaches horizons past
+enumeration; ``PlanningContext`` reads each plan off the oracle's belief DP
+and must match its value.  ``played_tree`` unrolls any policy into what it
+plays along every feedback path, so policies of different shapes compare.
+``brute_force_policy_value`` is a policy's value as a sum over state and
+symbol paths, which ``pors.evaluate_policy_value`` computes by pushing
+(node, state) rows.  ``trace_log_likelihood`` is the exact filter of one
+model on its own, which ``pors.feedback_log_likelihood`` runs for a whole
+class at once.
 """
 
 from itertools import product
@@ -17,8 +23,14 @@ import math
 
 import numpy as np
 
+from hsilab.core import Feedback
 from hsilab.envs import EnvModel
-from hsilab.pors import TreePolicy, evaluate_policy_value, level_node_counts
+from hsilab.pors import PolicyGraph, evaluate_policy_value
+
+
+def level_node_counts(dims):
+    """Nodes per level of a feedback tree for these dimensions."""
+    return [dims.n_evidence_rows ** (h - 1) for h in range(1, dims.horizon + 1)]
 
 
 def full_history_policies(dims):
@@ -36,14 +48,73 @@ def full_history_policies(dims):
 
 def tree_policy(dims, choices):
     """The tree policy with ``choices[h - 1][node]`` at each node, where
-    choice = action * n_query_sets + query_set_index."""
+    choice = action * n_query_sets + query_set_index, as a policy graph:
+    levels are numbered in turn, level-h node i's child under row r is
+    level-(h+1) node ``i * n_evidence_rows + r``, and last-level nodes lead
+    back to themselves."""
     qsets = dims.query_sets()
-    n_q = len(qsets)
-    return TreePolicy(
-        dims.n_evidence_rows,
-        tuple(tuple(c // n_q for c in level) for level in choices),
-        tuple(tuple(qsets[c % n_q] for c in level) for level in choices),
+    n_q, b = len(qsets), dims.n_evidence_rows
+    starts = np.cumsum([0] + [len(level) for level in choices]).tolist()
+    flat = [c for level in choices for c in level]
+    children = [
+        tuple(starts[h + 1] + i * b + r for r in range(b))
+        if h + 1 < len(choices) else (starts[h] + i,) * b
+        for h, level in enumerate(choices)
+        for i in range(len(level))
+    ]
+    return PolicyGraph(
+        tuple(c // n_q for c in flat),
+        tuple(qsets[c % n_q] for c in flat),
+        tuple(children),
     )
+
+
+def played_tree(policy, dims):
+    """What a policy plays along every feedback path, in tree layout:
+    per step h, the actions and the queries at the nodes the policy reaches
+    after each sequence of h - 1 kernel rows, rows of the latest step
+    varying fastest."""
+    actions, queries, level = [], [], [0]
+    for h in range(1, dims.horizon + 1):
+        actions.append(tuple(policy.action_at(h, n) for n in level))
+        queries.append(tuple(policy.query_at(h, n) for n in level))
+        level = [policy.child(n, r) for n in level for r in range(dims.n_evidence_rows)]
+    return tuple(actions), tuple(queries)
+
+
+def brute_force_policy_value(model, policy):
+    """Exact expected episode reward of a policy, by enumeration: the sum,
+    over every sequence of states and emitted symbols, of the sequence's
+    probability times the rewards of the actions the policy plays at the
+    nodes the sequence's feedback reaches.  Symbols come from the model's
+    emission tables, read off each state's hidden values; a model without
+    emissions emits None.  The policy steps to ``policy.child(node, row)``
+    with row ``model.evidence_index`` of the step's feedback, as an agent
+    does."""
+    dims = model.dims
+    V, H = dims.alphabet_size, dims.horizon
+    sv = model.state_vectors
+    joint = model.joint_transitions() if H > 1 else None
+    symbols = range(dims.n_observations) if model.emissions else [None]
+    total = 0.0
+    for path in product(range(model.n_states), symbols, repeat=H):
+        prob, node, earned = 1.0, 0, 0.0
+        for h in range(1, H + 1):
+            s, o = path[2 * h - 2], path[2 * h - 1]
+            action, query = policy.action_at(h, node), policy.query_at(h, node)
+            prob *= model.initial[s] if h == 1 else joint[h - 2, prev, last, s]
+            if o is not None:
+                hidden = [sv[s, i] for i in range(dims.d) if i not in query]
+                code = sum(int(v) * V**j for j, v in enumerate(hidden))
+                prob *= model.emissions[(h, query)][o, code]
+            earned += model.rewards[h - 1, s, action]
+            hsi = tuple((i, int(sv[s, i])) for i in query)
+            node = policy.child(
+                node, model.evidence_index(h, Feedback(query, hsi, o, 0.0))
+            )
+            prev, last = s, action
+        total += prob * earned
+    return total
 
 
 def first_best_policy(model, policies):

@@ -8,7 +8,6 @@ from hsilab.core import (
     EpisodeTrace,
     Feedback,
     StepRecord,
-    canonical_query,
     decode_state,
     encode_state,
     hsi_value_tuple,
@@ -93,14 +92,6 @@ def test_extract_hsi_order_and_values():
     assert hsi_value_tuple(hsi) == (1, 1)
     with pytest.raises(ValueError):
         extract_hsi([1, 0], (2,))
-
-
-def test_canonical_query():
-    assert canonical_query((2, 0), 3) == (0, 2)
-    with pytest.raises(ValueError):
-        canonical_query((0, 0), 3)
-    with pytest.raises(ValueError):
-        canonical_query((0, 3), 3)
 
 
 def test_trace_accumulates_total():

@@ -1,5 +1,7 @@
 """Environment models: builders, sampling, structure checks, diagnostics."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -35,6 +37,7 @@ from hsilab.envs import (
     tree_depth,
     tree_stay_action,
 )
+from policy_reference import random_hidden_observation_model
 
 
 # -- randomness plumbing --------------------------------------------------------
@@ -456,6 +459,23 @@ def test_emit_requires_emission_model():
 
     with pytest.raises(UnsupportedFeedbackError):
         emit_observation(m, 1, 0, (0,), SampleRng(0))
+
+
+def test_emit_refuses_a_query_that_is_not_a_query_set():
+    # the emission lookup is the query's one check: an unsorted, repeated or
+    # out-of-range query has no table
+    from hsilab.envs import emit_observation
+
+    dims = Dims(d=3, alphabet_size=2, d_query=2, horizon=2, n_actions=2,
+                n_observations=2)
+    m = random_hidden_observation_model(np.random.default_rng(0), dims)
+    assert emit_observation(m, 1, 0, (0, 1), SampleRng(0)) in (0, 1)
+    for query in ((1, 0), (0, 0), (5,)):
+        with pytest.raises(UnsupportedFeedbackError, match=re.escape(
+            f"model 'random-hidden-obs' has no emission table for step 1, "
+            f"query {query}"
+        )):
+            emit_observation(m, 1, 0, query, SampleRng(0))
 
 
 def test_sample_initial_respects_point_mass():

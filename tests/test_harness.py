@@ -16,7 +16,7 @@ import pytest
 from hsilab.agents import MarkovEpisodePolicy
 from hsilab.core import ConfigError, Dims, OracleSizeError
 from hsilab.envs import EnvModel, build_controlled_drift_instance, controlled_drift_candidates
-from hsilab import envs, harness
+from hsilab import envs, harness, pors
 from hsilab.harness import (
     CSV_HEADER,
     ResultsTable,
@@ -147,33 +147,42 @@ def _hsilab_under_memory_limit(*args):
     )
 
 
-def _oversized_pors_config(tmp_path, algo_lines=""):
-    """A one-action, one-symbol file env at horizon 22 with itself as the
-    only pors candidate: the plan's 2^21 x 2 value table is over
-    pors.DEFAULT_VALUE_CAP."""
-    dims = Dims(
-        d=1, alphabet_size=2, d_query=1, horizon=22, n_actions=1, n_observations=1
-    )
-    deep = random_hidden_observation_model(np.random.default_rng(0), dims)
-    dump_model(deep, tmp_path / "deep.model")
-    dump_candidates([deep], tmp_path / "cands.cfg")
+def _pors_file_config(tmp_path, model, algo_lines=""):
+    """A config whose file env is the model, with the model as the only
+    candidate of a pors algorithm."""
+    dump_model(model, tmp_path / "env.model")
+    dump_candidates([model], tmp_path / "cands.cfg")
     text = (
         "[experiment]\nepisodes = 2\nseeds = 0\n\n"
-        f"[env builder=file]\npath = {tmp_path / 'deep.model'}\n\n{algo_lines}"
+        f"[env builder=file]\npath = {tmp_path / 'env.model'}\n\n{algo_lines}"
         f"[algo name=pors]\ncandidates = {tmp_path / 'cands.cfg'}\n"
     )
     return _write(tmp_path, text)
 
 
 def test_cli_run_refuses_an_oversized_pors_tree_before_planning(tmp_path):
-    # the plan's value table is refused before the belief DP starts
-    cfg_path = _oversized_pors_config(tmp_path)
+    # every sub-state revealed and 256 symbols: one step's evidence stack
+    # is 16384 rows x 64 states, 2^20 cells, but the belief tree's 129 steps
+    # need 129 of them, over envs.MAX_TABLE_CELLS; the model file stays
+    # small, and the stacks are refused before the belief DP starts
+    H, O = 130, 256
+    dims = Dims(d=6, alphabet_size=2, d_query=6, horizon=H, n_actions=1,
+                n_observations=O)
+    wide = EnvModel.from_product(
+        "wide", dims, "Class2", np.full(64, 1 / 64),
+        np.full((H - 1, 6, 2, 1, 2), 0.5), np.zeros((H, 64, 1)),
+        emissions={(h, dims.query_sets()[0]): np.full((O, 1), 1 / O)
+                   for h in range(1, H + 1)},
+    )
+    cfg_path = _pors_file_config(tmp_path, wide)
     t0 = time.perf_counter()
     proc = _hsilab_under_memory_limit("run", cfg_path, "-o", str(tmp_path / "out"))
     assert time.perf_counter() - t0 < 20.0
     assert proc.returncode == 1
-    assert proc.stderr.startswith("error:")
-    assert "2097152 x 2 table at step 22" in proc.stderr
+    assert proc.stderr == (
+        "error: belief tree for model 'wide' needs a (129, 16384, 64) evidence "
+        "stack, over the cap of 134217728 cells\n"
+    )
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "out").exists()
 
@@ -523,8 +532,15 @@ def test_fixed_policy_validation(tmp_path):
 def test_unbuildable_pors_context_stops_the_config_before_any_episode(
     tmp_path, monkeypatch, capsys
 ):
-    path = _oversized_pors_config(tmp_path, "[algo name=uniform]\n\n")
-    with pytest.raises(OracleSizeError, match="2097152 x 2 table at step 22"):
+    # a one-action, one-symbol class at horizon 22 whose belief DP is over
+    # a lowered node cap
+    dims = Dims(
+        d=1, alphabet_size=2, d_query=1, horizon=22, n_actions=1, n_observations=1
+    )
+    deep = random_hidden_observation_model(np.random.default_rng(0), dims)
+    path = _pors_file_config(tmp_path, deep, "[algo name=uniform]\n\n")
+    monkeypatch.setattr(pors, "DEFAULT_NODE_CAP", 10)
+    with pytest.raises(OracleSizeError, match="exceeds 10 nodes"):
         load_config(path)
     episodes = []
     run_episode = harness.run_episode
@@ -536,7 +552,9 @@ def test_unbuildable_pors_context_stops_the_config_before_any_episode(
     monkeypatch.setattr(harness, "run_episode", counting)
     out = tmp_path / "out"
     assert cli.main(["run", path, "-o", str(out)]) == 1
-    assert "2097152 x 2 table at step 22" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "exceeds 10 nodes" in err
+    assert "Traceback" not in err
     assert episodes == []
     assert not out.exists()
 
@@ -823,9 +841,9 @@ def test_verify_on_runs_and_writes_the_same_csv(tmp_path, monkeypatch):
     calls = []
     verify_groups = harness._VERIFIERS["groups"]
 
-    def counting(params):
-        calls.append(params)
-        return verify_groups(params)
+    def counting(params, m):
+        calls.append((params, m))
+        return verify_groups(params, m)
 
     monkeypatch.setitem(harness._VERIFIERS, "groups", counting)
     off = tmp_path / "off.csv"
@@ -833,11 +851,38 @@ def test_verify_on_runs_and_writes_the_same_csv(tmp_path, monkeypatch):
     assert calls == []
     text = GROUPS_CFG.replace("seeds = 0,1", "seeds = 0,1\nverify = on")
     cfg = load_config(_write(tmp_path, text, name="verify.cfg"))
-    assert calls == [{"d": 2, "epsilon": 0.1, "d-query": 1, "n-actions": 2}]
+    assert calls == [
+        ({"d": 2, "epsilon": 0.1, "d-query": 1, "n-actions": 2}, cfg.env_model)
+    ]
     on = tmp_path / "on.csv"
     write_results_csv(run_suite(cfg), on)
     assert len(calls) == 1
     assert on.read_bytes() == off.read_bytes()
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("tree", "alphabet-size = 2\nd = 3\nn-actions = 2\nepsilon = 0.1\n"),
+    ("flat-emission", "epsilon = 0.1\n"),
+], ids=["tree", "flat-emission"])
+def test_verify_on_checks_the_env_the_config_built(tmp_path, monkeypatch, kind, params):
+    # the structural checks read the env load_config built: one build per
+    # load, and verify_instance builds its own
+    builds = []
+    build = harness._ENV_BUILDERS[kind]
+
+    def counting(**kwargs):
+        builds.append(kwargs)
+        return build(**kwargs)
+
+    monkeypatch.setitem(harness._ENV_BUILDERS, kind, counting)
+    text = (
+        "[experiment]\nepisodes = 2\nseeds = 0\nverify = on\n\n"
+        f"[env builder={kind}]\n{params}\n[algo name=uniform]\n"
+    )
+    assert load_config(_write(tmp_path, text)).env_model is not None
+    assert len(builds) == 1
+    assert verify_instance(kind, {}).passed
+    assert len(builds) == 2
 
 
 def test_regret_off_mode(tmp_path):
@@ -1071,7 +1116,7 @@ def test_cli_run_and_oracle_stop_on_a_failed_config_verification(
 ):
     from hsilab.harness import CheckResult, VerificationReport
 
-    def failing(params):
+    def failing(params, m):
         return VerificationReport(
             "groups", [CheckResult("doomed", False, "synthetic failure")]
         )

@@ -1,5 +1,6 @@
-"""Tests for the confidence-set planner: tree-policy families, feedback
-likelihoods, candidate screening, and optimistic planning."""
+"""Tests for the confidence-set planner: policy graphs and tree-policy
+families, feedback likelihoods, candidate screening, and optimistic
+planning."""
 
 import hashlib
 import inspect
@@ -29,27 +30,29 @@ from hsilab.envs import (
     controlled_drift_candidates,
 )
 from hsilab.agents import MarkovEpisodePolicy, run_episode
-from hsilab.oracle import OracleSizeError, optimal_value
+from hsilab.oracle import OracleSizeError, optimal_value, oracle_report
 from hsilab.oracle import evaluate_markov_policy
 from hsilab.pors import (
     CandidateFilter,
     ConfidenceSet,
     PlanningContext,
     PlanResult,
+    PolicyGraph,
     PorsAgent,
-    TreePolicy,
     _screen,
     default_beta,
     evaluate_policy_value,
     feedback_log_likelihood,
-    level_node_counts,
     optimistic_plan,
 )
 from hsilab.serialize import dump_candidates, load_candidates
 from policy_reference import (
     best_tree,
+    brute_force_policy_value,
     first_best_policy,
     full_history_policies,
+    level_node_counts,
+    played_tree,
     random_hidden_observation_model,
     trace_log_likelihood,
     tree_policy,
@@ -73,7 +76,8 @@ def _trace_for(policy, feedback_path, reward=0.0):
         hsi = tuple((pos, (vcode // 2**i) % 2) for i, pos in enumerate(query))
         fb = Feedback(query=query, hsi=hsi, observation=obs, reward=reward)
         trace.append(StepRecord(h=h, action=action, feedback=fb))
-        node = policy.child(node, vcode * (policy.branching // 2) + (obs or 0))
+        n_obs = len(policy.children[node]) // 2
+        node = policy.child(node, vcode * n_obs + (obs or 0))
     return trace
 
 
@@ -92,31 +96,35 @@ def test_full_history_enumeration_counts():
 
 def test_enumeration_order_and_choice_decode():
     policies = full_history_policies(DRIFT_DIMS)
-    first = policies[0]
-    assert first.actions == ((0,), (0, 0, 0, 0))
-    assert first.queries == (((0,),), ((0,), (0,), (0,), (0,)))
+    actions, queries = played_tree(policies[0], DRIFT_DIMS)
+    assert actions == ((0,), (0, 0, 0, 0))
+    assert queries == (((0,),), ((0,), (0,), (0,), (0,)))
     # the last node's choice varies fastest; choice = action * n_qsets + qset
-    assert policies[1].queries[1][3] == (1,)
-    assert policies[1].actions[1][3] == 0
-    assert policies[2].actions[1][3] == 1
-    assert policies[2].queries[1][3] == (0,)
+    actions, queries = played_tree(policies[1], DRIFT_DIMS)
+    assert queries[1][3] == (1,)
+    assert actions[1][3] == 0
+    actions, queries = played_tree(policies[2], DRIFT_DIMS)
+    assert actions[1][3] == 1
+    assert queries[1][3] == (0,)
 
 
 def test_tree_child_indexing():
-    policy = TreePolicy(4, ((0,), (0,) * 4), (((0,),), ((0,),) * 4))
-    assert policy.branching == 4
+    # the root's child under kernel row r plays choice r: (action r // 2,
+    # query set r % 2)
+    policy = tree_policy(DRIFT_DIMS, [[0], [0, 1, 2, 3]])
     drift = build_controlled_drift_instance()
 
-    def row(vcode, obs, model=drift):
+    def plays_after(vcode, obs, model=drift):
         fb = Feedback(query=(0,), hsi=((0, vcode),), observation=obs, reward=0.0)
-        return model.evidence_index(1, fb)
+        node = policy.child(0, model.evidence_index(1, fb))
+        return policy.action_at(2, node), policy.query_at(2, node)
 
-    assert policy.child(0, row(0, 0)) == 0
-    assert policy.child(0, row(1, 0)) == 2
-    assert policy.child(0, row(1, 1)) == 3
+    assert plays_after(0, 0) == (0, (0,))
+    assert plays_after(1, 0) == (1, (0,))
+    assert plays_after(1, 1) == (1, (1,))
     # no-emission tasks use symbol 0: value code v selects row v
     silent = build_hard_instance_groups(2, 0.1)
-    assert policy.child(0, row(1, None, silent)) == 1
+    assert plays_after(1, None, silent) == (0, (1,))
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +498,7 @@ def test_policy_value_matches_markov_oracle_on_open_loop():
     # constant-action policies are Markov; both exact evaluators must agree
     for a1 in range(2):
         for a2 in range(2):
-            tree = TreePolicy(4, ((a1,), (a2,) * 4), (((0,),), ((0,),) * 4))
+            tree = tree_policy(truth.dims, [[2 * a1], [2 * a2] * 4])
             markov = MarkovEpisodePolicy.from_sequence((a1, a2), (0,), 2, 2)
             tree_value = evaluate_policy_value(truth, tree)
             markov_value = evaluate_markov_policy(truth, markov)
@@ -501,8 +509,62 @@ def test_open_loop_value_hand_example():
     # the drifting reward sub-state stays uniform, so any fixed action pair
     # earns exactly the final-step coin flip
     truth = build_controlled_drift_instance()
-    tree = TreePolicy(4, ((0,), (0,) * 4), (((0,),), ((0,),) * 4))
+    tree = tree_policy(truth.dims, [[0], [0] * 4])
     assert abs(evaluate_policy_value(truth, tree) - 0.5) < 1e-12
+
+
+@st.composite
+def _valued_policies(draw):
+    """A small Class2 model, a drift model or a random one with one or two
+    symbols, and a policy to value on it: a random tree, a random graph
+    whose nodes share children, loop back and lead to a self-looping
+    default node, or the model's own DP plan."""
+    horizon = draw(st.integers(1, 3))
+    if horizon > 1 and draw(st.booleans()):
+        m = build_controlled_drift_instance(
+            draw(_unit), draw(_unit), draw(_unit), horizon
+        )
+    else:
+        dims = Dims(
+            2, 2, draw(st.integers(1, 2)), horizon, draw(st.integers(1, 3)),
+            n_observations=draw(st.integers(1, 2)),
+        )
+        m = random_hidden_observation_model(
+            np.random.default_rng(draw(st.integers(0, 2**32))), dims
+        )
+    dims = m.dims
+    kind = draw(st.sampled_from(["tree", "graph", "plan"]))
+    if kind == "plan":
+        return m, PlanningContext.build([m]).plans[0].policy
+    n_choice = dims.n_actions * len(dims.query_sets())
+    if kind == "tree":
+        choices = [
+            [draw(st.integers(0, n_choice - 1)) for _ in range(n)]
+            for n in level_node_counts(dims)
+        ]
+        return m, tree_policy(dims, choices)
+    n = draw(st.integers(2, 6))  # node n - 1 is the default
+    R = dims.n_evidence_rows
+    choices = [draw(st.integers(0, n_choice - 1)) for _ in range(n)]
+    children = [
+        tuple(draw(st.integers(0, n - 1)) for _ in range(R)) for _ in range(n - 1)
+    ]
+    qsets = dims.query_sets()
+    return m, PolicyGraph(
+        tuple(c // len(qsets) for c in choices),
+        tuple(qsets[c % len(qsets)] for c in choices),
+        (*children, (n - 1,) * R),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(_valued_policies())
+def test_policy_value_matches_the_brute_force_path_sum(drawn):
+    # pushing (node, state) rows, with the rows of paths that meet at a node
+    # added, must give the sum over state and symbol paths
+    m, policy = drawn
+    value = evaluate_policy_value(m, policy)
+    assert abs(value - brute_force_policy_value(m, policy)) <= 1e-12
 
 
 def test_best_tree_policy_achieves_optimal_value():
@@ -535,26 +597,51 @@ def test_best_tree_refuses_a_horizon_past_the_recursion_limit():
         PlanningContext.build([path])
 
 
-def test_planning_context_refuses_an_oversized_tree_before_planning():
+def _deep_class():
     # one action, one query set and one symbol: the class has one policy,
-    # but its 2^21-node last level times 2 states is over the value cap, so
-    # the build must refuse before planning (a tree search took 50 s)
+    # whose feedback tree has 2^21 nodes at step 22
     dims = Dims(
         d=1, alphabet_size=2, d_query=1, horizon=22, n_actions=1, n_observations=1
     )
-    deep = random_hidden_observation_model(np.random.default_rng(0), dims)
+    return [random_hidden_observation_model(np.random.default_rng(0), dims)]
+
+
+def test_planning_context_builds_a_class_too_deep_for_a_feedback_tree():
+    # a feedback tree would need 2^21 nodes at step 22; the graph holds one
+    # node per distinct belief
+    deep = _deep_class()
     t0 = time.perf_counter()
-    with pytest.raises(OracleSizeError, match="2097152 x 2 table at step 22"):
-        PlanningContext.build([deep])
+    plan = PlanningContext.build(deep).plans[0]
+    assert time.perf_counter() - t0 < 1.0
+    assert abs(plan.value - optimal_value(deep[0])) <= 1e-12
+    assert len(plan.policy.actions) < 200
+
+
+def test_planning_context_refuses_a_class_over_the_node_cap(monkeypatch):
+    # the belief DP's node cap bounds the plan; over it the build refuses
+    # at once instead of approximating
+    monkeypatch.setattr(pors, "DEFAULT_NODE_CAP", 10)
+    t0 = time.perf_counter()
+    with pytest.raises(OracleSizeError, match="exceeds 10 nodes"):
+        PlanningContext.build(_deep_class())
     assert time.perf_counter() - t0 < 1.0
 
 
-def test_policy_value_cap(monkeypatch):
-    truth = build_controlled_drift_instance()
-    policies = full_history_policies(truth.dims)
-    monkeypatch.setattr(pors, "DEFAULT_VALUE_CAP", 10)
-    with pytest.raises(OracleSizeError):
-        evaluate_policy_value(truth, policies[0])
+def test_node_cap_bounds_the_policy_graph(monkeypatch):
+    # a graph holds the DP's expanded beliefs it reaches, up to one step-H
+    # node per (step H-1 belief, kernel row) and the default node, so the
+    # node cap bounds it; one node under the DP's count refuses the class
+    candidates = controlled_drift_candidates(horizon=5)
+    R = candidates[0].dims.n_evidence_rows
+    plans = PlanningContext.build(candidates).plans
+    for cand, plan in zip(candidates, plans):
+        nodes = oracle_report(cand)["nodes"]
+        assert len(plan.policy.actions) <= 2 + nodes * (1 + R)
+        monkeypatch.setattr(pors, "DEFAULT_NODE_CAP", nodes - 1)
+        with pytest.raises(OracleSizeError, match=f"exceeds {nodes - 1} nodes"):
+            PlanningContext.build([cand])
+        monkeypatch.setattr(pors, "DEFAULT_NODE_CAP", nodes)
+        assert PlanningContext.build([cand]).plans == [plan]
 
 
 # ---------------------------------------------------------------------------
@@ -615,10 +702,12 @@ def test_plans_equal_the_reference_tree_search_on_drift_candidates():
     candidates = controlled_drift_candidates()
     context = PlanningContext.build(candidates)
     for cand, plan in zip(candidates, context.plans):
-        assert plan.policy == best_tree(cand)
+        assert played_tree(plan.policy, cand.dims) == played_tree(
+            best_tree(cand), cand.dims
+        )
 
 
-@pytest.mark.parametrize("horizon", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("horizon", [2, 3, 4, 5, 6, 7, 8, 9, 10])
 def test_plans_attain_optimal_value_at_every_drift_horizon(horizon):
     # an open-loop fallback planned 0.5 where V* is 0.8 from horizon 3 on,
     # and its context build took 429 s at horizon 6
@@ -632,14 +721,13 @@ def test_plans_attain_optimal_value_at_every_drift_horizon(horizon):
 
 def test_drift_plans_are_pinned_at_every_horizon():
     # the values above are pinned within 1e-12 only, which a changed
-    # tie-break at H >= 3 would keep; this pins the trees themselves
-    trees = [
-        (plan.policy.actions, plan.policy.queries)
-        for horizon in range(2, 7)
-        for plan in PlanningContext.build(
-            controlled_drift_candidates(horizon=horizon)
-        ).plans
-    ]
+    # tie-break at H >= 3 would keep; this pins what each plan plays along
+    # every feedback path
+    trees = []
+    for horizon in range(2, 7):
+        candidates = controlled_drift_candidates(horizon=horizon)
+        for cand, plan in zip(candidates, PlanningContext.build(candidates).plans):
+            trees.append(played_tree(plan.policy, cand.dims))
     digest = hashlib.sha256(repr(trees).encode()).hexdigest()
     assert digest == "c6f034dd5e87455f9510c8bddbb40228b4daf9a39263472bda7b7560f50b595a"
 
