@@ -359,14 +359,9 @@ class _OptimisticQAgent:
     """Shared skeleton: per-episode query set -> optimistic value sweep ->
     eager per-episode policy -> commit statistics as feedback arrives."""
 
-    def __init__(self, dims, n_episodes, rng, theta1=None, c_bonus=1.0):
+    def __init__(self, dims, rng, c_bonus):
         self.dims = dims
         self.rng = rng
-        self.theta1 = (
-            default_theta1(dims.d, dims.horizon, n_episodes)
-            if theta1 is None
-            else float(theta1)
-        )
         self.qt = QTable(dims.horizon, dims.n_actions, dims.alphabet_size, c_bonus)
         self.init_counts = {}
         self.invariant_violations = []
@@ -377,10 +372,6 @@ class _OptimisticQAgent:
         self._prev_code = None
         self._prev_action = None
         self._last_total = None
-
-    @property
-    def c_bonus(self):
-        return self.qt.c_bonus
 
     # -- per-episode planning -------------------------------------------
 
@@ -479,8 +470,10 @@ class OptllAgent(_OptimisticQAgent):
     def __init__(self, dims, n_episodes, rng, theta1=None, c_bonus=1.0):
         if dims.d_query != 1:
             raise ValueError("single-query learner requires d_query = 1")
-        super().__init__(dims, n_episodes, rng, theta1, c_bonus)
-        self.ws = WeightState(dims.d, 1, self.theta1)
+        super().__init__(dims, rng, c_bonus)
+        if theta1 is None:
+            theta1 = default_theta1(dims.d, dims.horizon, n_episodes)
+        self.ws = WeightState(dims.d, 1, theta1)
         self._chosen = None
 
     def begin_episode(self, k):
@@ -504,13 +497,12 @@ class OpmllAgent(_OptimisticQAgent):
     ):
         if dims.d_query < 2:
             raise ValueError("multi-query learner requires d_query >= 2")
-        super().__init__(dims, n_episodes, rng, theta1, c_bonus)
-        self.theta2 = (
-            default_theta2(dims.d, dims.d_query, self.theta1)
-            if theta2 is None
-            else float(theta2)
-        )
-        self.ws = WeightState(dims.d, dims.d_query, self.theta1, self.theta2)
+        super().__init__(dims, rng, c_bonus)
+        if theta1 is None:
+            theta1 = default_theta1(dims.d, dims.horizon, n_episodes)
+        if theta2 is None:
+            theta2 = default_theta2(dims.d, dims.d_query, theta1)
+        self.ws = WeightState(dims.d, dims.d_query, theta1, theta2)
         self._block_rewards = []
         self._block_sets = []
         self.selection_log = []  # (episode, leader, query set) per episode
@@ -560,7 +552,6 @@ class UniformRandomAgent:
         self.dims = dims
         self.rng = rng
         self._qsets = dims.query_sets()
-        self.invariant_violations = []
         self.episode_policy = UniformMarkovPolicy(
             self._qsets[0], dims.n_query_values, dims.n_actions
         )
@@ -586,7 +577,6 @@ class FixedPolicyAgent:
     def __init__(self, dims, policy):
         self.dims = dims
         self.episode_policy = policy
-        self.invariant_violations = []
         self._prev_code = None
         self._prev_action = None
 
@@ -626,7 +616,6 @@ class EpsilonGreedySequenceAgent:
         self.n_seq = n_seq
         self.totals = np.zeros(n_seq)
         self.counts = np.zeros(n_seq, dtype=np.int64)
-        self.invariant_violations = []
         self.episode_policy = None
         self._seq = None
         self._played = {}  # sequence index -> (actions, MarkovEpisodePolicy)

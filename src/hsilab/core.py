@@ -120,12 +120,6 @@ def decode_state(index, alphabet_size, d):
     return tuple(out)
 
 
-def hsi_value_tuple(hsi):
-    """Just the revealed values of an hsi tuple of (index, value) pairs, in
-    query order."""
-    return tuple(v for _, v in hsi)
-
-
 @dataclass
 class Feedback:
     """What the environment reveals after one step's action.
@@ -143,7 +137,8 @@ class Feedback:
     reward: float
 
     def values(self):
-        return hsi_value_tuple(self.hsi)
+        """Just the revealed values of ``hsi``, in query order."""
+        return tuple(v for _, v in self.hsi)
 
 
 @dataclass

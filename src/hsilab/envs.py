@@ -112,7 +112,7 @@ class EnvModel:
     joint: np.ndarray | None = None
     product: np.ndarray | None = None
     emissions: dict | None = None
-    _joint_cache: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _joint_cache: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     _codes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _evidence: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _blocks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -259,7 +259,7 @@ class EnvModel:
             for i in range(self.dims.d):
                 k = self.product[:, i]  # (H-1, V, A, V)
                 out *= k[:, sv[:, i]][:, :, :, sv[:, i]]
-            object.__setattr__(self, "_joint_cache", out)
+            self._joint_cache = out
         return self._joint_cache
 
     def query_codes(self, query):
@@ -327,7 +327,7 @@ class EnvModel:
         1), row ``v * n_obs + o`` holds, per state, 1[value code = v] times the
         probability of emitting symbol o from the state's hidden values.  A
         model without emissions has indicator rows at o = 0 and zero rows
-        elsewhere, so rows line up with ``PolicyGraph.child``.
+        elsewhere, so rows line up with each node's ``PolicyGraph.children``.
         """
         stack = self.evidence_stack(h)  # fills the query sets' blocks
         return stack[self._blocks[query]]

@@ -455,7 +455,7 @@ def load_config(path):
                         f"match env {env_model.name!r}"
                     )
             try:
-                spec.prepared = PlanningContext.build(cands)
+                spec.prepared = PlanningContext.build(cands, ex["oracle-cap"])
             except ConfigError as exc:
                 raise ConfigError(f"{source}: algorithm {label!r}: {exc}") from exc
         if kind == "fixed":
@@ -540,27 +540,20 @@ _AGENT_BUILDERS = {
 }
 
 
-class _ValueCache(dict):
-    """Exact values of the policies one algorithm played on one env, by
-    key, and the decision-prefix memo (``prefixes``) from which
-    ``evaluate_markov_policy`` resumes; both live for the algorithm's runs."""
-
-    def __init__(self):
-        super().__init__()
-        self.prefixes = {}
-
-
-def _policy_value(env, policy, cache):
-    """Exact expected episode reward of the policy an agent just played."""
+def _policy_value(env, policy, values, prefixes):
+    """Exact expected episode reward of the policy an agent just played,
+    cached in ``values`` by policy (a policy graph by identity); ``prefixes``
+    is the decision-prefix memo from which ``evaluate_markov_policy``
+    resumes.  Both live for one algorithm's runs."""
     if isinstance(policy, PolicyGraph):
         key = policy
-        if key not in cache:
-            cache[key] = evaluate_policy_value(env, policy)
+        if key not in values:
+            values[key] = evaluate_policy_value(env, policy)
     else:
         key = policy.key()
-        if key not in cache:
-            cache[key] = oracle.evaluate_markov_policy(env, policy, cache.prefixes)
-    return cache[key]
+        if key not in values:
+            values[key] = oracle.evaluate_markov_policy(env, policy, prefixes)
+    return values[key]
 
 
 @dataclass
@@ -644,18 +637,21 @@ class ResultsTable:
         return summaries
 
 
-def _execute_run(spec, env, cfg, seed, value_cache, want_values):
+def _execute_run(spec, env, cfg, seed, caches):
+    """One (algorithm, seed) run; ``caches`` is the algorithm's
+    ``(values, prefixes)`` for ``_policy_value``, or None when the run
+    records no policy values."""
     run_seed = derive_run_seed(cfg.master_seed, spec.label, env.name, seed)
     agent_rng = derive_generator(run_seed, "agent")
     env_rng = SampleRng(run_seed)
     agent = _AGENT_BUILDERS[spec.kind](spec, env.dims, cfg.n_episodes, agent_rng)
     rewards = np.empty(cfg.n_episodes)
-    values = np.empty(cfg.n_episodes) if want_values else None
+    values = np.empty(cfg.n_episodes) if caches else None
     for k in range(1, cfg.n_episodes + 1):
         trace = run_episode(agent, env, k, env_rng)
         rewards[k - 1] = trace.total_reward
-        if want_values:
-            values[k - 1] = _policy_value(env, agent.episode_policy, value_cache)
+        if caches:
+            values[k - 1] = _policy_value(env, agent.episode_policy, *caches)
     violations = getattr(agent, "invariant_violations", [])
     if violations:
         raise AssertionError(
@@ -678,7 +674,7 @@ def run_suite(cfg):
     regret, from the exact value of each played policy.  Every played
     policy can be evaluated: a pors run's candidates share the env's dims,
     and each plan is a policy graph bounded by its candidate's belief DP,
-    which ran under the node cap when the config loaded.  Oracle size
+    which ran under the config's ``oracle-cap`` when it loaded.  Oracle size
     errors for V* propagate unless regret reporting is off.
     """
     env = cfg.env_model
@@ -688,11 +684,9 @@ def run_suite(cfg):
     mode = "expected" if cfg.regret_mode == "auto" else cfg.regret_mode
     runs = []
     for spec in cfg.algos:
-        value_cache = _ValueCache()
+        caches = ({}, {}) if mode == "expected" else None  # values, prefixes
         for seed in cfg.seeds:
-            runs.append(
-                _execute_run(spec, env, cfg, seed, value_cache, mode == "expected")
-            )
+            runs.append(_execute_run(spec, env, cfg, seed, caches))
     return ResultsTable(
         env_name=env.name,
         regret_mode=mode,

@@ -21,12 +21,12 @@ child under the row a step's feedback selects
 Candidates are scored in one batched pass per episode
 (``feedback_log_likelihood``): the trace is checked against the played
 policy once, then the forward filter (Rabiner 1989) runs for every
-candidate of the class at once, on its tables stacked along a leading
-candidate axis (``CandidateFilter``).  The scores depend only on the
-walked (step, action, query, kernel row) sequence, and a run's episodes
-repeat few of them, so the filter keeps each sequence's scores in a memo
-of at most ``LIKELIHOOD_MEMO_SIZE`` (4096) entries and runs once per
-distinct sequence; past the bound it scores without storing.  Each step's
+candidate of the class at once (``CandidateFilter``), on the rows each step
+reads from every candidate's own tables, stacked along a leading candidate
+axis.  The scores depend only on the walked (step, action, query, kernel
+row) sequence, and a run's episodes repeat few of them, so the filter keeps
+each sequence's scores in a memo of at most ``LIKELIHOOD_MEMO_SIZE`` (4096)
+entries and runs once per distinct sequence; past the bound it scores without storing.  Each step's
 kernel row is read through ``EnvModel.evidence_index``, which caches the
 row of every feedback that fits.
 
@@ -52,7 +52,7 @@ LIKELIHOOD_MEMO_SIZE = 4096
 # -- policies ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PolicyGraph:
     """Deterministic policy over feedback histories, held as a graph: a
     policy graph (Kaelbling, Littman & Cassandra 1998), or finite-state
@@ -62,26 +62,18 @@ class PolicyGraph:
     ``queries[n]``, and the feedback of its step moves the policy to
     ``children[n][row]``, where row is the evidence-kernel row the feedback
     selects (``EnvModel.evidence_index``).  Several parents may share a
-    child, and a node may lead back to itself.  The step h that
-    ``action_at`` and ``query_at`` take is not needed to read a node.
+    child, and a node may lead back to itself.  A graph equals and hashes
+    as itself only, so a value cache keys it without reading its tuples.
     """
 
     actions: tuple
     queries: tuple
     children: tuple
 
-    def action_at(self, h, node):
-        return self.actions[node]
 
-    def query_at(self, h, node):
-        return self.queries[node]
-
-    def child(self, node, row):
-        return self.children[node][row]
-
-
-def _dp_graph(model):
-    """The policy graph that plays the model's belief DP (``oracle._plan``).
+def _dp_graph(model, cap):
+    """The policy graph that plays the model's belief DP (``oracle._plan``
+    under node cap ``cap``).
 
     A walk from the root numbers the memo keys of the recorded beliefs in
     the order it first reaches them, and each such node plays its belief's
@@ -96,7 +88,7 @@ def _dp_graph(model):
     H, R = dims.horizon, dims.n_evidence_rows
     qsets = dims.query_sets()
     decisions = {}
-    _plan(model, DEFAULT_NODE_CAP, decisions)
+    _plan(model, cap, decisions)
     root = np.asarray(model.initial, dtype=float)
     keys = [(1, np.round(root, 12).tobytes())]  # memo keys, as _plan keys them
     number = {keys[0]: 0}
@@ -122,12 +114,11 @@ def _dp_graph(model):
 
 
 class CandidateFilter:
-    """The tables of a candidate class's forward filter, stacked along a
-    leading candidate axis: initials ``(C, S)`` and transitions
-    ``(C, H-1, S, A, S)``.  Each candidate's evidence kernels stay in its
-    own ``EnvModel.evidence`` cache.  ``memo`` maps a walked step sequence
-    to its read-only scores (``feedback_log_likelihood``) and holds at
-    most ``LIKELIHOOD_MEMO_SIZE`` entries.
+    """A candidate class's forward filter: the candidates, whose own
+    initial, transition and evidence tables it reads, and ``memo``, which
+    maps a walked step sequence to its read-only scores
+    (``feedback_log_likelihood``) and holds at most
+    ``LIKELIHOOD_MEMO_SIZE`` entries.
 
     The class must be non-empty, share one dimension signature and hold
     emission models (Class2) only; anything else raises ConfigError.
@@ -150,11 +141,6 @@ class CandidateFilter:
                     "pors candidates must be emission models (Class2)"
                 )
         self.candidates = candidates
-        self.initial = np.stack([np.asarray(m.initial, float) for m in candidates])
-        self.joint = (
-            np.stack([m.joint_transitions() for m in candidates])
-            if dims.horizon > 1 else None
-        )
         self.memo = {}
 
 
@@ -168,37 +154,37 @@ def feedback_log_likelihood(cfilter, policy, trace):
     actions or queries disagree with the policy at the reached node scores
     -inf for every candidate, and feedback that does not fit the class
     raises UnsupportedFeedbackError.  Then the forward filter runs for all
-    candidates at once, with each candidate's arithmetic exactly that of a
-    filter run alone: condition on the step's kernel row, add the log of the
-    conditioning mass, and transition, except after the last step.  A
-    candidate whose mass reaches zero scores -inf.
+    candidates at once, on each step's rows of every candidate's own tables
+    stacked along a leading candidate axis, with each candidate's arithmetic
+    exactly that of a filter run alone: condition on the step's kernel row,
+    add the log of the conditioning mass, and transition, except after the
+    last step.  A candidate whose mass reaches zero scores -inf.
 
     The walked (h, action, query, row) steps fix the scores, so they are
     looked up in ``cfilter.memo`` first; a new sequence is scored and, while
     the memo holds fewer than ``LIKELIHOOD_MEMO_SIZE`` entries, stored.
     Scores from the filter or the memo are read-only.
     """
-    first = cfilter.candidates[0]
+    cands = cfilter.candidates
+    first = cands[0]
     steps = []
     node = 0
     for rec in trace.steps:
         query = tuple(rec.feedback.query)
-        if (rec.action, query) != (
-            policy.action_at(rec.h, node), policy.query_at(rec.h, node)
-        ):
-            return np.full(len(cfilter.candidates), -np.inf)
+        if (rec.action, query) != (policy.actions[node], policy.queries[node]):
+            return np.full(len(cands), -np.inf)
         row = first.evidence_index(rec.h, rec.feedback)
-        node = policy.child(node, row)
+        node = policy.children[node][row]
         steps.append((rec.h, rec.action, query, row))
     steps = tuple(steps)
     scores = cfilter.memo.get(steps)
     if scores is not None:
         return scores
     H = first.dims.horizon
-    totals = [0.0] * len(cfilter.candidates)
-    p = cfilter.initial
+    totals = [0.0] * len(cands)
+    p = np.stack([np.asarray(m.initial, float) for m in cands])
     for h, action, query, row in steps:
-        post = p * np.stack([m.evidence(h, query)[row] for m in cfilter.candidates])
+        post = p * np.stack([m.evidence(h, query)[row] for m in cands])
         masses = post.sum(axis=1)
         for i, mass in enumerate(masses.tolist()):
             if mass == 0.0:
@@ -207,8 +193,8 @@ def feedback_log_likelihood(cfilter, policy, trace):
                 totals[i] += math.log(mass)
         if h < H:
             masses[masses == 0.0] = 1.0  # masked candidates stay finite
-            p = ((post / masses[:, None])[:, None, :]
-                 @ cfilter.joint[:, h - 1, :, action, :])[:, 0]
+            kernels = np.stack([m.joint_transitions()[h - 1, :, action] for m in cands])
+            p = ((post / masses[:, None])[:, None, :] @ kernels)[:, 0]
     scores = np.array(totals)
     scores.flags.writeable = False
     if len(cfilter.memo) < LIKELIHOOD_MEMO_SIZE:
@@ -267,15 +253,15 @@ def evaluate_policy_value(model, policy):
     for h in range(1, H + 1):
         reached, level = level, {}
         for node, row in reached.items():
-            action = policy.action_at(h, node)
+            action = policy.actions[node]
             total += float(row @ model.rewards[h - 1, :, action])
             if h == H:
                 continue
             kernel = joint[h - 1, :, action, :]
-            branches = row * model.evidence(h, policy.query_at(h, node))
+            branches = row * model.evidence(h, policy.queries[node])
             for r, w in enumerate(branches):
                 if w.any():
-                    child, mass = policy.child(node, r), w @ kernel
+                    child, mass = policy.children[node][r], w @ kernel
                     level[child] = level[child] + mass if child in level else mass
     return total
 
@@ -305,31 +291,30 @@ def optimistic_plan(conf_set, plans):
 class PlanningContext:
     """Episode-independent planning results, shareable across runs.
 
-    Holds the class's stacked filter tables (``CandidateFilter``) and each
-    candidate's plan: the policy graph that plays its belief DP
-    (``_dp_graph``), which attains the candidate's optimal value, and that
-    graph's exact value (``evaluate_policy_value``).  The DP's node cap and
-    evidence-stack cap bound each graph.  A class whose step-H evidence
-    stack, under which the filter scores the last step's feedback and
-    which no planning step reads, is over ``envs.MAX_TABLE_CELLS`` raises
-    OracleSizeError before any planning runs.
+    Holds the class's forward filter (``CandidateFilter``), whose
+    ``candidates`` are the class, and each candidate's plan: the policy
+    graph that plays its belief DP (``_dp_graph``), which attains the
+    candidate's optimal value, and that graph's exact value
+    (``evaluate_policy_value``).  Each DP runs under the node cap ``cap``
+    of ``build`` (a config's ``oracle-cap``), which with the evidence-stack
+    cap bounds each graph; a DP over the cap raises OracleSizeError.  A
+    class whose step-H evidence stack, under which the filter scores the
+    last step's feedback and which no planning step reads, is over
+    ``envs.MAX_TABLE_CELLS`` raises OracleSizeError before any planning
+    runs.
     """
 
     filter: CandidateFilter
     plans: list
 
-    @property
-    def candidates(self):
-        return self.filter.candidates
-
     @classmethod
-    def build(cls, candidates):
+    def build(cls, candidates, cap=DEFAULT_NODE_CAP):
         cfilter = CandidateFilter(candidates)
         first = cfilter.candidates[0]
         first.evidence_stack(first.dims.horizon)
         plans = []
         for cand in cfilter.candidates:
-            policy = _dp_graph(cand)
+            policy = _dp_graph(cand, cap)
             plans.append(PlanResult(policy, evaluate_policy_value(cand, policy)))
         return cls(cfilter, plans)
 
@@ -351,12 +336,12 @@ class PorsAgent:
     def __init__(self, context, n_episodes, beta=None, delta=0.05):
         self.context = context
         self.beta = (
-            default_beta(context.candidates[0].dims, n_episodes, delta)
+            default_beta(context.filter.candidates[0].dims, n_episodes, delta)
             if beta is None else beta
         )
         if self.beta < 0.0:
             raise ValueError(f"beta must be nonnegative, got {self.beta}")
-        self.loglik = np.zeros(len(context.candidates))
+        self.loglik = np.zeros(len(context.plans))
         self.set_log = []
         self.plan_log = []
         self.episode_policy = None
@@ -372,11 +357,11 @@ class PorsAgent:
 
     def act(self, h):
         policy = self.episode_policy
-        return policy.action_at(h, self._node), policy.query_at(h, self._node)
+        return policy.actions[self._node], policy.queries[self._node]
 
     def observe(self, h, action, feedback):
-        row = self.context.candidates[0].evidence_index(h, feedback)
-        self._node = self.episode_policy.child(self._node, row)
+        row = self.context.filter.candidates[0].evidence_index(h, feedback)
+        self._node = self.episode_policy.children[self._node][row]
 
     def end_episode(self, trace):
         self.loglik += feedback_log_likelihood(

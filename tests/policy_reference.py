@@ -13,9 +13,11 @@ and must match its value.  ``played_tree`` unrolls any policy into what it
 plays along every feedback path, so policies of different shapes compare.
 ``brute_force_policy_value`` is a policy's value as a sum over state and
 symbol paths, which ``pors.evaluate_policy_value`` computes by pushing
-(node, state) rows.  ``trace_log_likelihood`` is the exact filter of one
-model on its own, which ``pors.feedback_log_likelihood`` runs for a whole
-class at once.
+(node, state) rows, and ``brute_force_markov_value`` the same sum for a
+Markov episode policy, which ``oracle.evaluate_markov_policy`` computes by
+pushing (state, action) joints.  ``trace_log_likelihood`` is the exact
+filter of one model on its own, which ``pors.feedback_log_likelihood`` runs
+for a whole class at once.
 """
 
 from itertools import product
@@ -23,7 +25,8 @@ import math
 
 import numpy as np
 
-from hsilab.core import Feedback
+from hsilab.agents import MarkovEpisodePolicy
+from hsilab.core import Feedback, encode_state
 from hsilab.envs import EnvModel
 from hsilab.pors import PolicyGraph, evaluate_policy_value
 
@@ -76,9 +79,9 @@ def played_tree(policy, dims):
     varying fastest."""
     actions, queries, level = [], [], [0]
     for h in range(1, dims.horizon + 1):
-        actions.append(tuple(policy.action_at(h, n) for n in level))
-        queries.append(tuple(policy.query_at(h, n) for n in level))
-        level = [policy.child(n, r) for n in level for r in range(dims.n_evidence_rows)]
+        actions.append(tuple(policy.actions[n] for n in level))
+        queries.append(tuple(policy.queries[n] for n in level))
+        level = [policy.children[n][r] for n in level for r in range(dims.n_evidence_rows)]
     return tuple(actions), tuple(queries)
 
 
@@ -88,7 +91,7 @@ def brute_force_policy_value(model, policy):
     probability times the rewards of the actions the policy plays at the
     nodes the sequence's feedback reaches.  Symbols come from the model's
     emission tables, read off each state's hidden values; a model without
-    emissions emits None.  The policy steps to ``policy.child(node, row)``
+    emissions emits None.  The policy steps to ``policy.children[node][row]``
     with row ``model.evidence_index`` of the step's feedback, as an agent
     does."""
     dims = model.dims
@@ -101,7 +104,7 @@ def brute_force_policy_value(model, policy):
         prob, node, earned = 1.0, 0, 0.0
         for h in range(1, H + 1):
             s, o = path[2 * h - 2], path[2 * h - 1]
-            action, query = policy.action_at(h, node), policy.query_at(h, node)
+            action, query = policy.actions[node], policy.queries[node]
             prob *= model.initial[s] if h == 1 else joint[h - 2, prev, last, s]
             if o is not None:
                 hidden = [sv[s, i] for i in range(dims.d) if i not in query]
@@ -109,11 +112,45 @@ def brute_force_policy_value(model, policy):
                 prob *= model.emissions[(h, query)][o, code]
             earned += model.rewards[h - 1, s, action]
             hsi = tuple((i, int(sv[s, i])) for i in query)
-            node = policy.child(
-                node, model.evidence_index(h, Feedback(query, hsi, o, 0.0))
-            )
+            node = policy.children[node][
+                model.evidence_index(h, Feedback(query, hsi, o, 0.0))
+            ]
             prev, last = s, action
         total += prob * earned
+    return total
+
+
+def brute_force_markov_value(model, policy):
+    """Exact expected episode reward of a Markov episode policy, by
+    enumeration: the sum, over every sequence of states, of the sequence's
+    probability times the rewards of the actions played.  A
+    ``MarkovEpisodePolicy`` plays ``policy.action(h, code, action)``, where
+    code is the revealed value code (``encode_state`` of the queried
+    sub-states) of the step-(h-1) state and action the step-(h-1) action;
+    for any other policy (``UniformMarkovPolicy``) the sum also runs over
+    every action sequence, each of probability A ** -H."""
+    dims = model.dims
+    H, A = dims.horizon, dims.n_actions
+    sv = model.state_vectors
+    joint = model.joint_transitions() if H > 1 else None
+    uniform = not isinstance(policy, MarkovEpisodePolicy)
+    total = 0.0
+    for states in product(range(model.n_states), repeat=H):
+        for actions in product(range(A), repeat=H) if uniform else [None]:
+            prob, earned, prev, last = 1.0, 0.0, None, None
+            for h, s in enumerate(states, start=1):
+                if uniform:
+                    action = actions[h - 1]
+                    prob /= A
+                else:
+                    code = None if prev is None else encode_state(
+                        [sv[prev, i] for i in policy.query], dims.alphabet_size
+                    )
+                    action = policy.action(h, code, last)
+                prob *= model.initial[s] if h == 1 else joint[h - 2, prev, last, s]
+                earned += model.rewards[h - 1, s, action]
+                prev, last = s, action
+            total += prob * earned
     return total
 
 

@@ -433,10 +433,10 @@ def _play_tree_policy(env, policy, episode, rng):
             self.node = 0
 
         def act(self, h):
-            return policy.action_at(h, self.node), policy.query_at(h, self.node)
+            return policy.actions[self.node], policy.queries[self.node]
 
         def observe(self, h, action, fb):
-            self.node = policy.child(self.node, env.evidence_index(h, fb))
+            self.node = policy.children[self.node][env.evidence_index(h, fb)]
 
         def end_episode(self, trace):
             pass

@@ -424,7 +424,7 @@ def test_sweep_matches_per_key_backup():
             for code in range(nc):
                 values = decode_state(code, 2, len(qs))
                 for a in range(2):
-                    q_backup(qt, (h, qs, values, a), agent.c_bonus, 3)
+                    q_backup(qt, (h, qs, values, a), agent.qt.c_bonus, 3)
     for (h, qs), expected in snapshot.items():
         np.testing.assert_allclose(qt.q[qs][h - 1], expected, rtol=0, atol=1e-12)
 
@@ -514,7 +514,7 @@ def test_record_keeps_the_backup_statistics(case):
     # whole-stack arithmetic on the counts and reward sums
     agent, qset = case
     qt = agent.qt
-    H, c = qt.horizon, agent.c_bonus
+    H, c = qt.horizon, agent.qt.c_bonus
     n, rsum = qt.n[qset], qt.rsum[qset]
     nn = np.where(n > 0, n, 1)
     assert np.array_equal(qt.nn[qset], nn)
@@ -529,7 +529,7 @@ def test_record_keeps_the_backup_statistics(case):
 def test_stacked_sweep_and_policy_equal_per_step_reference(case):
     agent, qset = case
     qt = agent.qt
-    want_q, want_violations = sweep_reference(qt, qset, agent.c_bonus, agent.episode)
+    want_q, want_violations = sweep_reference(qt, qset, agent.qt.c_bonus, agent.episode)
     agent._sweep(qset)
     assert np.array_equal(qt.q[qset], want_q)
     assert agent.invariant_violations == want_violations
@@ -651,7 +651,7 @@ def test_optll_weight_moves_only_for_chosen_substate():
     total = agent._last_total
     agent.begin_episode(2)  # applies the pending update
     # the initial mixture was uniform over 3, so the chosen probability was 1/3
-    expected = math.exp(agent.theta1 * total / (3 * (1 / 3)))
+    expected = math.exp(agent.ws.theta1 * total / (3 * (1 / 3)))
     assert agent.ws.global_w[chosen] == expected
     for i in range(3):
         if i != chosen:
@@ -693,9 +693,9 @@ def test_opmll_block_schedule_and_coverage():
 def test_opmll_theta2_defaults_from_theta1():
     dims = Dims(d=5, alphabet_size=2, d_query=2, horizon=2, n_actions=2)
     agent = OpmllAgent(dims, 1000, np.random.default_rng(0))
-    assert agent.theta2 == default_theta2(5, 2, agent.theta1)
+    assert agent.ws.theta2 == default_theta2(5, 2, agent.ws.theta1)
     explicit = OpmllAgent(dims, 1000, np.random.default_rng(0), theta2=0.03)
-    assert explicit.theta2 == 0.03
+    assert explicit.ws.theta2 == 0.03
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,8 @@
-"""State encoding, dimension bookkeeping, and trace containers."""
+"""State encoding, dimension bookkeeping, trace containers, and the
+package's export list."""
+
+import ast
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,7 +14,6 @@ from hsilab.core import (
     StepRecord,
     decode_state,
     encode_state,
-    hsi_value_tuple,
 )
 
 
@@ -89,7 +92,8 @@ def test_encode_is_bijection(alphabet, d):
 def test_extract_hsi_order_and_values():
     hsi = extract_hsi([1, 0, 1], (0, 2))
     assert hsi == ((0, 1), (2, 1))
-    assert hsi_value_tuple(hsi) == (1, 1)
+    fb = Feedback(query=(0, 2), hsi=hsi, observation=None, reward=0.0)
+    assert fb.values() == (1, 1)
     with pytest.raises(ValueError):
         extract_hsi([1, 0], (2,))
 
@@ -106,3 +110,18 @@ def test_trace_accumulates_total():
     assert len(trace.steps) == 3
     assert trace.total_reward == pytest.approx(1.75)
     assert trace.steps[1].feedback.values() == (1,)
+
+
+def test_package_exports_exactly_the_public_names_it_imports():
+    # a name deleted from its module cannot linger in the export list
+    import hsilab
+
+    tree = ast.parse(Path(hsilab.__file__).read_text(encoding="utf-8"))
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert len(set(hsilab.__all__)) == len(hsilab.__all__)
+    assert set(hsilab.__all__) == {n for n in imported if not n.startswith("_")}

@@ -16,7 +16,7 @@ import pytest
 from hsilab.agents import MarkovEpisodePolicy
 from hsilab.core import ConfigError, Dims, OracleSizeError
 from hsilab.envs import EnvModel, build_controlled_drift_instance, controlled_drift_candidates
-from hsilab import envs, harness, pors
+from hsilab import envs, harness
 from hsilab.harness import (
     CSV_HEADER,
     ResultsTable,
@@ -147,13 +147,13 @@ def _hsilab_under_memory_limit(*args):
     )
 
 
-def _pors_file_config(tmp_path, model, algo_lines=""):
+def _pors_file_config(tmp_path, model, algo_lines="", experiment_lines=""):
     """A config whose file env is the model, with the model as the only
     candidate of a pors algorithm."""
     dump_model(model, tmp_path / "env.model")
     dump_candidates([model], tmp_path / "cands.cfg")
     text = (
-        "[experiment]\nepisodes = 2\nseeds = 0\n\n"
+        f"[experiment]\nepisodes = 2\nseeds = 0\n{experiment_lines}\n"
         f"[env builder=file]\npath = {tmp_path / 'env.model'}\n\n{algo_lines}"
         f"[algo name=pors]\ncandidates = {tmp_path / 'cands.cfg'}\n"
     )
@@ -533,13 +533,14 @@ def test_unbuildable_pors_context_stops_the_config_before_any_episode(
     tmp_path, monkeypatch, capsys
 ):
     # a one-action, one-symbol class at horizon 22 whose belief DP is over
-    # a lowered node cap
+    # the config's node cap
     dims = Dims(
         d=1, alphabet_size=2, d_query=1, horizon=22, n_actions=1, n_observations=1
     )
     deep = random_hidden_observation_model(np.random.default_rng(0), dims)
-    path = _pors_file_config(tmp_path, deep, "[algo name=uniform]\n\n")
-    monkeypatch.setattr(pors, "DEFAULT_NODE_CAP", 10)
+    path = _pors_file_config(
+        tmp_path, deep, "[algo name=uniform]\n\n", "oracle-cap = 10\n"
+    )
     with pytest.raises(OracleSizeError, match="exceeds 10 nodes"):
         load_config(path)
     episodes = []
@@ -556,6 +557,30 @@ def test_unbuildable_pors_context_stops_the_config_before_any_episode(
     assert err.startswith("error:") and "exceeds 10 nodes" in err
     assert "Traceback" not in err
     assert episodes == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "oracle"])
+def test_oracle_cap_bounds_pors_planning(tmp_path, capsys, command):
+    # each drift H=4 candidate's belief DP expands more than 2 beliefs, so
+    # the config's oracle-cap refuses the pors class as it refuses V*, even
+    # with regret reporting off
+    cand_path = tmp_path / "candidates.cfg"
+    dump_candidates(controlled_drift_candidates(horizon=4), cand_path)
+    out = tmp_path / "out"
+    path = _write(tmp_path, (
+        "[experiment]\nepisodes = 2\nseeds = 0\noracle-cap = 2\n"
+        f"regret-mode = off\noutput-dir = {out}\n\n"
+        "[env builder=controlled-drift]\nhorizon = 4\n\n"
+        f"[algo name=pors]\ncandidates = {cand_path}\n"
+    ))
+    assert cli.main([command, path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: ") and "exceeds 2 nodes" in lines[0]
+    assert "Traceback" not in captured.err
     assert not out.exists()
 
 

@@ -31,7 +31,11 @@ from hsilab.oracle import (
 )
 from hsilab.agents import MarkovEpisodePolicy, UniformMarkovPolicy
 from hsilab.pors import evaluate_policy_value
-from policy_reference import full_history_policies, trace_log_likelihood
+from policy_reference import (
+    brute_force_markov_value,
+    full_history_policies,
+    trace_log_likelihood,
+)
 
 
 def mdp_optimal_value(m):
@@ -341,15 +345,22 @@ def test_markov_policy_value_matches_sampling():
 
 @st.composite
 def _prefix_sharing_policies(draw):
-    """A random model and Markov policies over several queries and first
-    actions, most of which copy an earlier policy's query, first action and
-    first decision rows and redraw the rest."""
+    """A random model and Markov policies on it (``_draw_policies``)."""
     H = draw(st.integers(1, 4))
     d = draw(st.integers(2, 3))
     A = draw(st.integers(2, 3))
     dims = Dims(d=d, alphabet_size=2, d_query=draw(st.integers(1, d - 1)),
                 horizon=H, n_actions=A)
     m = random_independent_model(dims, draw(st.integers(0, 999)))
+    return m, _draw_policies(draw, m)
+
+
+def _draw_policies(draw, m):
+    """Markov policies on m over random queries, first actions and
+    decisions, most of which copy an earlier policy's query, first action
+    and first decision rows and redraw the rest."""
+    dims = m.dims
+    H, A = dims.horizon, dims.n_actions
     qsets = dims.query_sets()
     gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     policies = []
@@ -363,7 +374,7 @@ def _prefix_sharing_policies(draw):
             keep = draw(st.integers(0, H - 1))
             decisions[:keep] = base.decisions[:keep]
         policies.append(MarkovEpisodePolicy(query, first, decisions, A))
-    return m, policies
+    return policies
 
 
 @given(_prefix_sharing_policies())
@@ -383,6 +394,33 @@ def test_prefix_memo_returns_the_plain_value_exactly(case):
         m, uniform
     )
     assert memo == before
+
+
+@st.composite
+def _small_models_and_policies(draw):
+    """The groups instance or a small random Class1 model, with Markov
+    policies as in ``_prefix_sharing_policies``."""
+    if draw(st.booleans()):
+        m = build_hard_instance_groups(2, draw(st.sampled_from([0.05, 0.1, 0.25])))
+    else:
+        d = draw(st.integers(1, 3))
+        dims = Dims(d=d, alphabet_size=2, d_query=draw(st.integers(1, d)),
+                    horizon=draw(st.integers(1, 3)), n_actions=draw(st.integers(1, 3)))
+        m = random_independent_model(dims, draw(st.integers(0, 999)))
+    return m, _draw_policies(draw, m)
+
+
+@given(_small_models_and_policies())
+@settings(max_examples=100, deadline=None)
+def test_markov_policy_value_matches_the_brute_force_path_sum(case):
+    m, policies = case
+    policies.append(UniformMarkovPolicy(policies[0].query, m.dims.n_query_values,
+                                        m.dims.n_actions))
+    memo = {}
+    for policy in policies:
+        want = brute_force_markov_value(m, policy)
+        assert abs(evaluate_markov_policy(m, policy) - want) <= 1e-12
+        assert abs(evaluate_markov_policy(m, policy, memo) - want) <= 1e-12
 
 
 def test_prefix_memo_keeps_each_prefix_once():

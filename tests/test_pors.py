@@ -71,14 +71,20 @@ def _trace_for(policy, feedback_path, reward=0.0):
     trace = EpisodeTrace(episode=1)
     node = 0
     for h, (vcode, obs) in enumerate(feedback_path, start=1):
-        action = policy.action_at(h, node)
-        query = policy.query_at(h, node)
+        action = policy.actions[node]
+        query = policy.queries[node]
         hsi = tuple((pos, (vcode // 2**i) % 2) for i, pos in enumerate(query))
         fb = Feedback(query=query, hsi=hsi, observation=obs, reward=reward)
         trace.append(StepRecord(h=h, action=action, feedback=fb))
         n_obs = len(policy.children[node]) // 2
-        node = policy.child(node, vcode * n_obs + (obs or 0))
+        node = policy.children[node][vcode * n_obs + (obs or 0)]
     return trace
+
+
+def _tables(policy):
+    """What a policy graph holds, for comparing graphs by content: a graph
+    equals only itself."""
+    return policy.actions, policy.queries, policy.children
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +97,7 @@ def test_full_history_enumeration_counts():
     # (2 actions x 2 query sets) ^ 5 nodes = 1024 policies
     assert level_node_counts(DRIFT_DIMS) == [1, 4]
     assert len(policies) == 1024
-    assert len(set(policies)) == 1024  # frozen dataclass: all distinct
+    assert len({played_tree(p, DRIFT_DIMS) for p in policies}) == 1024  # all distinct
 
 
 def test_enumeration_order_and_choice_decode():
@@ -116,8 +122,8 @@ def test_tree_child_indexing():
 
     def plays_after(vcode, obs, model=drift):
         fb = Feedback(query=(0,), hsi=((0, vcode),), observation=obs, reward=0.0)
-        node = policy.child(0, model.evidence_index(1, fb))
-        return policy.action_at(2, node), policy.query_at(2, node)
+        node = policy.children[0][model.evidence_index(1, fb)]
+        return policy.actions[node], policy.queries[node]
 
     assert plays_after(0, 0) == (0, (0,))
     assert plays_after(1, 0) == (1, (0,))
@@ -428,10 +434,10 @@ def _play_policy(env, policy, episode, rng):
             self.node = 0
 
         def act(self, h):
-            return policy.action_at(h, self.node), policy.query_at(h, self.node)
+            return policy.actions[self.node], policy.queries[self.node]
 
         def observe(self, h, action, fb):
-            self.node = policy.child(self.node, env.evidence_index(h, fb))
+            self.node = policy.children[self.node][env.evidence_index(h, fb)]
 
         def end_episode(self, trace):
             pass
@@ -617,17 +623,16 @@ def test_planning_context_builds_a_class_too_deep_for_a_feedback_tree():
     assert len(plan.policy.actions) < 200
 
 
-def test_planning_context_refuses_a_class_over_the_node_cap(monkeypatch):
+def test_planning_context_refuses_a_class_over_the_node_cap():
     # the belief DP's node cap bounds the plan; over it the build refuses
     # at once instead of approximating
-    monkeypatch.setattr(pors, "DEFAULT_NODE_CAP", 10)
     t0 = time.perf_counter()
     with pytest.raises(OracleSizeError, match="exceeds 10 nodes"):
-        PlanningContext.build(_deep_class())
+        PlanningContext.build(_deep_class(), cap=10)
     assert time.perf_counter() - t0 < 1.0
 
 
-def test_node_cap_bounds_the_policy_graph(monkeypatch):
+def test_node_cap_bounds_the_policy_graph():
     # a graph holds the DP's expanded beliefs it reaches, up to one step-H
     # node per (step H-1 belief, kernel row) and the default node, so the
     # node cap bounds it; one node under the DP's count refuses the class
@@ -637,11 +642,20 @@ def test_node_cap_bounds_the_policy_graph(monkeypatch):
     for cand, plan in zip(candidates, plans):
         nodes = oracle_report(cand)["nodes"]
         assert len(plan.policy.actions) <= 2 + nodes * (1 + R)
-        monkeypatch.setattr(pors, "DEFAULT_NODE_CAP", nodes - 1)
         with pytest.raises(OracleSizeError, match=f"exceeds {nodes - 1} nodes"):
-            PlanningContext.build([cand])
-        monkeypatch.setattr(pors, "DEFAULT_NODE_CAP", nodes)
-        assert PlanningContext.build([cand]).plans == [plan]
+            PlanningContext.build([cand], cap=nodes - 1)
+        (capped,) = PlanningContext.build([cand], cap=nodes).plans
+        assert _tables(capped.policy) == _tables(plan.policy)
+        assert capped.value == plan.value
+
+
+def test_a_policy_graph_equals_and_hashes_as_itself_only():
+    # a value cache keys a played graph without hashing its nested tuples
+    plan = PlanningContext.build(controlled_drift_candidates(horizon=3)).plans[0]
+    graph = plan.policy
+    assert hash(graph) == object.__hash__(graph)
+    assert graph == graph
+    assert graph != PolicyGraph(*_tables(graph))
 
 
 # ---------------------------------------------------------------------------
@@ -805,7 +819,9 @@ def test_candidate_file_round_trip_preserves_plans(tmp_path):
     assert [m.name for m in loaded] == [m.name for m in candidates]
     original = PlanningContext.build(candidates)
     reloaded = PlanningContext.build(loaded)
-    assert reloaded.plans == original.plans
+    assert [(_tables(p.policy), p.value) for p in reloaded.plans] == [
+        (_tables(p.policy), p.value) for p in original.plans
+    ]
 
 
 def _run_pors(n_episodes, seed, context):
