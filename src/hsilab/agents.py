@@ -37,6 +37,7 @@ from .envs import (
 
 WEIGHT_RENORM_THRESHOLD = 1e100
 MAX_SEQUENCES = 65536  # action sequences the epsilon-greedy bandit tabulates
+UNIFORM_BLOCK_DRAWS = 4096  # integer draws per UniformRandomAgent refill (2048 steps)
 
 
 class ScheduleError(RuntimeError):
@@ -332,7 +333,9 @@ def run_episode(agent, env, k, rng):
     """One episode of the query/act/observe protocol.
 
     The agent sees the environment only through Feedback records; each
-    step's revealed values arrive after the step's action.
+    step's revealed values arrive after the step's action.  Each step's
+    ``Feedback`` and ``StepRecord`` are built positionally; both are
+    slotted, which makes them cheap to build once per step.
     """
     agent.begin_episode(k)
     s = sample_initial(env, rng)
@@ -344,11 +347,11 @@ def run_episode(agent, env, k, rng):
         action, query = agent.act(h)
         r = reward(env, h, s, action, rng)
         vec = vectors[s]
-        hsi = tuple((i, vec[i]) for i in query)
+        hsi = tuple([(i, vec[i]) for i in query])
         obs = emit_observation(env, h, s, query, rng) if emits else None
-        fb = Feedback(query=tuple(query), hsi=hsi, observation=obs, reward=r)
+        fb = Feedback(tuple(query), hsi, obs, r)
         agent.observe(h, action, fb)
-        trace.append(StepRecord(h=h, action=action, feedback=fb))
+        trace.append(StepRecord(h, action, fb))
         if h < H:
             s = transition(env, h, s, action, rng)
     agent.end_episode(trace)
@@ -546,23 +549,38 @@ class OpmllAgent(_OptimisticQAgent):
 
 
 class UniformRandomAgent:
-    """Uniform over actions and query sets, independently each step."""
+    """Uniform over actions and query sets, independently each step.
+
+    Each step takes two bounded draws from the agent's generator, the
+    action and then the query-set index, served from blocks of
+    ``UNIFORM_BLOCK_DRAWS`` (4096) draws made by one ``integers`` call.
+    numpy draws a bounded integer alike in scalar and broadcast calls, so
+    the pairs equal two scalar draws per step, in order.  Within a block
+    the generator runs ahead of the scalar path; nothing else draws from
+    it, as each run derives its own agent generator.
+    """
 
     def __init__(self, dims, rng):
-        self.dims = dims
         self.rng = rng
         self._qsets = dims.query_sets()
         self.episode_policy = UniformMarkovPolicy(
             self._qsets[0], dims.n_query_values, dims.n_actions
         )
+        self._highs = np.tile(
+            [dims.n_actions, len(self._qsets)], UNIFORM_BLOCK_DRAWS // 2
+        )
+        self._block, self._pos = [], 0
 
     def begin_episode(self, k):
         pass
 
     def act(self, h):
-        a = int(self.rng.integers(self.dims.n_actions))
-        q = self._qsets[int(self.rng.integers(len(self._qsets)))]
-        return a, q
+        pos = self._pos
+        if pos == len(self._block):
+            self._block = self.rng.integers(0, self._highs).tolist()
+            pos = 0
+        self._pos = pos + 2
+        return self._block[pos], self._qsets[self._block[pos + 1]]
 
     def observe(self, h, action, fb):
         pass

@@ -120,9 +120,10 @@ def decode_state(index, alphabet_size, d):
     return tuple(out)
 
 
-@dataclass
+@dataclass(slots=True)
 class Feedback:
-    """What the environment reveals after one step's action.
+    """What the environment reveals after one step's action; slotted, so
+    it takes no attribute beyond these four fields.
 
     query       -- the sub-state indices the agent asked for
     hsi         -- (index, value) pairs for the queried sub-states of the
@@ -141,9 +142,10 @@ class Feedback:
         return tuple(v for _, v in self.hsi)
 
 
-@dataclass
+@dataclass(slots=True)
 class StepRecord:
-    """One step of an episode trace as the agent experienced it."""
+    """One step of an episode trace as the agent experienced it; slotted,
+    like ``Feedback``."""
 
     h: int
     action: int

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hsilab.agents import (
+    UNIFORM_BLOCK_DRAWS,
     EpsilonGreedySequenceAgent,
     FixedPolicyAgent,
     MarkovEpisodePolicy,
@@ -823,10 +824,43 @@ def _episode_envs(draw):
     )
 
 
-def _episode_agent(kind, dims, seed):
+def uniform_act_reference(agent, h):
+    """``UniformRandomAgent.act`` as two scalar ``integers`` calls per step,
+    action first; the blocked draws must yield the same pairs."""
+    a = int(agent.rng.integers(agent.episode_policy.n_actions))
+    q = agent._qsets[int(agent.rng.integers(len(agent._qsets)))]
+    return a, q
+
+
+class _ScalarUniformAgent(UniformRandomAgent):
+    """The uniform baseline drawing through ``uniform_act_reference``."""
+
+    act = uniform_act_reference
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 4),
+    st.integers(1, 6),
+    st.integers(1, 5),
+    st.integers(0, 2**32 - 1),
+)
+def test_uniform_agent_blocks_draw_the_scalar_reference_pairs(A, Q, H, seed):
+    dims = Dims(Q, 2, 1, H, A)  # Q sub-states queried one at a time: Q sets
+    agent = UniformRandomAgent(dims, derive_generator(seed, "agent"))
+    ref = _ScalarUniformAgent(dims, derive_generator(seed, "agent"))
+    pairs = UNIFORM_BLOCK_DRAWS // 2
+    for t in range(2 * pairs + 1):  # the first block, then two refills
+        h = t % H + 1
+        assert agent.act(h) == ref.act(h)
+        if t + 1 == 2 * pairs:  # at a block's end the streams meet
+            assert agent.rng.bit_generator.state == ref.rng.bit_generator.state
+
+
+def _episode_agent(kind, dims, seed, reference=False):
     rng = derive_generator(seed, "agent")
     if kind == "uniform":
-        return UniformRandomAgent(dims, rng)
+        return (_ScalarUniformAgent if reference else UniformRandomAgent)(dims, rng)
     if kind == "sequence":
         return EpsilonGreedySequenceAgent(dims, rng)
     A = dims.n_actions
@@ -843,7 +877,7 @@ def _episode_agent(kind, dims, seed):
 )
 def test_run_episode_equals_the_array_indexing_reference(env, kind, seed):
     agent = _episode_agent(kind, env.dims, seed)
-    ref_agent = _episode_agent(kind, env.dims, seed)
+    ref_agent = _episode_agent(kind, env.dims, seed, reference=True)
     rng, ref = SampleRng(seed), SampleRng(seed)
     for k in range(1, 9):
         trace = run_episode(agent, env, k, rng)

@@ -112,6 +112,17 @@ def test_trace_accumulates_total():
     assert trace.steps[1].feedback.values() == (1,)
 
 
+def test_step_records_are_slotted_and_positional():
+    fb = Feedback((0,), ((0, 1),), 2, 1.0)
+    assert fb == Feedback(query=(0,), hsi=((0, 1),), observation=2, reward=1.0)
+    rec = StepRecord(1, 0, fb)
+    assert rec == StepRecord(h=1, action=0, feedback=fb)
+    for record in (fb, rec):
+        assert not hasattr(record, "__dict__")
+        with pytest.raises(AttributeError):
+            record.note = "extra"
+
+
 def test_package_exports_exactly_the_public_names_it_imports():
     # a name deleted from its module cannot linger in the export list
     import hsilab

@@ -421,6 +421,26 @@ def test_generator_vector_draw_equals_scalar_draws(seed, n, offset):
     assert one.bit_generator.state == many.bit_generator.state
 
 
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 3),
+    st.lists(st.one_of(st.just(1), st.integers(1, 2**31 - 1)), max_size=12),
+    st.integers(0, 12),
+)
+@settings(max_examples=100, deadline=None)
+def test_generator_broadcast_integers_equal_scalar_draws(seed, offset, highs, at):
+    # UniformRandomAgent relies on Generator.integers(0, highs) drawing the
+    # same bounded integers, in order, as one scalar integers(h) call per
+    # high, and leaving the generator in the same state; a high of 1 draws
+    # nothing on either path, and every list holds one
+    highs.insert(at % (len(highs) + 1), 1)
+    gen, ref = derive_generator(seed, "agent"), derive_generator(seed, "agent")
+    for _ in range(offset):
+        assert int(gen.integers(7)) == int(ref.integers(7))
+    assert gen.integers(0, highs).tolist() == [int(ref.integers(h)) for h in highs]
+    assert gen.bit_generator.state == ref.bit_generator.state
+
+
 @pytest.mark.parametrize(
     "m",
     [
