@@ -586,20 +586,15 @@ class ResultsTable:
             run.rewards
         )
 
-    def iter_rows(self):
+    def regret_columns(self):
+        """(algo, seed, episodes, regrets) per run in (algo, seed) order;
+        the regrets are NaN in off mode."""
         for run in self.sorted_runs():
-            cum = np.cumsum(run.rewards)
+            n = len(run.rewards)
             regret = self.run_regret(run)
-            for idx in range(len(run.rewards)):
-                yield (
-                    run.algo,
-                    self.env_name,
-                    run.seed,
-                    idx + 1,
-                    float(run.rewards[idx]),
-                    float(cum[idx]),
-                    float("nan") if regret is None else float(regret[idx]),
-                )
+            if regret is None:
+                regret = np.full(n, np.nan)
+            yield run.algo, run.seed, np.arange(1, n + 1), regret
 
     def summary(self):
         """Per algorithm: mean/std of final regret and the mean ratio of
@@ -859,31 +854,45 @@ def _fmt(x):
 
 def write_results_csv(table, path):
     """CSV rows sorted by (algo, seed, episode), with the regret mode and
-    per-algorithm summary attached as comment lines."""
-    lines = [f"# regret_mode={table.regret_mode}"]
-    if table.v_star is not None:
-        lines.append(f"# v_star={_fmt(table.v_star)}")
-    lines.append(CSV_HEADER)
-    for algo, env, seed, episode, reward, cum, regret in table.iter_rows():
-        lines.append(
-            f"{algo},{env},{seed},{episode},{_fmt(reward)},{_fmt(cum)},{_fmt(regret)}"
-        )
-    for algo, stats in sorted(table.summary().items()):
-        lines.append(
-            f"# summary algo={algo} "
-            f"mean_final_regret={_fmt(stats['mean_final_regret'])} "
-            f"std_final_regret={_fmt(stats['std_final_regret'])} "
-            f"mean_quarter_ratio={_fmt(stats['mean_quarter_ratio'])}"
-        )
-    data = "\n".join(lines) + "\n"
+    per-algorithm summary attached as comment lines.
+
+    The file is written one run at a time: a run's rows are formatted from
+    its reward, cumulative-reward and regret columns (NaN in off mode) and
+    written before the next run's, so memory never holds the whole file."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(data)
+        fh.write(f"# regret_mode={table.regret_mode}\n")
+        if table.v_star is not None:
+            fh.write(f"# v_star={_fmt(table.v_star)}\n")
+        fh.write(CSV_HEADER + "\n")
+        for run in table.sorted_runs():
+            n = len(run.rewards)
+            regret = table.run_regret(run)
+            regret = [math.nan] * n if regret is None else regret.tolist()
+            prefix = f"{run.algo},{table.env_name},{run.seed},".replace("%", "%%")
+            row = prefix + "%d,%.9g,%.9g,%.9g\n"
+            columns = zip(
+                range(1, n + 1),
+                run.rewards.tolist(),
+                np.cumsum(run.rewards).tolist(),
+                regret,
+            )
+            fh.write("".join([row % values for values in columns]))
+        for algo, stats in sorted(table.summary().items()):
+            fh.write(
+                f"# summary algo={algo} "
+                f"mean_final_regret={_fmt(stats['mean_final_regret'])} "
+                f"std_final_regret={_fmt(stats['std_final_regret'])} "
+                f"mean_quarter_ratio={_fmt(stats['mean_quarter_ratio'])}\n"
+            )
     return path
 
 
 @dataclass
 class CsvData:
-    """Parsed results CSV: enough structure to re-plot it."""
+    """Parsed results CSV: its regret mode and its rows, as
+    (algo, env, seed, episode, reward, cum_reward, regret) tuples in file
+    order.  ``regret_columns`` groups them for ``emit_plot_svg``, so a
+    replot goes through the same path as a ``ResultsTable``."""
 
     regret_mode: str
     rows: list
@@ -895,8 +904,23 @@ class CsvData:
     def iter_rows(self):
         return iter(self.rows)
 
+    def regret_columns(self):
+        """(algo, seed, episodes, regrets) per (algo, seed) in sorted order,
+        each run's points sorted by episode."""
+        groups = {}
+        for algo, _env, seed, episode, _reward, _cum, regret in self.rows:
+            groups.setdefault((algo, seed), []).append((episode, regret))
+        for (algo, seed), points in sorted(groups.items()):
+            points.sort()
+            episodes, regrets = zip(*points)
+            yield algo, seed, np.array(episodes), np.array(regrets)
+
 
 def read_results_csv(path):
+    """Parse a results CSV.  Besides malformed lines, a row is refused
+    (ConfigError naming file:line) when its regret is infinite (the NaN of
+    off mode is accepted), its episode lies outside 1..MAX_TABLE_CELLS, or
+    it repeats an (algo, seed, episode) of an earlier row."""
     try:
         with open(path, encoding="utf-8") as fh:
             raw = fh.read()
@@ -904,6 +928,7 @@ def read_results_csv(path):
         raise ConfigError(f"cannot read CSV {path}: {exc}") from exc
     mode = "expected"
     rows = []
+    seen = set()
     header_seen = False
     for lineno, line in enumerate(raw.splitlines(), start=1):
         line = line.strip()
@@ -925,19 +950,32 @@ def read_results_csv(path):
         if len(parts) != 7:
             raise ConfigError(f"{path}:{lineno}: expected 7 columns, got {len(parts)}")
         try:
-            rows.append(
-                (
-                    parts[0],
-                    parts[1],
-                    int(parts[2]),
-                    int(parts[3]),
-                    float(parts[4]),
-                    float(parts[5]),
-                    float(parts[6]),
-                )
+            row = (
+                parts[0],
+                parts[1],
+                int(parts[2]),
+                int(parts[3]),
+                float(parts[4]),
+                float(parts[5]),
+                float(parts[6]),
             )
         except ValueError:
             raise ConfigError(f"{path}:{lineno}: malformed row {line!r}") from None
+        algo, _env, seed, episode, _reward, _cum, regret = row
+        if not 1 <= episode <= MAX_TABLE_CELLS:
+            raise ConfigError(
+                f"{path}:{lineno}: episode must lie in 1..{MAX_TABLE_CELLS}, "
+                f"got {episode}"
+            )
+        if math.isinf(regret):
+            raise ConfigError(f"{path}:{lineno}: regret must be finite, got {regret}")
+        if (algo, seed, episode) in seen:
+            raise ConfigError(
+                f"{path}:{lineno}: repeats episode {episode} of algo {algo!r}, "
+                f"seed {seed}"
+            )
+        seen.add((algo, seed, episode))
+        rows.append(row)
     if not header_seen:
         raise ConfigError(f"{path}: missing CSV header")
     return CsvData(regret_mode=mode, rows=rows)
@@ -946,11 +984,11 @@ def read_results_csv(path):
 # -- SVG -------------------------------------------------------------------------
 
 
-def _decimate(indices, limit=MAX_PLOT_POINTS):
-    if len(indices) <= limit:
-        return indices
-    keep = np.unique(np.linspace(0, len(indices) - 1, limit).astype(int))
-    return [indices[i] for i in keep]
+def _decimate(n, limit=MAX_PLOT_POINTS):
+    """Indices of the points a line of n points keeps on the plot."""
+    if n <= limit:
+        return np.arange(n)
+    return np.unique(np.linspace(0, n - 1, limit).astype(int))
 
 
 def _tick_values(lo, hi, n=5):
@@ -961,25 +999,33 @@ def _tick_values(lo, hi, n=5):
 
 def emit_plot_svg(table, path):
     """Self-contained SVG: cumulative regret vs episode, one color per
-    algorithm, faint per-seed traces plus a solid mean line."""
-    series = {}
+    algorithm, faint per-seed traces plus a solid mean line.
+
+    ``table`` is a ``ResultsTable`` or a ``CsvData``; both supply
+    per-(algo, seed) episode and regret columns.  NaN regrets are dropped;
+    a line of more than ``MAX_PLOT_POINTS`` points keeps evenly spaced ones,
+    and only those are formatted.  The mean line's value at an episode is
+    the mean over the seeds that have a regret there, taken only at the
+    episodes the line keeps."""
+    series = {}  # algo -> [(episodes, regrets) per seed with any regret]
     max_x = -math.inf
-    regrets = []
-    for algo, _env, seed, episode, _r, _c, regret in table.iter_rows():
-        series.setdefault(algo, {}).setdefault(seed, []).append((episode, regret))
-        max_x = max(max_x, episode)
-        if not math.isnan(regret):
-            regrets.append(regret)
+    for algo, _seed, episodes, regrets in table.regret_columns():
+        max_x = max(max_x, int(episodes[-1]))
+        kept = ~np.isnan(regrets)
+        lines = series.setdefault(algo, [])
+        if kept.any():
+            lines.append((episodes[kept], regrets[kept]))
     if not series:
         raise ConfigError("no rows to plot")
-    if not regrets:
+    plotted = [regrets for lines in series.values() for _, regrets in lines]
+    if not plotted:
         raise ConfigError("no regret data to plot (regret reporting was off)")
 
     width, height = 760, 480
     left, right, top, bottom = 72, 180, 48, 56
     plot_w, plot_h = width - left - right, height - top - bottom
-    max_y = max(regrets)
-    lo_y = min(0.0, min(regrets))
+    max_y = max(float(regrets.max()) for regrets in plotted)
+    lo_y = min(0.0, min(float(regrets.min()) for regrets in plotted))
     hi_y = max_y if max_y > lo_y else lo_y + 1.0
 
     def sx(x):
@@ -1037,30 +1083,36 @@ def emit_plot_svg(table, path):
         "cumulative regret</text>"
     )
 
-    def polyline(points, color, opacity, width_px):
-        coords = " ".join(f"{sx(x):.1f},{sy(y):.1f}" for x, y in points)
+    def polyline(episodes, regrets, color, opacity, width_px):
+        # sx and sy over arrays: the same float operations in the same order
+        xs = sx(episodes).tolist()
+        ys = sy(regrets).tolist()
+        coords = " ".join(["%.1f,%.1f" % point for point in zip(xs, ys)])
         return (
             f'<polyline fill="none" stroke="{color}" '
             f'stroke-opacity="{opacity}" stroke-width="{width_px}" '
             f'points="{coords}"/>'
         )
 
-    for idx, (algo, by_seed) in enumerate(sorted(series.items())):
+    for idx, (algo, lines) in enumerate(sorted(series.items())):
         color = SVG_PALETTE[idx % len(SVG_PALETTE)]
-        grids = []
-        for seed in sorted(by_seed):
-            pts = sorted(by_seed[seed])
-            pts = [p for p in pts if not math.isnan(p[1])]
-            if not pts:
-                continue
-            grids.append(dict(pts))
-            parts.append(polyline(_decimate(pts), color, 0.25, 1))
-        episodes = sorted(set().union(*grids)) if grids else []
-        mean_pts = [
-            (e, float(np.mean([g[e] for g in grids if e in g]))) for e in episodes
-        ]
-        if mean_pts:
-            parts.append(polyline(_decimate(mean_pts), color, 1.0, 2))
+        for episodes, regrets in lines:
+            keep = _decimate(len(episodes))
+            parts.append(polyline(episodes[keep], regrets[keep], color, 0.25, 1))
+        if lines:
+            union = np.unique(np.concatenate([episodes for episodes, _ in lines]))
+            mean_episodes = union[_decimate(len(union))]
+            grids = []  # per seed, its regret at each kept episode it has
+            for episodes, regrets in lines:
+                pos = np.searchsorted(episodes, mean_episodes).clip(max=len(episodes) - 1)
+                hit = episodes[pos] == mean_episodes
+                grids.append(
+                    dict(zip(mean_episodes[hit].tolist(), regrets[pos[hit]].tolist()))
+                )
+            means = [
+                np.mean([g[e] for g in grids if e in g]) for e in mean_episodes.tolist()
+            ]
+            parts.append(polyline(mean_episodes, np.array(means), color, 1.0, 2))
         ly = top + 16 + 18 * idx
         lx = left + plot_w + 16
         parts.append(

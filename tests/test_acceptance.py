@@ -48,7 +48,13 @@ from hsilab.pors import (
     evaluate_policy_value,
     feedback_log_likelihood,
 )
-from hsilab.harness import load_config, run_suite, verify_instance, write_results_csv
+from hsilab.harness import (
+    emit_plot_svg,
+    load_config,
+    run_suite,
+    verify_instance,
+    write_results_csv,
+)
 from hsilab.serialize import dump_candidates
 from policy_reference import full_history_policies, random_hidden_observation_model
 
@@ -612,10 +618,12 @@ def test_gate_12_reruns_byte_identical(tmp_path):
         cfg_path.write_text(text, encoding="utf-8")
         blobs = []
         for attempt in ("first", "second"):
-            out = tmp_path / f"{name}-{attempt}.csv"
-            write_results_csv(run_suite(load_config(str(cfg_path))), out)
-            blobs.append(out.read_bytes())
-        results.append((name, blobs[0] == blobs[1], len(blobs[0])))
+            table = run_suite(load_config(str(cfg_path)))
+            csv = write_results_csv(table, tmp_path / f"{name}-{attempt}.csv")
+            svg = emit_plot_svg(table, tmp_path / f"{name}-{attempt}.svg")
+            blobs.append((csv.read_bytes(), svg.read_bytes()))
+        for kind, first, second in zip(("csv", "svg"), *blobs):
+            results.append((f"{name} {kind}", first == second, len(first)))
     ok = all(same for _, same, _ in results)
     detail = ", ".join(
         f"{name}: {'identical' if same else 'DIFFERENT'} ({size} bytes)"

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -32,6 +33,11 @@ from hsilab.harness import (
 from hsilab.pors import PlanningContext
 from hsilab.serialize import dump_candidates, dump_model
 from hsilab import cli
+from output_reference import (
+    emit_plot_svg_reference,
+    table_rows,
+    write_results_csv_reference,
+)
 from policy_reference import random_hidden_observation_model
 
 
@@ -732,7 +738,7 @@ def test_run_suite_rows_and_summary(tmp_path):
     table = run_suite(cfg)
     assert table.regret_mode == "expected"  # auto resolves to expected
     assert abs(table.v_star - 0.6) < 1e-9
-    rows = list(table.iter_rows())
+    rows = list(table_rows(table))
     assert len(rows) == 2 * 2 * 10
     # sorted by (algo, seed, episode)
     keys = [(r[0], r[2], r[3]) for r in rows]
@@ -806,7 +812,7 @@ def test_fixed_agent_on_file_env(tmp_path):
     cfg = load_config(_write(tmp_path, text, name="fixed.cfg"))
     table = run_suite(cfg)
     assert table.v_star == 1.0
-    rows = list(table.iter_rows())
+    rows = list(table_rows(table))
     assert [r[4] for r in rows] == [1.0, 1.0, 1.0]  # reward
     assert [r[5] for r in rows] == [1.0, 2.0, 3.0]  # cumulative reward
     assert [r[6] for r in rows] == [0.0, 0.0, 0.0]  # realized regret
@@ -823,7 +829,7 @@ def test_pors_through_harness(tmp_path):
     table = run_suite(cfg)
     assert table.regret_mode == "expected"
     assert abs(table.v_star - 0.8) < 1e-9
-    rows = list(table.iter_rows())
+    rows = list(table_rows(table))
     assert len(rows) == 5
     for row in rows:
         assert row[6] >= -1e-12  # regret never negative for exact values
@@ -918,7 +924,7 @@ def test_regret_off_mode(tmp_path):
     table = run_suite(cfg)
     assert table.regret_mode == "off"
     assert table.v_star is None
-    rows = list(table.iter_rows())
+    rows = list(table_rows(table))
     assert all(math.isnan(r[6]) for r in rows)
     with pytest.raises(ConfigError):
         emit_plot_svg(table, tmp_path / "never.svg")
@@ -956,7 +962,7 @@ def test_csv_layout_and_round_trip(tmp_path):
     data = read_results_csv(path)
     assert data.regret_mode == "expected"
     assert data.env_name == "groups-d2-q1"
-    original = list(table.iter_rows())
+    original = list(table_rows(table))
     parsed = list(data.iter_rows())
     assert len(parsed) == len(original)
     for ours, theirs in zip(original, parsed):
@@ -975,7 +981,7 @@ def test_read_csv_round_trips_written_csv(tmp_path, label, mode):
     data = read_results_csv(path)
     assert data.regret_mode == mode
     written = [
-        row[:4] + tuple(float("%.9g" % x) for x in row[4:]) for row in table.iter_rows()
+        row[:4] + tuple(float("%.9g" % x) for x in row[4:]) for row in table_rows(table)
     ]
     assert [row[:4] for row in data.iter_rows()] == [row[:4] for row in written]
     np.testing.assert_array_equal(
@@ -1037,6 +1043,107 @@ def test_plot_from_reloaded_csv(tmp_path):
     svg_path = tmp_path / "replot.svg"
     emit_plot_svg(data, svg_path)
     ET.fromstring(svg_path.read_text(encoding="utf-8"))
+
+
+# ---------------------------------------------------------------------------
+# the column writers against the row-wise references
+
+
+def _seeded_table(mode, n_episodes):
+    """Two algorithms x three seeds of seeded rewards (and policy values in
+    expected mode); labels and env name carry '%' to catch a prefix used
+    as a format string."""
+    rng = np.random.default_rng(n_episodes)
+    runs = []
+    for algo in ("b%d", "a"):
+        for seed in (11, 0, 3):
+            if algo == "a":
+                rewards = rng.integers(0, 3, n_episodes) * 0.5
+            else:
+                rewards = rng.uniform(0.0, 2.0, n_episodes)
+            values = rng.uniform(0.0, 1.7, n_episodes) if mode == "expected" else None
+            runs.append(RunResult(algo, seed, rewards, values))
+    return ResultsTable("env-%s", mode, None if mode == "off" else 1.7, runs)
+
+
+def _data_lines_shuffled(src, dst, seed=0):
+    lines = src.read_text(encoding="utf-8").splitlines(keepends=True)
+    start = lines.index(CSV_HEADER + "\n") + 1
+    stop = next(i for i in range(start, len(lines)) if lines[i].startswith("#"))
+    body = lines[start:stop]
+    np.random.default_rng(seed).shuffle(body)
+    dst.write_text("".join(lines[:start] + body + lines[stop:]), encoding="utf-8")
+
+
+@pytest.mark.parametrize("n_episodes", [1, 999, 1000, 1001, 2500])
+@pytest.mark.parametrize("mode", ["expected", "realized", "off"])
+def test_writers_equal_the_row_wise_references(tmp_path, mode, n_episodes):
+    # 1000 is MAX_PLOT_POINTS: lines of 1001 and 2500 points are decimated
+    table = _seeded_table(mode, n_episodes)
+    csv = write_results_csv(table, tmp_path / "results.csv")
+    ref_csv = write_results_csv_reference(table, tmp_path / "reference.csv")
+    assert csv.read_bytes() == ref_csv.read_bytes()
+    if mode == "off":
+        return
+    svg = emit_plot_svg(table, tmp_path / "results.svg")
+    ref_svg = emit_plot_svg_reference(table, tmp_path / "reference.svg")
+    assert svg.read_bytes() == ref_svg.read_bytes()
+
+    shuffled = tmp_path / "shuffled.csv"
+    _data_lines_shuffled(csv, shuffled)
+    replots = []
+    for source in (csv, shuffled):
+        data = read_results_csv(source)
+        replot = emit_plot_svg(data, tmp_path / "replot.svg").read_bytes()
+        reference = emit_plot_svg_reference(data, tmp_path / "ref-replot.svg")
+        assert replot == reference.read_bytes()
+        replots.append(replot)
+    assert replots[0] == replots[1]
+
+
+def test_replot_of_ragged_csv_equals_the_reference(tmp_path):
+    # seeds that stop early, a seed with no regret at all and NaN regrets
+    # inside a line: each mean point averages the seeds that have it
+    table = _seeded_table("realized", 2500)
+    csv = write_results_csv(table, tmp_path / "results.csv")
+    kept = []
+    for line in csv.read_text(encoding="utf-8").splitlines(keepends=True):
+        parts = line.split(",")
+        if len(parts) == 7 and parts[0] != "algo":
+            algo, seed, episode = parts[0], int(parts[2]), int(parts[3])
+            if seed == 3 and episode > 1700 or algo == "a" and seed == 0 and episode > 10:
+                continue
+            if seed == 11 and episode % 7 == 0 or algo == "b%d" and seed == 0:
+                line = ",".join(parts[:6] + ["nan\n"])
+        kept.append(line)
+    ragged = tmp_path / "ragged.csv"
+    ragged.write_text("".join(kept), encoding="utf-8")
+    data = read_results_csv(ragged)
+    svg = emit_plot_svg(data, tmp_path / "ragged.svg")
+    reference = emit_plot_svg_reference(data, tmp_path / "reference.svg")
+    assert svg.read_bytes() == reference.read_bytes()
+
+
+def test_csv_is_written_one_run_at_a_time(tmp_path):
+    # 20 runs x 5000 episodes, the bandit-tree workload's size: the row-wise
+    # writer held every line and their join, about five times the file
+    rng = np.random.default_rng(7)
+    runs = [
+        RunResult(algo, seed, rng.integers(0, 2, 5000) * 1.0)
+        for algo in ("greedy", "uniform")
+        for seed in range(10)
+    ]
+    table = ResultsTable("tree-a2-d3", "realized", 0.6, runs)
+    path = tmp_path / "results.csv"
+    tracemalloc.start()
+    try:
+        write_results_csv(table, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert size > 2_000_000
+    assert peak < size / 2, (peak, size)
 
 
 # ---------------------------------------------------------------------------
@@ -1166,6 +1273,44 @@ def test_cli_plot_round_trip(tmp_path):
     svg = tmp_path / "replot.svg"
     assert cli.main(["plot", str(out_dir / "results.csv"), "-o", str(svg)]) == 0
     assert svg.exists()
+
+
+def _set_field(lines, lineno, column, value):
+    parts = lines[lineno - 1].split(",")
+    parts[column] = value
+    lines[lineno - 1] = ",".join(parts)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda lines: _set_field(lines, 5, 6, "inf"), "5: regret must be finite, got inf"),
+        (lambda lines: _set_field(lines, 6, 6, "-inf"), "6: regret must be finite, got -inf"),
+        (lambda lines: _set_field(lines, 7, 3, "-5"), "7: episode must lie in 1..134217728, got -5"),
+        (lambda lines: _set_field(lines, 7, 3, "0"), "7: episode must lie in 1..134217728, got 0"),
+        (lambda lines: lines.insert(8, lines[4]), "9: repeats episode 2 of algo 'tll', seed 0"),
+    ],
+    ids=["regret-inf", "regret-minus-inf", "episode-minus-5", "episode-0", "repeated-episode"],
+)
+def test_cli_plot_refuses_bad_rows_without_traceback(tmp_path, edit, message):
+    # these rows drew NaN coordinates, points left of the y axis or a
+    # silently dropped point, and hsilab plot exited 0
+    table = run_suite(load_config(_write(tmp_path, GROUPS_CFG)))
+    lines = write_results_csv(table, tmp_path / "results.csv").read_text().splitlines()
+    assert lines[2] == CSV_HEADER and lines[3].startswith("tll,groups-d2-q1,0,1,")
+    edit(lines)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    svg = tmp_path / "bad.svg"
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "hsilab", "plot", str(bad), "-o", str(svg)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: {bad}:{message}\n"
+    assert not svg.exists()
 
 
 def test_cli_run_rejects_file_model_with_nan(tmp_path, capsys):
