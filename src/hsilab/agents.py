@@ -28,6 +28,7 @@ import numpy as np
 
 from .core import EpisodeTrace, Feedback, StepRecord, encode_state
 from .envs import (
+    BLOCK_DRAWS,
     _draw_categorical,
     emit_observation,
     reward,
@@ -37,7 +38,6 @@ from .envs import (
 
 WEIGHT_RENORM_THRESHOLD = 1e100
 MAX_SEQUENCES = 65536  # action sequences the epsilon-greedy bandit tabulates
-UNIFORM_BLOCK_DRAWS = 4096  # integer draws per UniformRandomAgent refill (2048 steps)
 
 
 class ScheduleError(RuntimeError):
@@ -509,7 +509,6 @@ class OpmllAgent(_OptimisticQAgent):
         self._block_rewards = []
         self._block_sets = []
         self.selection_log = []  # (episode, leader, query set) per episode
-        self.rewarding_log = []  # in-block sampled "rewarding" sub-state
 
     def begin_episode(self, k):
         self.episode = k
@@ -537,8 +536,7 @@ class OpmllAgent(_OptimisticQAgent):
         self.invariant_violations.extend(
             f"episode {k}: {v}" for v in self.ws.floor_violations()
         )
-        rewarding = qset[_draw_categorical(self.ws.local_p, self.rng)]
-        self.rewarding_log.append(rewarding)
+        _draw_categorical(self.ws.local_p, self.rng)  # advances the agent stream
         self.selection_log.append((k, self.ws.leader, qset))
         self._start_episode_common(qset)
 
@@ -553,7 +551,7 @@ class UniformRandomAgent:
 
     Each step takes two bounded draws from the agent's generator, the
     action and then the query-set index, served from blocks of
-    ``UNIFORM_BLOCK_DRAWS`` (4096) draws made by one ``integers`` call.
+    ``BLOCK_DRAWS`` (4096) draws made by one ``integers`` call.
     numpy draws a bounded integer alike in scalar and broadcast calls, so
     the pairs equal two scalar draws per step, in order.  Within a block
     the generator runs ahead of the scalar path; nothing else draws from
@@ -567,7 +565,7 @@ class UniformRandomAgent:
             self._qsets[0], dims.n_query_values, dims.n_actions
         )
         self._highs = np.tile(
-            [dims.n_actions, len(self._qsets)], UNIFORM_BLOCK_DRAWS // 2
+            [dims.n_actions, len(self._qsets)], BLOCK_DRAWS // 2
         )
         self._block, self._pos = [], 0
 

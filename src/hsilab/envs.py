@@ -17,6 +17,7 @@ view of one query set's block.
 
 import hashlib
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -36,6 +37,10 @@ ATOL = 1e-12
 # Largest table a builder may allocate, in float64 cells (1 GiB).
 MAX_TABLE_CELLS = 2**27
 
+# Draws per refill of a blocked stream: a SampleRng stream's doubles and
+# the uniform baseline's bounded integers.
+BLOCK_DRAWS = 4096
+
 
 def derive_generator(seed, label):
     """Independent numpy generator for (seed, stream label)."""
@@ -43,22 +48,51 @@ def derive_generator(seed, label):
     return np.random.default_rng(int.from_bytes(digest[:8], "little"))
 
 
+def _block_doubles(gen):
+    """``gen``'s doubles in stream order, one ``random(BLOCK_DRAWS)`` call
+    per block, each drawn once the previous one is used up.  A memoryview
+    makes each float only when it is read."""
+    while True:
+        yield from memoryview(gen.random(BLOCK_DRAWS))
+
+
+class BlockStream:
+    """``gen``'s doubles served from blocks: ``random()`` is the next double,
+    ``take(n)`` the next n as a list.  ``Generator.random(n)`` yields the
+    same doubles, in order, as n scalar calls, so these are the scalar
+    ``gen.random()`` draws, and after a whole number of blocks ``gen`` is
+    where those draws leave it."""
+
+    __slots__ = ("gen", "random", "_doubles")
+
+    def __init__(self, gen):
+        self.gen = gen
+        self._doubles = _block_doubles(gen)
+        self.random = self._doubles.__next__
+
+    def take(self, n):
+        return list(islice(self._doubles, n))
+
+
 class SampleRng:
     """Named random streams for one run: init/transition/reward/emission.
 
     Separate streams mean a change in the agent's query policy (which only
-    affects emission draws) never perturbs transitions or rewards.
+    affects emission draws) never perturbs transitions or rewards.  Each
+    stream is a ``BlockStream`` over its own derived generator: its doubles
+    come from blocks of ``BLOCK_DRAWS``, in stream order.
     """
 
     STREAMS = ("init", "transition", "reward", "emission")
 
     def __init__(self, seed):
         for label in self.STREAMS:
-            setattr(self, label, derive_generator(int(seed), label))
+            setattr(self, label, BlockStream(derive_generator(int(seed), label)))
 
 
 def _draw_categorical(p, gen):
-    """One sample from a probability row using a single uniform draw.
+    """One sample from a probability row using a single ``gen.random()``
+    draw (``gen`` is a numpy Generator or a ``BlockStream``).
 
     When rounding leaves the row's running sum at or below the draw, the
     sample is the last index with positive mass, never a zero-mass one.
@@ -370,7 +404,7 @@ def transition(m, h, s, a, rng):
     """Draw the successor of (state s, action a) at step h (1 <= h <= H-1).
 
     Product-form models consume one transition draw per sub-state, taken
-    in one call (the same doubles, in order, as d scalar draws), joint
+    together (the same doubles, in order, as d scalar draws), joint
     models one draw total; the count never depends on the sampled values.
     Each sub-state's value is read off its row as ``_draw_categorical``
     reads it, and the values are encoded little-endian as ``encode_state``.
@@ -382,7 +416,7 @@ def transition(m, h, s, a, rng):
         _, product, vectors = m.sampling_rows()
         rows = product[h - 1]
         V = dims.alphabet_size
-        draws = rng.transition.random(dims.d).tolist()
+        draws = rng.transition.take(dims.d)
         code, weight = 0, 1
         for sub_rows, v, u in zip(rows, vectors[s], draws):
             row = sub_rows[v][a]

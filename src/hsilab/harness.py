@@ -920,7 +920,10 @@ def read_results_csv(path):
     """Parse a results CSV.  Besides malformed lines, a row is refused
     (ConfigError naming file:line) when its regret is infinite (the NaN of
     off mode is accepted), its episode lies outside 1..MAX_TABLE_CELLS, or
-    it repeats an (algo, seed, episode) of an earlier row."""
+    it repeats an (algo, seed, episode) of an earlier row.  A file is
+    refused (ConfigError naming it) when its finite regrets are too far
+    apart for the plot's scale, or too large for its mean over the runs,
+    to be a float."""
     try:
         with open(path, encoding="utf-8") as fh:
             raw = fh.read()
@@ -978,6 +981,17 @@ def read_results_csv(path):
         rows.append(row)
     if not header_seen:
         raise ConfigError(f"{path}: missing CSV header")
+    regrets = [row[6] for row in rows if not math.isnan(row[6])]
+    if regrets:
+        # the plot spans min(0, lo)..hi and sums up to one regret per run;
+        # max(hi - lo, -lo) bounds both the span and every |regret|
+        lo, hi = min(0.0, min(regrets)), max(regrets)
+        runs = len({(row[0], row[2]) for row in rows})
+        if not math.isfinite(max(hi - lo, -lo) * runs):
+            raise ConfigError(
+                f"{path}: regrets from {lo!r} to {hi!r} over {runs} runs "
+                "overflow the plot's scale"
+            )
     return CsvData(regret_mode=mode, rows=rows)
 
 

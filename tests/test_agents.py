@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hsilab.agents import (
-    UNIFORM_BLOCK_DRAWS,
     EpsilonGreedySequenceAgent,
     FixedPolicyAgent,
     MarkovEpisodePolicy,
@@ -37,6 +36,7 @@ from hsilab.core import (
     encode_state,
 )
 from hsilab.envs import (
+    BLOCK_DRAWS,
     EnvModel,
     SampleRng,
     _draw_categorical,
@@ -849,7 +849,7 @@ def test_uniform_agent_blocks_draw_the_scalar_reference_pairs(A, Q, H, seed):
     dims = Dims(Q, 2, 1, H, A)  # Q sub-states queried one at a time: Q sets
     agent = UniformRandomAgent(dims, derive_generator(seed, "agent"))
     ref = _ScalarUniformAgent(dims, derive_generator(seed, "agent"))
-    pairs = UNIFORM_BLOCK_DRAWS // 2
+    pairs = BLOCK_DRAWS // 2
     for t in range(2 * pairs + 1):  # the first block, then two refills
         h = t % H + 1
         assert agent.act(h) == ref.act(h)
@@ -885,8 +885,11 @@ def test_run_episode_equals_the_array_indexing_reference(env, kind, seed):
         for step in trace.steps:
             assert all(type(v) is int for _, v in step.feedback.hsi)
     for label in SampleRng.STREAMS:
-        state = getattr(rng, label).bit_generator.state
-        assert state == getattr(ref, label).bit_generator.state
+        # equal generator states pin the blocks drawn, and the next double
+        # the position within the block
+        stream, ref_stream = getattr(rng, label), getattr(ref, label)
+        assert stream.gen.bit_generator.state == ref_stream.gen.bit_generator.state
+        assert stream.random() == ref_stream.random()
 
 
 def test_uniform_agent_reward_mean_on_groups():

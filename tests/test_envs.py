@@ -15,6 +15,7 @@ from hsilab.core import (
     encode_state,
 )
 from hsilab.envs import (
+    BLOCK_DRAWS,
     EnvModel,
     SampleRng,
     _draw_categorical,
@@ -55,7 +56,55 @@ def test_sample_rng_streams():
     rng = SampleRng(5)
     assert {"init", "transition", "reward", "emission"} <= set(rng.STREAMS)
     again = SampleRng(5)
-    np.testing.assert_array_equal(rng.reward.random(4), again.reward.random(4))
+    for label in rng.STREAMS:
+        stream, other = getattr(rng, label), getattr(again, label)
+        assert stream.take(4) == [other.random() for _ in range(4)]
+
+
+def _n_draws(sizes):
+    return sum(1 if n is None else n for n in sizes)
+
+
+@st.composite
+def _block_draw_plans(draw):
+    """Draw sizes (None for one scalar draw, n for ``take(n)``) that pass at
+    least two block ends.  Each end is met exactly by a take or by a scalar
+    draw, straddled by one take, or passed together with the next end."""
+    sizes, used = [], 0
+    while used < 2 * BLOCK_DRAWS:
+        plan = draw(st.lists(st.one_of(st.none(), st.integers(0, 9)), max_size=4))
+        gap = BLOCK_DRAWS - (used + _n_draws(plan)) % BLOCK_DRAWS
+        how = draw(st.sampled_from(["take", "scalar", "straddle", "span"]))
+        if how == "take":
+            plan.append(gap)
+        elif how == "scalar":
+            plan += [gap - 1, None]
+        elif how == "straddle":
+            plan.append(gap + draw(st.integers(1, 9)))
+        else:
+            plan.append(gap + BLOCK_DRAWS + draw(st.integers(0, 9)))
+        sizes += plan
+        used += _n_draws(plan)
+    return sizes
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from(SampleRng.STREAMS), _block_draw_plans())
+@settings(max_examples=30, deadline=None)
+def test_block_streams_equal_plain_scalar_draws(seed, label, sizes):
+    # each SampleRng stream serves exactly the doubles of scalar random()
+    # calls on its derived generator, and refills only when a block is used
+    # up: at every block end its generator is where the scalar one is
+    stream = getattr(SampleRng(seed), label)
+    plain = derive_generator(seed, label)
+    assert stream.gen.bit_generator.state == plain.bit_generator.state
+    for i, n in enumerate(sizes):
+        if n is None:
+            assert stream.random() == plain.random()
+        else:
+            assert stream.take(n) == [plain.random() for _ in range(n)]
+        if _n_draws(sizes[: i + 1]) % BLOCK_DRAWS == 0:
+            assert stream.gen.bit_generator.state == plain.bit_generator.state
+    assert _n_draws(sizes) >= 2 * BLOCK_DRAWS
 
 
 @given(st.integers(0, 2**32), st.integers(1, 6))
@@ -315,7 +364,10 @@ def product_transition_reference(m, h, s, a, rng):
 
 
 def _stream_states(rng):
-    return [getattr(rng, label).bit_generator.state for label in rng.STREAMS]
+    """Each stream's generator state, which pins the blocks it has drawn,
+    and its next double, which pins its position in the block."""
+    streams = [getattr(rng, label) for label in rng.STREAMS]
+    return [(s.gen.bit_generator.state, s.random()) for s in streams]
 
 
 @given(
@@ -343,19 +395,20 @@ def test_product_sampling_draws_the_reference_stream(d, V, H, A, seed):
 
 
 class _ScriptedDraws:
-    """A stand-in generator that hands out given doubles in order, one per
-    scalar draw and n per ``random(n)``."""
+    """A stand-in stream that hands out given doubles in order, one per
+    ``random()`` and n per ``take(n)``."""
 
     def __init__(self, values):
         self.values = list(values)
         self.used = 0
 
-    def random(self, size=None):
-        if size is None:
-            self.used += 1
-            return self.values[self.used - 1]
-        self.used += size
-        return np.array(self.values[self.used - size : self.used])
+    def random(self):
+        self.used += 1
+        return self.values[self.used - 1]
+
+    def take(self, n):
+        self.used += n
+        return self.values[self.used - n : self.used]
 
 
 class _ScriptedRng:

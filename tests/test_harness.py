@@ -1301,7 +1301,13 @@ def test_cli_plot_refuses_bad_rows_without_traceback(tmp_path, edit, message):
     edit(lines)
     bad = tmp_path / "bad.csv"
     bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    svg = tmp_path / "bad.svg"
+    _assert_plot_refuses(bad, f"{bad}:{message}")
+
+
+def _assert_plot_refuses(bad, message):
+    """``hsilab plot`` under ``-W error`` exits 1 with exactly this error
+    and writes no SVG."""
+    svg = bad.with_suffix(".svg")
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     proc = subprocess.run(
@@ -1309,8 +1315,27 @@ def test_cli_plot_refuses_bad_rows_without_traceback(tmp_path, edit, message):
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert proc.returncode == 1
-    assert proc.stderr == f"error: {bad}:{message}\n"
+    assert proc.stderr == f"error: {message}\n"
     assert not svg.exists()
+
+
+@pytest.mark.parametrize(
+    "regrets, message",
+    [
+        ([(0, 1e308), (1, -1e308), (2, 0.0)], "regrets from -1e+308 to 1e+308 over 3 runs"),
+        ([(0, 1e308), (1, 1e308)], "regrets from 0.0 to 1e+308 over 2 runs"),
+    ],
+    ids=["span-overflows", "mean-overflows"],
+)
+def test_cli_plot_refuses_regrets_that_overflow_the_scale(tmp_path, regrets, message):
+    # each regret is finite, but the y span or the mean over seeds is not:
+    # the plot drew nan and inf coordinates, and -W error ended in a traceback
+    bad = tmp_path / "huge.csv"
+    rows = [f"a,e,{seed},1,0,0,{regret!r}" for seed, regret in regrets]
+    bad.write_text(
+        "\n".join(["# regret_mode=expected", CSV_HEADER, *rows]) + "\n", encoding="utf-8"
+    )
+    _assert_plot_refuses(bad, f"{bad}: {message} overflow the plot's scale")
 
 
 def test_cli_run_rejects_file_model_with_nan(tmp_path, capsys):
