@@ -9,9 +9,10 @@ seed, so runs are reproducible byte for byte, results are independent of
 execution order, and adding an algorithm never perturbs the others.
 
 This script writes a config, runs it through the library API, prints the
-summary, saves CSV and SVG, re-reads the CSV, and finally drives the
-installed `hsilab` command line the same way.  Everything it writes goes
-into a temporary directory that is removed when it ends.
+summary, saves CSV and SVG, re-reads the CSV as per-run columns, and
+finally drives the installed `hsilab` command line the same way, ending
+with a nonzero exit code if any `hsilab` call does.  Everything it writes
+goes into a temporary directory that is removed when it ends.
 """
 
 import pathlib
@@ -69,9 +70,15 @@ def main(workdir):
     print(f"wrote {csv_path} ({csv_path.stat().st_size} bytes)")
     print(f"wrote {svg_path} ({svg_path.stat().st_size} bytes)")
 
+    # The reader parses each (algo, seed) run into an episode column and a
+    # regret column, the same columns the plot draws.
     reloaded = read_results_csv(csv_path)
-    rows = list(reloaded.iter_rows())
-    print(f"reloaded {len(rows)} rows; first: {rows[0]}")
+    print(f"reloaded {reloaded.env_name} ({reloaded.regret_mode} regret):")
+    for algo, seed, episodes, regrets in reloaded.regret_columns():
+        print(
+            f"  {algo:>8} seed {seed}: episodes {episodes[0]}..{episodes[-1]},"
+            f" final regret {regrets[-1]:.2f}"
+        )
 
     # --- command line ------------------------------------------------------
     # The installed console script exposes the same operations:
@@ -84,18 +91,23 @@ def main(workdir):
     # Exit codes: 0 success, 1 config/parameter error, 2 verification failure.
     print()
     print("=== the same via the CLI ===")
+    failed = 0
     for argv in (
         ["oracle", str(cfg_path)],
         ["verify", "groups", "d=3"],
         ["run", str(cfg_path), "-o", str(workdir / "cli-out")],
+        ["plot", str(workdir / "cli-out" / "results.csv"), "-o", str(workdir / "replot.svg")],
     ):
         cmd = [sys.executable, "-m", "hsilab", *argv]
         print(f"$ hsilab {' '.join(argv)}")
         proc = subprocess.run(cmd, capture_output=True, text=True)
-        print("\n".join("  " + line for line in proc.stdout.strip().splitlines()))
+        for line in (proc.stdout + proc.stderr).strip().splitlines():
+            print("  " + line)
         print(f"  (exit code {proc.returncode})")
+        failed += proc.returncode != 0
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory(prefix="hsilab-demo-") as tmp:
-        main(pathlib.Path(tmp))
+        sys.exit(main(pathlib.Path(tmp)))

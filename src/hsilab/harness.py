@@ -32,6 +32,7 @@ the CSV byte for byte.
 import hashlib
 import math
 import os
+from array import array
 from dataclasses import dataclass, field
 from xml.sax.saxutils import escape as xml_escape
 
@@ -336,7 +337,7 @@ def load_config(path):
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     source = str(path)
     sections = parse_sections(text, source)
@@ -444,7 +445,7 @@ def load_config(path):
             cand_path = params["candidates"]
             try:
                 cands = load_candidates(cand_path)
-            except OSError as exc:
+            except (OSError, UnicodeDecodeError) as exc:
                 raise ConfigError(
                     f"{source}: cannot read candidates {cand_path}: {exc}"
                 ) from exc
@@ -889,51 +890,46 @@ def write_results_csv(table, path):
 
 @dataclass
 class CsvData:
-    """Parsed results CSV: its regret mode and its rows, as
-    (algo, env, seed, episode, reward, cum_reward, regret) tuples in file
-    order.  ``regret_columns`` groups them for ``emit_plot_svg``, so a
-    replot goes through the same path as a ``ResultsTable``."""
+    """Parsed results CSV: its regret mode, the env name of its first row and
+    its (algo, seed, episodes, regrets) runs in (algo, seed) order, episodes
+    ascending, which ``emit_plot_svg`` reads as a ``ResultsTable``'s."""
 
     regret_mode: str
-    rows: list
-
-    @property
-    def env_name(self):
-        return self.rows[0][1] if self.rows else ""
-
-    def iter_rows(self):
-        return iter(self.rows)
+    env_name: str
+    runs: list
 
     def regret_columns(self):
-        """(algo, seed, episodes, regrets) per (algo, seed) in sorted order,
-        each run's points sorted by episode."""
-        groups = {}
-        for algo, _env, seed, episode, _reward, _cum, regret in self.rows:
-            groups.setdefault((algo, seed), []).append((episode, regret))
-        for (algo, seed), points in sorted(groups.items()):
-            points.sort()
-            episodes, regrets = zip(*points)
-            yield algo, seed, np.array(episodes), np.array(regrets)
+        return iter(self.runs)
+
+
+def _csv_lines(path):
+    """(number, line) per line of a UTF-8 file, as ``str.splitlines`` splits it."""
+    lineno = 0
+    try:
+        with open(path, "rb") as fh:
+            for physical in fh:
+                for line in physical.decode("utf-8").splitlines():
+                    lineno += 1
+                    yield lineno, line
+    except OSError as exc:
+        raise ConfigError(f"cannot read CSV {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}:{lineno + 1}: {exc}") from None
 
 
 def read_results_csv(path):
-    """Parse a results CSV.  Besides malformed lines, a row is refused
-    (ConfigError naming file:line) when its regret is infinite (the NaN of
-    off mode is accepted), its episode lies outside 1..MAX_TABLE_CELLS, or
-    it repeats an (algo, seed, episode) of an earlier row.  A file is
-    refused (ConfigError naming it) when its finite regrets are too far
-    apart for the plot's scale, or too large for its mean over the runs,
-    to be a float."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read CSV {path}: {exc}") from exc
+    """Parse a results CSV, one line at a time, into run columns.  A row that
+    is malformed, has an infinite regret (off mode's NaN is accepted), an
+    episode outside 1..MAX_TABLE_CELLS or an earlier row's (algo, seed,
+    episode) raises ConfigError naming file:line; finite regrets too far
+    apart for the plot's scale, or too large for their mean over the runs
+    to be a float, raise it naming the file."""
     mode = "expected"
-    rows = []
-    seen = set()
+    env_name = ""
+    runs = {}  # (algo, seed) -> episodes, regrets and line numbers in file order
+    lo, hi = 0.0, -math.inf
     header_seen = False
-    for lineno, line in enumerate(raw.splitlines(), start=1):
+    for lineno, line in _csv_lines(path):
         line = line.strip()
         if not line:
             continue
@@ -953,18 +949,10 @@ def read_results_csv(path):
         if len(parts) != 7:
             raise ConfigError(f"{path}:{lineno}: expected 7 columns, got {len(parts)}")
         try:
-            row = (
-                parts[0],
-                parts[1],
-                int(parts[2]),
-                int(parts[3]),
-                float(parts[4]),
-                float(parts[5]),
-                float(parts[6]),
-            )
+            seed, episode = int(parts[2]), int(parts[3])
+            _reward, _cum, regret = float(parts[4]), float(parts[5]), float(parts[6])
         except ValueError:
             raise ConfigError(f"{path}:{lineno}: malformed row {line!r}") from None
-        algo, _env, seed, episode, _reward, _cum, regret = row
         if not 1 <= episode <= MAX_TABLE_CELLS:
             raise ConfigError(
                 f"{path}:{lineno}: episode must lie in 1..{MAX_TABLE_CELLS}, "
@@ -972,27 +960,39 @@ def read_results_csv(path):
             )
         if math.isinf(regret):
             raise ConfigError(f"{path}:{lineno}: regret must be finite, got {regret}")
-        if (algo, seed, episode) in seen:
-            raise ConfigError(
-                f"{path}:{lineno}: repeats episode {episode} of algo {algo!r}, "
-                f"seed {seed}"
-            )
-        seen.add((algo, seed, episode))
-        rows.append(row)
+        lo = regret if regret < lo else lo  # a NaN changes neither
+        hi = regret if regret > hi else hi
+        run = runs.get((parts[0], seed))
+        if run is None:
+            env_name = env_name if runs else parts[1]  # the first row's
+            run = runs[parts[0], seed] = (array("q"), array("d"), array("q"))
+        run[0].append(episode)
+        run[1].append(regret)
+        run[2].append(lineno)
     if not header_seen:
         raise ConfigError(f"{path}: missing CSV header")
-    regrets = [row[6] for row in rows if not math.isnan(row[6])]
-    if regrets:
-        # the plot spans min(0, lo)..hi and sums up to one regret per run;
-        # max(hi - lo, -lo) bounds both the span and every |regret|
-        lo, hi = min(0.0, min(regrets)), max(regrets)
-        runs = len({(row[0], row[2]) for row in rows})
-        if not math.isfinite(max(hi - lo, -lo) * runs):
-            raise ConfigError(
-                f"{path}: regrets from {lo!r} to {hi!r} over {runs} runs "
-                "overflow the plot's scale"
-            )
-    return CsvData(regret_mode=mode, rows=rows)
+    columns, repeats = [], []
+    for algo, seed in sorted(runs):
+        episodes, regrets, lines = map(np.asarray, runs.pop((algo, seed)))
+        order = np.argsort(episodes, kind="stable")  # equal episodes keep file order
+        repeated = order[1:][np.diff(episodes[order]) == 0]
+        if repeated.size:
+            i = repeated.min()
+            repeats.append((int(lines[i]), algo, seed, int(episodes[i])))
+        columns.append((algo, seed, episodes[order], regrets[order]))
+    if repeats:
+        line, algo, seed, episode = min(repeats)
+        raise ConfigError(
+            f"{path}:{line}: repeats episode {episode} of algo {algo!r}, seed {seed}"
+        )
+    # lo, hi: min(0, *regrets) and max(regrets) as min() and max() take them;
+    # max(hi - lo, -lo) bounds the plot's span and, times the runs, its sums
+    if not math.isfinite(max(hi - lo, -lo) * len(columns)):
+        raise ConfigError(
+            f"{path}: regrets from {lo!r} to {hi!r} over {len(columns)} runs "
+            "overflow the plot's scale"
+        )
+    return CsvData(regret_mode=mode, env_name=env_name, runs=columns)
 
 
 # -- SVG -------------------------------------------------------------------------

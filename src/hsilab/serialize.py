@@ -410,20 +410,20 @@ def dumps_candidates(models):
 
 
 def dump_model(m, path):
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(dumps_model(m) + "\n")
 
 
 def dump_candidates(models, path):
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(dumps_candidates(models) + "\n")
 
 
 def load_model(path):
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         return loads_model(fh.read(), source=str(path))
 
 
 def load_candidates(path):
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         return loads_candidates(fh.read(), source=str(path))

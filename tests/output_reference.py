@@ -1,4 +1,4 @@
-"""Row-wise references for the results writers.
+"""Row-wise references for the results writers and reader.
 
 ``write_results_csv_reference`` and ``emit_plot_svg_reference`` are the
 writers hsilab.harness had before it wrote from run columns: the CSV is
@@ -6,9 +6,16 @@ assembled from one formatted line per row and joined, and the plot reads
 one (episode, regret) tuple per row, decimates point lists and takes the
 mean line at every episode.  The column writers must produce the same
 bytes.  ``table_rows`` is the per-row view of a ResultsTable they read.
+
+``read_results_csv_reference`` is the reader hsilab.harness had before it
+parsed into run columns: it keeps every row as a 7-tuple and a set of the
+(algo, seed, episode) keys seen.  ``rows_to_columns`` regroups its rows
+into the (algo, seed, episodes, regrets) runs that ``read_results_csv``
+must return, and both readers must refuse a file with the same message.
 """
 
 import math
+from dataclasses import dataclass
 from xml.sax.saxutils import escape as xml_escape
 
 import numpy as np
@@ -17,6 +24,7 @@ from hsilab.core import ConfigError
 from hsilab.harness import (
     CSV_HEADER,
     MAX_PLOT_POINTS,
+    MAX_TABLE_CELLS,
     SVG_PALETTE,
     ResultsTable,
     _tick_values,
@@ -43,6 +51,113 @@ def table_rows(table):
 
 def _rows(table):
     return table_rows(table) if isinstance(table, ResultsTable) else iter(table.rows)
+
+
+@dataclass
+class CsvRows:
+    """A results CSV as read_results_csv_reference parses it: its regret
+    mode and its (algo, env, seed, episode, reward, cum_reward, regret)
+    rows in file order."""
+
+    regret_mode: str
+    rows: list
+
+    @property
+    def env_name(self):
+        return self.rows[0][1] if self.rows else ""
+
+
+def rows_to_columns(rows):
+    """(algo, seed, episodes, regrets) per (algo, seed) in sorted order,
+    each run's points sorted by episode."""
+    groups = {}
+    for algo, _env, seed, episode, _reward, _cum, regret in rows:
+        groups.setdefault((algo, seed), []).append((episode, regret))
+    columns = []
+    for (algo, seed), points in sorted(groups.items()):
+        points.sort()
+        episodes, regrets = zip(*points)
+        columns.append((algo, seed, np.array(episodes), np.array(regrets)))
+    return columns
+
+
+def read_results_csv_reference(path):
+    """Parse a results CSV.  Besides malformed lines, a row is refused
+    (ConfigError naming file:line) when its regret is infinite (the NaN of
+    off mode is accepted), its episode lies outside 1..MAX_TABLE_CELLS, or
+    it repeats an (algo, seed, episode) of an earlier row.  A file is
+    refused (ConfigError naming it) when its finite regrets are too far
+    apart for the plot's scale, or too large for its mean over the runs,
+    to be a float."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read CSV {path}: {exc}") from exc
+    mode = "expected"
+    rows = []
+    seen = set()
+    header_seen = False
+    for lineno, line in enumerate(raw.splitlines(), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            if line.startswith("# regret_mode="):
+                mode = line.partition("=")[2].strip()
+            continue
+        if not header_seen:
+            if line != CSV_HEADER:
+                raise ConfigError(
+                    f"{path}:{lineno}: expected header {CSV_HEADER!r}, "
+                    f"got {line!r}"
+                )
+            header_seen = True
+            continue
+        parts = line.split(",")
+        if len(parts) != 7:
+            raise ConfigError(f"{path}:{lineno}: expected 7 columns, got {len(parts)}")
+        try:
+            row = (
+                parts[0],
+                parts[1],
+                int(parts[2]),
+                int(parts[3]),
+                float(parts[4]),
+                float(parts[5]),
+                float(parts[6]),
+            )
+        except ValueError:
+            raise ConfigError(f"{path}:{lineno}: malformed row {line!r}") from None
+        algo, _env, seed, episode, _reward, _cum, regret = row
+        if not 1 <= episode <= MAX_TABLE_CELLS:
+            raise ConfigError(
+                f"{path}:{lineno}: episode must lie in 1..{MAX_TABLE_CELLS}, "
+                f"got {episode}"
+            )
+        if math.isinf(regret):
+            raise ConfigError(f"{path}:{lineno}: regret must be finite, got {regret}")
+        if (algo, seed, episode) in seen:
+            raise ConfigError(
+                f"{path}:{lineno}: repeats episode {episode} of algo {algo!r}, "
+                f"seed {seed}"
+            )
+        seen.add((algo, seed, episode))
+        rows.append(row)
+    if not header_seen:
+        raise ConfigError(f"{path}: missing CSV header")
+    regrets = [row[6] for row in rows if not math.isnan(row[6])]
+    if regrets:
+        # the plot spans min(0, lo)..hi and sums up to one regret per run;
+        # max(hi - lo, -lo) bounds both the span and every |regret|
+        lo, hi = min(0.0, min(regrets)), max(regrets)
+        runs = len({(row[0], row[2]) for row in rows})
+        if not math.isfinite(max(hi - lo, -lo) * runs):
+            raise ConfigError(
+                f"{path}: regrets from {lo!r} to {hi!r} over {runs} runs "
+                "overflow the plot's scale"
+            )
+    return CsvRows(regret_mode=mode, rows=rows)
 
 
 def _fmt(x):

@@ -1,18 +1,23 @@
 """Tests for the experiment harness: config parsing, suite execution,
 CSV/SVG output, and instance verification."""
 
+import contextlib
 import hashlib
 import inspect
+import io
 import math
 import os
+import pathlib
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hsilab.agents import MarkovEpisodePolicy
 from hsilab.core import ConfigError, Dims, OracleSizeError
@@ -20,6 +25,7 @@ from hsilab.envs import EnvModel, build_controlled_drift_instance, controlled_dr
 from hsilab import envs, harness
 from hsilab.harness import (
     CSV_HEADER,
+    MAX_TABLE_CELLS,
     ResultsTable,
     RunResult,
     derive_run_seed,
@@ -35,6 +41,8 @@ from hsilab.serialize import dump_candidates, dump_model
 from hsilab import cli
 from output_reference import (
     emit_plot_svg_reference,
+    read_results_csv_reference,
+    rows_to_columns,
     table_rows,
     write_results_csv_reference,
 )
@@ -963,11 +971,17 @@ def test_csv_layout_and_round_trip(tmp_path):
     assert data.regret_mode == "expected"
     assert data.env_name == "groups-d2-q1"
     original = list(table_rows(table))
-    parsed = list(data.iter_rows())
+    parsed = read_results_csv_reference(path).rows
     assert len(parsed) == len(original)
     for ours, theirs in zip(original, parsed):
         assert ours[:4] == theirs[:4]
         np.testing.assert_allclose(theirs[4:], ours[4:], rtol=1e-6)
+    columns = list(data.regret_columns())
+    assert len(columns) == len(table.runs)
+    for run, (algo, seed, episodes, regrets) in zip(table.sorted_runs(), columns):
+        assert (algo, seed) == (run.algo, run.seed)
+        assert episodes.tolist() == list(range(1, len(run.rewards) + 1))
+        np.testing.assert_allclose(regrets, table.run_regret(run), rtol=1e-6)
 
 
 @pytest.mark.parametrize("label", ["a;b", "x=y", "a#b", "\u00fcn\u00ef", "1.5e3"])
@@ -983,10 +997,23 @@ def test_read_csv_round_trips_written_csv(tmp_path, label, mode):
     written = [
         row[:4] + tuple(float("%.9g" % x) for x in row[4:]) for row in table_rows(table)
     ]
-    assert [row[:4] for row in data.iter_rows()] == [row[:4] for row in written]
-    np.testing.assert_array_equal(
-        [row[4:] for row in data.iter_rows()], [row[4:] for row in written]
-    )
+    rows = read_results_csv_reference(path).rows
+    assert [row[:4] for row in rows] == [row[:4] for row in written]
+    np.testing.assert_array_equal([row[4:] for row in rows], [row[4:] for row in written])
+    assert data.env_name == written[0][1]
+    _assert_columns_are_rows(data, written)
+
+
+def _assert_columns_are_rows(data, rows):
+    """read_results_csv's runs are the rows grouped by (algo, seed) and
+    sorted by episode, as int64 episodes and float64 regrets."""
+    columns = list(data.regret_columns())
+    expected = rows_to_columns(rows)
+    assert [column[:2] for column in columns] == [column[:2] for column in expected]
+    for (*_, episodes, regrets), (*_, ref_episodes, ref_regrets) in zip(columns, expected):
+        assert episodes.dtype == np.int64 and regrets.dtype == np.float64
+        assert episodes.tolist() == ref_episodes.tolist()
+        assert regrets.tobytes() == ref_regrets.tobytes()
 
 
 def test_env_name_with_comma_is_rejected(tmp_path):
@@ -1066,13 +1093,19 @@ def _seeded_table(mode, n_episodes):
     return ResultsTable("env-%s", mode, None if mode == "off" else 1.7, runs)
 
 
-def _data_lines_shuffled(src, dst, seed=0):
-    lines = src.read_text(encoding="utf-8").splitlines(keepends=True)
-    start = lines.index(CSV_HEADER + "\n") + 1
+def _body_span(lines):
+    """Indices of the first data line and of the summary after the last."""
+    start = lines.index(CSV_HEADER) + 1
     stop = next(i for i in range(start, len(lines)) if lines[i].startswith("#"))
+    return start, stop
+
+
+def _data_lines_shuffled(src, dst, seed=0):
+    lines = src.read_text(encoding="utf-8").splitlines()
+    start, stop = _body_span(lines)
     body = lines[start:stop]
     np.random.default_rng(seed).shuffle(body)
-    dst.write_text("".join(lines[:start] + body + lines[stop:]), encoding="utf-8")
+    dst.write_text("\n".join(lines[:start] + body + lines[stop:]) + "\n", encoding="utf-8")
 
 
 @pytest.mark.parametrize("n_episodes", [1, 999, 1000, 1001, 2500])
@@ -1095,7 +1128,8 @@ def test_writers_equal_the_row_wise_references(tmp_path, mode, n_episodes):
     for source in (csv, shuffled):
         data = read_results_csv(source)
         replot = emit_plot_svg(data, tmp_path / "replot.svg").read_bytes()
-        reference = emit_plot_svg_reference(data, tmp_path / "ref-replot.svg")
+        rows = read_results_csv_reference(source)
+        reference = emit_plot_svg_reference(rows, tmp_path / "ref-replot.svg")
         assert replot == reference.read_bytes()
         replots.append(replot)
     assert replots[0] == replots[1]
@@ -1120,20 +1154,26 @@ def test_replot_of_ragged_csv_equals_the_reference(tmp_path):
     ragged.write_text("".join(kept), encoding="utf-8")
     data = read_results_csv(ragged)
     svg = emit_plot_svg(data, tmp_path / "ragged.svg")
-    reference = emit_plot_svg_reference(data, tmp_path / "reference.svg")
+    rows = read_results_csv_reference(ragged)
+    reference = emit_plot_svg_reference(rows, tmp_path / "reference.svg")
     assert svg.read_bytes() == reference.read_bytes()
 
 
-def test_csv_is_written_one_run_at_a_time(tmp_path):
-    # 20 runs x 5000 episodes, the bandit-tree workload's size: the row-wise
-    # writer held every line and their join, about five times the file
+def _bandit_sized_table():
+    """20 runs x 5000 episodes, the bandit-tree workload's size."""
     rng = np.random.default_rng(7)
     runs = [
         RunResult(algo, seed, rng.integers(0, 2, 5000) * 1.0)
         for algo in ("greedy", "uniform")
         for seed in range(10)
     ]
-    table = ResultsTable("tree-a2-d3", "realized", 0.6, runs)
+    return ResultsTable("tree-a2-d3", "realized", 0.6, runs)
+
+
+def test_csv_is_written_one_run_at_a_time(tmp_path):
+    # the row-wise writer held every line and their join, about five times
+    # the file
+    table = _bandit_sized_table()
     path = tmp_path / "results.csv"
     tracemalloc.start()
     try:
@@ -1144,6 +1184,88 @@ def test_csv_is_written_one_run_at_a_time(tmp_path):
     size = path.stat().st_size
     assert size > 2_000_000
     assert peak < size / 2, (peak, size)
+
+
+def test_csv_is_read_into_columns(tmp_path):
+    # the row-wise reader held the whole text, a 7-tuple per row and a set
+    # of their keys, about twelve times the file
+    path = write_results_csv(_bandit_sized_table(), tmp_path / "results.csv")
+    tracemalloc.start()
+    try:
+        data = read_results_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert size > 2_000_000
+    assert peak < 2 * size, (peak, size)
+    assert sum(len(episodes) for *_, episodes, _ in data.regret_columns()) == 100_000
+
+
+_FAULTS = ["none", "header", "columns", "malformed", "episode", "inf", "repeat", "overflow"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    mode=st.sampled_from(["expected", "realized", "off"]),
+    n_episodes=st.integers(1, 40),
+    fault=st.sampled_from(_FAULTS),
+    draw=st.data(),
+)
+def test_read_csv_equals_the_row_wise_reference(mode, n_episodes, fault, draw):
+    # written CSVs with shuffled rows, runs cut short, NaN regrets, mixed
+    # line ends and at most one fault: both readers refuse a faulted file
+    # with the same message, and the columns are the reference's rows,
+    # grouped and sorted
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "results.csv"
+        write_results_csv(_seeded_table(mode, n_episodes), path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        start, stop = _body_span(lines)
+        rows = [line.split(",") for line in lines[start:stop]]
+        runs = sorted({(parts[0], parts[2]) for parts in rows})
+        last = st.lists(st.integers(1, n_episodes), min_size=len(runs), max_size=len(runs))
+        cut = dict(zip(runs, draw.draw(last)))
+        body = [",".join(parts) for parts in rows if int(parts[3]) <= cut[parts[0], parts[2]]]
+        body = draw.draw(st.permutations(body))
+        for lineno in draw.draw(st.sets(st.integers(1, len(body)))):
+            _set_field(body, lineno, 6, "nan")
+        at = draw.draw(st.integers(1, len(body)))
+        if fault == "header":
+            lines[start - 1] = "algo,env"
+        elif fault == "columns":
+            body[at - 1] += ",0"
+        elif fault == "malformed":
+            _set_field(body, at, draw.draw(st.integers(2, 6)), "x")
+        elif fault == "episode":
+            value = draw.draw(st.sampled_from(["0", "-3", str(MAX_TABLE_CELLS + 1)]))
+            _set_field(body, at, 3, value)
+        elif fault == "inf":
+            _set_field(body, at, 6, draw.draw(st.sampled_from(["inf", "-inf"])))
+        elif fault == "repeat":
+            copied = body[at - 1]
+            for _ in range(draw.draw(st.integers(1, 3))):
+                body.insert(draw.draw(st.integers(0, len(body))), copied)
+        elif fault == "overflow":
+            _set_field(body, at, 6, draw.draw(st.sampled_from(["1e308", "-1e308"])))
+        out = lines[:start] + body + lines[stop:]
+        # line ends str.splitlines splits at, as the row-wise reader numbered them
+        ends = st.sampled_from(["\n", "\r\n", "\r", "\x0c\n", "\u2028"])
+        ends = draw.draw(st.lists(ends, min_size=len(out), max_size=len(out)))
+        path.write_bytes("".join(map(str.__add__, out, ends)).encode("utf-8"))
+        messages = []
+        for read in (read_results_csv_reference, read_results_csv):
+            try:
+                read(path)
+                messages.append(None)
+            except ConfigError as exc:
+                messages.append(str(exc))
+        assert messages[0] == messages[1]
+        assert (messages[0] is None) == (fault == "none"), messages[0]
+        if fault == "none":
+            reference, data = read_results_csv_reference(path), read_results_csv(path)
+            assert (data.regret_mode, data.env_name) == (mode, reference.env_name)
+            _assert_columns_are_rows(data, reference.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -1273,6 +1395,57 @@ def test_cli_plot_round_trip(tmp_path):
     svg = tmp_path / "replot.svg"
     assert cli.main(["plot", str(out_dir / "results.csv"), "-o", str(svg)]) == 0
     assert svg.exists()
+    assert svg.read_bytes() == (out_dir / "results.svg").read_bytes()
+
+
+_EDGE_VALUES = ["nan", "inf", "1e308", "-1e308", "-0", "0x10", "9" * 30, "", "text"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(["field", "drop", "repeat", "column", "byte"]),
+            st.integers(0, 10**6),
+            st.integers(2, 6),
+            st.sampled_from(_EDGE_VALUES),
+        ),
+        min_size=1,
+        max_size=3,
+    )
+)
+def test_cli_plot_of_a_mutated_csv_exits_0_or_1(edits):
+    # edge values in the numeric fields, dropped and repeated lines, an
+    # extra column and a non-UTF-8 byte: plot refuses or draws finite
+    # coordinates, and never raises
+    with tempfile.TemporaryDirectory() as tmp:
+        csv, svg = pathlib.Path(tmp) / "results.csv", pathlib.Path(tmp) / "plot.svg"
+        write_results_csv(_seeded_table("expected", 8), csv)
+        lines = csv.read_bytes().splitlines()
+        for kind, at, column, value in edits:
+            i = at % len(lines)
+            parts = lines[i].split(b",")
+            if kind == "field" and len(parts) == 7:
+                parts[column] = value.encode()
+                lines[i] = b",".join(parts)
+            elif kind == "drop":
+                del lines[i]
+            elif kind == "repeat":
+                lines.insert(i, lines[i])
+            elif kind == "column":
+                lines[i] += b",0"
+            else:
+                cut = at % (len(lines[i]) + 1)
+                lines[i] = lines[i][:cut] + b"\xff" + lines[i][cut:]
+            if not lines:
+                break
+        csv.write_bytes(b"\n".join(lines) + b"\n")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(["plot", str(csv), "-o", str(svg)])
+        assert code in (0, 1)
+        if code == 0:
+            text = svg.read_text(encoding="utf-8")
+            assert "nan" not in text and "inf" not in text
 
 
 def _set_field(lines, lineno, column, value):
@@ -1304,16 +1477,21 @@ def test_cli_plot_refuses_bad_rows_without_traceback(tmp_path, edit, message):
     _assert_plot_refuses(bad, f"{bad}:{message}")
 
 
+def _hsilab_warnings_as_errors(*args):
+    """Run the command line in a child under ``-W error``."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    return subprocess.run(
+        [sys.executable, "-W", "error", "-m", "hsilab", *args],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+
+
 def _assert_plot_refuses(bad, message):
     """``hsilab plot`` under ``-W error`` exits 1 with exactly this error
     and writes no SVG."""
     svg = bad.with_suffix(".svg")
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    proc = subprocess.run(
-        [sys.executable, "-W", "error", "-m", "hsilab", "plot", str(bad), "-o", str(svg)],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    proc = _hsilab_warnings_as_errors("plot", str(bad), "-o", str(svg))
     assert proc.returncode == 1
     assert proc.stderr == f"error: {message}\n"
     assert not svg.exists()
@@ -1324,8 +1502,10 @@ def _assert_plot_refuses(bad, message):
     [
         ([(0, 1e308), (1, -1e308), (2, 0.0)], "regrets from -1e+308 to 1e+308 over 3 runs"),
         ([(0, 1e308), (1, 1e308)], "regrets from 0.0 to 1e+308 over 2 runs"),
+        # the largest regret is the first of equal ones in file order
+        ([(2, -1e308), (1, -0.0), (0, 0.0)], "regrets from -1e+308 to -0.0 over 3 runs"),
     ],
-    ids=["span-overflows", "mean-overflows"],
+    ids=["span-overflows", "mean-overflows", "zero-keeps-its-sign"],
 )
 def test_cli_plot_refuses_regrets_that_overflow_the_scale(tmp_path, regrets, message):
     # each regret is finite, but the y span or the mean over seeds is not:
@@ -1336,6 +1516,47 @@ def test_cli_plot_refuses_regrets_that_overflow_the_scale(tmp_path, regrets, mes
         "\n".join(["# regret_mode=expected", CSV_HEADER, *rows]) + "\n", encoding="utf-8"
     )
     _assert_plot_refuses(bad, f"{bad}: {message} overflow the plot's scale")
+
+
+@pytest.mark.parametrize(
+    "target", ["plot-csv", "run-config", "oracle-config", "run-candidates"]
+)
+def test_cli_refuses_non_utf8_input_without_traceback(tmp_path, target):
+    # a 0xff byte in any of these files ended in a UnicodeDecodeError traceback;
+    # the CSV is read line by line, so its error names the line, past the
+    # first 8 KiB too
+    cands = tmp_path / "cands.cfg"
+    dump_candidates(controlled_drift_candidates(), cands)
+    cfg = tmp_path / "drift.cfg"
+    cfg.write_text(
+        "[experiment]\nepisodes = 2\nseeds = 0\n\n[env builder=controlled-drift]\n\n"
+        f"[algo name=pors]\ncandidates = {cands}\n",
+        encoding="utf-8",
+    )
+    csv = tmp_path / "results.csv"
+    rows = "".join(f"a,e,0,{episode},0,0,0.5\n" for episode in range(1, 1001))
+    csv.write_text(f"# regret_mode=expected\n{CSV_HEADER}\n{rows}", encoding="utf-8")
+    assert csv.stat().st_size > 8192
+    bad, lineno, args, source = {
+        "plot-csv": (csv, 900, ["plot", csv, "-o", tmp_path / "plot.svg"], f"{csv}:900"),
+        "run-config": (cfg, 2, ["run", cfg, "-o", tmp_path / "out"], f"cannot read config {cfg}"),
+        "oracle-config": (cfg, 2, ["oracle", cfg], f"cannot read config {cfg}"),
+        "run-candidates": (
+            cands, 2, ["run", cfg, "-o", tmp_path / "out"], f"{cfg}: cannot read candidates {cands}"
+        ),
+    }[target]
+    data = bad.read_bytes()
+    at = sum(len(line) for line in data.splitlines(keepends=True)[: lineno - 1])
+    bad.write_bytes(data[:at] + b"\xff" + data[at:])
+    proc = _hsilab_warnings_as_errors(*map(str, args))
+    assert proc.returncode == 1
+    position = 0 if bad == csv else at  # a CSV line, or the whole file
+    assert proc.stderr == (
+        f"error: {source}: 'utf-8' codec can't decode byte 0xff in position {position}: "
+        "invalid start byte\n"
+    )
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "plot.svg").exists() and not (tmp_path / "out").exists()
 
 
 def test_cli_run_rejects_file_model_with_nan(tmp_path, capsys):
