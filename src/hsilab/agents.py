@@ -174,6 +174,11 @@ def opmll_select_supporting(ws, rng):
     drawn uniformly without replacement from the block pool (sub-states
     not yet used this block); the pool refills when it runs short, which
     forces full coverage inside each block.
+
+    One supporter is one ``rng.integers(len(pool))`` draw: numpy's
+    ``choice(n, size=1, replace=False)`` draws the same bounded integer
+    and leaves the generator in the same state.  Two or more go through
+    ``choice``, whose shuffle ``integers`` cannot reproduce.
     """
     if ws.d_query < 2:
         raise ValueError("supporter selection requires d_query >= 2")
@@ -186,7 +191,10 @@ def opmll_select_supporting(ws, rng):
         pool = [i for i in range(ws.d) if i != leader and i not in chosen]
     take = need - len(chosen)
     if take:
-        picks = sorted(rng.choice(len(pool), size=take, replace=False).tolist())
+        if take == 1:
+            picks = [int(rng.integers(len(pool)))]
+        else:
+            picks = sorted(rng.choice(len(pool), size=take, replace=False).tolist())
         chosen = chosen + [pool[j] for j in picks]
         for j in reversed(picks):
             del pool[j]
@@ -224,6 +232,11 @@ class QTable:
     entry's backup statistics current, in (H, n_codes, A) stacks: the
     divisor ``nn`` (N, 1 while unvisited), the mean reward ``mean`` (rsum
     / nn) and the bonus ``bonus`` (c sqrt(H^2 / N), inf while unvisited).
+
+    ``n`` is int64; ``succ`` and ``nn`` hold whole counts as float64, so
+    the backup and the policy read them without a cast per call.  A count
+    is at most the episode count, which a config caps at
+    ``envs.MAX_TABLE_CELLS`` (2**27), and float64 is exact below 2**53.
     """
 
     def __init__(self, horizon, n_actions, alphabet_size, c_bonus=1.0):
@@ -250,8 +263,8 @@ class QTable:
             self.q[qset] = np.full((H, nc, A), float(H))
             self.n[qset] = np.zeros((H, nc, A), dtype=np.int64)
             self.rsum[qset] = np.zeros((H, nc, A))
-            self.succ[qset] = np.zeros((H - 1, nc, A, nc), dtype=np.int64)
-            self.nn[qset] = np.ones((H, nc, A), dtype=np.int64)
+            self.succ[qset] = np.zeros((H - 1, nc, A, nc))
+            self.nn[qset] = np.ones((H, nc, A))
             self.mean[qset] = np.zeros((H, nc, A))
             self.bonus[qset] = np.full((H, nc, A), np.inf)
         return qset
@@ -375,6 +388,7 @@ class _OptimisticQAgent:
         self._prev_code = None
         self._prev_action = None
         self._last_total = None
+        self._codes = {}  # revealed (index, value) pairs -> encode_state code
 
     # -- per-episode planning -------------------------------------------
 
@@ -440,7 +454,15 @@ class _OptimisticQAgent:
         )
 
     def observe(self, h, action, fb):
-        code = encode_state(fb.values(), self.dims.alphabet_size)
+        """Commit the previous step's statistics now that this step's
+        revealed values are known.  Each distinct ``fb.hsi`` is encoded
+        once and its code kept; ``encode_state`` still refuses a value
+        out of range, and a refused tuple is not kept."""
+        code = self._codes.get(fb.hsi)
+        if code is None:
+            code = self._codes[fb.hsi] = encode_state(
+                fb.values(), self.dims.alphabet_size
+            )
         if h == 1:
             self.init_counts[self._qset][code] += 1
         else:
@@ -536,7 +558,7 @@ class OpmllAgent(_OptimisticQAgent):
         self.invariant_violations.extend(
             f"episode {k}: {v}" for v in self.ws.floor_violations()
         )
-        _draw_categorical(self.ws.local_p, self.rng)  # advances the agent stream
+        self.rng.random()  # the unread local draw; it advances the agent stream
         self.selection_log.append((k, self.ws.leader, qset))
         self._start_episode_common(qset)
 

@@ -420,8 +420,14 @@ def dump_candidates(models, path):
 
 
 def load_model(path):
+    """Read one model file; a file that is not UTF-8 raises a ValueError
+    that names it."""
     with open(path, encoding="utf-8") as fh:
-        return loads_model(fh.read(), source=str(path))
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+    return loads_model(text, source=str(path))
 
 
 def load_candidates(path):

@@ -1,6 +1,7 @@
 """Tests for the sequential learners: exponential-weight query selection,
 optimistic tabular Q-learning, and the episode protocol."""
 
+import itertools
 import math
 
 import numpy as np
@@ -241,7 +242,8 @@ def select_supporting_reference(ws, rng):
 @settings(max_examples=200, deadline=None)
 def test_select_supporting_equals_the_reference(d, dq_raw, leader_raw, order, seed, n):
     # any pool (not only the ascending ones the agent makes), several
-    # episodes in a row: same query sets, pools and generator state
+    # episodes in a row, each pick followed by the one uniform draw
+    # begin_episode makes: same query sets, pools and generator state
     dq = 2 + dq_raw % (d - 1)
     leader = leader_raw % d
     pool = [i for i in range(d) if i != leader and order.random() < 0.7]
@@ -258,6 +260,7 @@ def test_select_supporting_equals_the_reference(d, dq_raw, leader_raw, order, se
         assert ws.block_pool == ref_ws.block_pool
         assert ws.prev_query_set == ref_ws.prev_query_set
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert rng.random() == ref_rng.random()
 
 
 # ---------------------------------------------------------------------------
@@ -432,9 +435,12 @@ def test_sweep_matches_per_key_backup():
 
 def sweep_reference(qt, qset, c_bonus, episode):
     """Reference for ``_sweep``: the per-step backward backup, one step's
-    (n_codes, A) arrays at a time.  Returns the (H, n_codes, A) Q stack and
-    the invariant messages, without touching the table."""
+    (n_codes, A) arrays at a time, on integer counts (int64 copies of the
+    float successor counts, divisors from the int64 visit counts).
+    Returns the (H, n_codes, A) Q stack and the invariant messages,
+    without touching the table."""
     H, A = qt.horizon, qt.n_actions
+    succ = qt.succ[qset].astype(np.int64)
     nc = qt.n_codes(qset)
     out = np.empty((H, nc, A))
     violations = []
@@ -447,7 +453,7 @@ def sweep_reference(qt, qset, c_bonus, episode):
             nn = np.where(visited, n, 1)
             est = qt.rsum[qset][h - 1] / nn
             if h < H:
-                est = est + (qt.succ[qset][h - 1] @ v_next) / nn
+                est = est + (succ[h - 1] @ v_next) / nn
             est = est + c_bonus * np.sqrt(H * H / nn)
             q[visited] = np.minimum(est, float(H))[visited]
         out[h - 1] = q
@@ -459,8 +465,10 @@ def sweep_reference(qt, qset, c_bonus, episode):
 
 def build_policy_reference(qt, qset, init_counts, q):
     """Reference for ``_build_policy``: one einsum, mean and masked argmax
-    per step 2..H.  Returns the first action and the per-step decisions."""
+    per step 2..H, on int64 copies of the successor counts.  Returns the
+    first action and the per-step decisions."""
     nc = qt.n_codes(qset)
+    succ = qt.succ[qset].astype(np.int64)
     if init_counts is None or init_counts.sum() == 0:
         pred1 = np.full(nc, 1.0 / nc)
     else:
@@ -470,7 +478,7 @@ def build_policy_reference(qt, qset, init_counts, q):
     for h in range(2, qt.horizon + 1):
         qarr = q[h - 1]
         default = int(np.argmax(qarr.mean(axis=0)))
-        scores = np.einsum("cav,vb->cab", qt.succ[qset][h - 2], qarr)
+        scores = np.einsum("cav,vb->cab", succ[h - 2], qarr)
         dec = np.where(
             qt.n[qset][h - 2] > 0, scores.argmax(axis=2), default
         ).astype(np.int64)
@@ -518,6 +526,8 @@ def test_record_keeps_the_backup_statistics(case):
     H, c = qt.horizon, agent.qt.c_bonus
     n, rsum = qt.n[qset], qt.rsum[qset]
     nn = np.where(n > 0, n, 1)
+    assert n.dtype == np.int64
+    assert qt.nn[qset].dtype == qt.succ[qset].dtype == np.float64
     assert np.array_equal(qt.nn[qset], nn)
     assert np.array_equal(qt.mean[qset], rsum / nn)
     assert np.array_equal(
@@ -563,6 +573,30 @@ def test_counts_stay_consistent():
     assert total == 150 * 3
     assert sum(int(c.sum()) for c in agent.init_counts.values()) == 150
     assert agent.invariant_violations == []
+
+
+@pytest.mark.parametrize("cls, dims", [
+    (OptllAgent, Dims(d=3, alphabet_size=3, d_query=1, horizon=2, n_actions=2)),
+    (OpmllAgent, Dims(d=4, alphabet_size=3, d_query=3, horizon=2, n_actions=2)),
+])
+def test_observe_codes_equal_encode_state(cls, dims):
+    # observe keeps one code per revealed tuple; the first and the kept
+    # code are encode_state's, and a value out of range is refused every
+    # time, never kept
+    agent = cls(dims, 10, np.random.default_rng(0))
+    agent.begin_episode(1)
+    qset = agent._qset
+    V = dims.alphabet_size
+    for values in itertools.product(range(V), repeat=len(qset)):
+        fb = Feedback(qset, tuple(zip(qset, values)), None, 0.0)
+        for _ in range(2):
+            agent.observe(1, 0, fb)
+            assert agent._prev_code == encode_state(values, V)
+    assert agent.init_counts[qset].tolist() == [2.0] * V ** len(qset)
+    bad = Feedback(qset, tuple((i, V) for i in qset), None, 0.0)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="outside"):
+            agent.observe(1, 0, bad)
 
 
 # ---------------------------------------------------------------------------

@@ -494,6 +494,31 @@ def test_generator_broadcast_integers_equal_scalar_draws(seed, offset, highs, at
     assert gen.bit_generator.state == ref.bit_generator.state
 
 
+@given(
+    st.integers(0, 2**32 - 1),
+    st.lists(
+        st.tuples(
+            st.one_of(st.integers(1, 8), st.integers(1, 2**40)), st.integers(0, 3)
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+)
+@settings(max_examples=100, deadline=None)
+def test_generator_single_pick_choice_equals_integers(seed, picks):
+    # opmll_select_supporting relies on Generator.integers(n) drawing the
+    # same value as choice(n, size=1, replace=False) and leaving the
+    # generator in the same state, with uniform draws between the picks as
+    # begin_episode makes them; n = 1 draws nothing on either path
+    gen, ref = derive_generator(seed, "agent"), derive_generator(seed, "agent")
+    for n, n_uniform in picks:
+        assert int(gen.integers(n)) == int(ref.choice(n, size=1, replace=False)[0])
+        assert gen.bit_generator.state == ref.bit_generator.state
+        for _ in range(n_uniform):
+            assert gen.random() == ref.random()
+    assert gen.bit_generator.state == ref.bit_generator.state
+
+
 @pytest.mark.parametrize(
     "m",
     [

@@ -1519,18 +1519,27 @@ def test_cli_plot_refuses_regrets_that_overflow_the_scale(tmp_path, regrets, mes
 
 
 @pytest.mark.parametrize(
-    "target", ["plot-csv", "run-config", "oracle-config", "run-candidates"]
+    "target", ["plot-csv", "run-config", "oracle-config", "run-candidates", "run-model"]
 )
 def test_cli_refuses_non_utf8_input_without_traceback(tmp_path, target):
-    # a 0xff byte in any of these files ended in a UnicodeDecodeError traceback;
-    # the CSV is read line by line, so its error names the line, past the
-    # first 8 KiB too
+    # a 0xff byte in any of these files ended in a UnicodeDecodeError traceback
+    # (or, for a model file, in an error that named only the config); the CSV
+    # is read line by line, so its error names the line, past the first 8 KiB
+    # too
     cands = tmp_path / "cands.cfg"
     dump_candidates(controlled_drift_candidates(), cands)
     cfg = tmp_path / "drift.cfg"
     cfg.write_text(
         "[experiment]\nepisodes = 2\nseeds = 0\n\n[env builder=controlled-drift]\n\n"
         f"[algo name=pors]\ncandidates = {cands}\n",
+        encoding="utf-8",
+    )
+    model = tmp_path / "drift.model"
+    dump_model(build_controlled_drift_instance(), model)
+    model_cfg = tmp_path / "model.cfg"
+    model_cfg.write_text(
+        "[experiment]\nepisodes = 2\nseeds = 0\n\n"
+        f"[env builder=file]\npath = {model}\n\n[algo name=uniform]\n",
         encoding="utf-8",
     )
     csv = tmp_path / "results.csv"
@@ -1543,6 +1552,10 @@ def test_cli_refuses_non_utf8_input_without_traceback(tmp_path, target):
         "oracle-config": (cfg, 2, ["oracle", cfg], f"cannot read config {cfg}"),
         "run-candidates": (
             cands, 2, ["run", cfg, "-o", tmp_path / "out"], f"{cfg}: cannot read candidates {cands}"
+        ),
+        "run-model": (
+            model, 2, ["run", model_cfg, "-o", tmp_path / "out"],
+            f"{model_cfg}: cannot build env file: {model}",
         ),
     }[target]
     data = bad.read_bytes()
