@@ -23,12 +23,14 @@ predictive distribution over the current values.
 """
 
 import math
+from functools import partial
 
 import numpy as np
 
 from .core import EpisodeTrace, Feedback, StepRecord, encode_state
 from .envs import (
     BLOCK_DRAWS,
+    _blocks,
     _draw_categorical,
     emit_observation,
     reward,
@@ -572,12 +574,12 @@ class UniformRandomAgent:
     """Uniform over actions and query sets, independently each step.
 
     Each step takes two bounded draws from the agent's generator, the
-    action and then the query-set index, served from blocks of
-    ``BLOCK_DRAWS`` (4096) draws made by one ``integers`` call.
-    numpy draws a bounded integer alike in scalar and broadcast calls, so
-    the pairs equal two scalar draws per step, in order.  Within a block
-    the generator runs ahead of the scalar path; nothing else draws from
-    it, as each run derives its own agent generator.
+    action and then the query-set index, served by ``_blocks`` from one
+    ``integers`` call per ``BLOCK_DRAWS`` (4096) draws.  numpy draws a
+    bounded integer alike in scalar and broadcast calls, so the pairs equal
+    two scalar draws per step, in order.  Within a block the generator runs
+    ahead of the scalar path; nothing else draws from it, as each run
+    derives its own agent generator.
     """
 
     def __init__(self, dims, rng):
@@ -586,21 +588,15 @@ class UniformRandomAgent:
         self.episode_policy = UniformMarkovPolicy(
             self._qsets[0], dims.n_query_values, dims.n_actions
         )
-        self._highs = np.tile(
-            [dims.n_actions, len(self._qsets)], BLOCK_DRAWS // 2
-        )
-        self._block, self._pos = [], 0
+        highs = np.tile([dims.n_actions, len(self._qsets)], BLOCK_DRAWS // 2)
+        self._draw = _blocks(partial(rng.integers, 0, highs)).__next__
 
     def begin_episode(self, k):
         pass
 
     def act(self, h):
-        pos = self._pos
-        if pos == len(self._block):
-            self._block = self.rng.integers(0, self._highs).tolist()
-            pos = 0
-        self._pos = pos + 2
-        return self._block[pos], self._qsets[self._block[pos + 1]]
+        draw = self._draw
+        return draw(), self._qsets[draw()]
 
     def observe(self, h, action, fb):
         pass

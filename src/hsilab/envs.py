@@ -12,11 +12,15 @@ every (step, query set), a table E[o, u] whose columns (one per joint value
 The model is also the one place that decides how likely a step's feedback
 is in each state: ``EnvModel.evidence_stack`` caches per step the evidence
 kernels of every query set in one array, and ``EnvModel.evidence`` is a
-view of one query set's block.
+view of one query set's block.  Likewise ``_pick`` is the one categorical
+scan of a uniform over a row, and ``_blocks`` the one way a generator's
+draws are served from blocks (each ``SampleRng`` stream, the uniform
+baseline's pairs).
 """
 
 import hashlib
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import islice
 
 import numpy as np
@@ -37,8 +41,8 @@ ATOL = 1e-12
 # Largest table a builder may allocate, in float64 cells (1 GiB).
 MAX_TABLE_CELLS = 2**27
 
-# Draws per refill of a blocked stream: a SampleRng stream's doubles and
-# the uniform baseline's bounded integers.
+# Draws per ``_blocks`` refill: a SampleRng stream's doubles and the
+# uniform baseline's bounded integers.
 BLOCK_DRAWS = 4096
 
 
@@ -48,26 +52,26 @@ def derive_generator(seed, label):
     return np.random.default_rng(int.from_bytes(digest[:8], "little"))
 
 
-def _block_doubles(gen):
-    """``gen``'s doubles in stream order, one ``random(BLOCK_DRAWS)`` call
-    per block, each drawn once the previous one is used up.  A memoryview
-    makes each float only when it is read."""
+def _blocks(draw):
+    """The values of successive ``draw()`` calls, in order, one call per
+    block, each made once the previous block is used up.  A memoryview
+    makes each number only when it is read."""
     while True:
-        yield from memoryview(gen.random(BLOCK_DRAWS))
+        yield from memoryview(draw())
 
 
 class BlockStream:
-    """``gen``'s doubles served from blocks: ``random()`` is the next double,
-    ``take(n)`` the next n as a list.  ``Generator.random(n)`` yields the
-    same doubles, in order, as n scalar calls, so these are the scalar
-    ``gen.random()`` draws, and after a whole number of blocks ``gen`` is
-    where those draws leave it."""
+    """``gen``'s doubles served by ``_blocks`` from ``random(BLOCK_DRAWS)``
+    calls: ``random()`` is the next double, ``take(n)`` the next n as a
+    list.  ``Generator.random(n)`` yields the same doubles, in order, as n
+    scalar calls, so these are the scalar ``gen.random()`` draws, and after
+    a whole number of blocks ``gen`` is where those draws leave it."""
 
     __slots__ = ("gen", "random", "_doubles")
 
     def __init__(self, gen):
         self.gen = gen
-        self._doubles = _block_doubles(gen)
+        self._doubles = _blocks(partial(gen.random, BLOCK_DRAWS))
         self.random = self._doubles.__next__
 
     def take(self, n):
@@ -90,30 +94,28 @@ class SampleRng:
             setattr(self, label, BlockStream(derive_generator(int(seed), label)))
 
 
-def _draw_categorical(p, gen):
-    """One sample from a probability row using a single ``gen.random()``
-    draw (``gen`` is a numpy Generator or a ``BlockStream``).
-
-    When rounding leaves the row's running sum at or below the draw, the
-    sample is the last index with positive mass, never a zero-mass one.
-    """
-    u = gen.random()
-    row = p.tolist() if isinstance(p, np.ndarray) else p
+def _pick(row, u):
+    """The index a uniform ``u`` selects in a probability row (a list): the
+    first whose running sum exceeds ``u``.  When rounding leaves the running
+    sum at or below ``u``, it is the last index with positive mass (0 when
+    there is none), never a zero-mass one."""
     acc = 0.0
     for idx, w in enumerate(row):
         acc += w
         if u < acc:
             return idx
-    return _last_positive(row)
-
-
-def _last_positive(row):
-    """The last index of a row with positive mass (0 when there is none):
-    the draw for a uniform at or above the row's running sum."""
     for idx in range(len(row) - 1, 0, -1):
         if row[idx] > 0.0:
             return idx
     return 0
+
+
+def _draw_categorical(p, gen):
+    """One sample from a probability row using a single ``gen.random()``
+    draw (``gen`` is a numpy Generator or a ``BlockStream``), picked by
+    ``_pick``."""
+    u = gen.random()
+    return _pick(p.tolist() if isinstance(p, np.ndarray) else p, u)
 
 
 def canonical_state_vectors(dims):
@@ -406,8 +408,9 @@ def transition(m, h, s, a, rng):
     Product-form models consume one transition draw per sub-state, taken
     together (the same doubles, in order, as d scalar draws), joint
     models one draw total; the count never depends on the sampled values.
-    Each sub-state's value is read off its row as ``_draw_categorical``
-    reads it, and the values are encoded little-endian as ``encode_state``.
+    Each sub-state's value is ``_pick`` of its row and its own double, as
+    ``_draw_categorical`` would draw it, and the values are encoded
+    little-endian as ``encode_state``.
     """
     dims = m.dims
     if not 1 <= h <= dims.horizon - 1:
@@ -419,15 +422,7 @@ def transition(m, h, s, a, rng):
         draws = rng.transition.take(dims.d)
         code, weight = 0, 1
         for sub_rows, v, u in zip(rows, vectors[s], draws):
-            row = sub_rows[v][a]
-            acc = 0.0
-            for idx, w in enumerate(row):
-                acc += w
-                if u < acc:
-                    break
-            else:
-                idx = _last_positive(row)
-            code += idx * weight
+            code += _pick(sub_rows[v][a], u) * weight
             weight *= V
         return code
     return _draw_categorical(m.joint[h - 1, s, a], rng.transition)

@@ -368,6 +368,8 @@ def load_config(path):
     )
     if ex["episodes"] < 1:
         raise ConfigError(f"{source}: episodes must be >= 1, got {ex['episodes']}")
+    if ex["oracle-cap"] < 1:
+        raise ConfigError(f"{source}: oracle-cap must be >= 1, got {ex['oracle-cap']}")
     try:
         seeds = tuple(int(s) for s in ex["seeds"].split(","))
     except ValueError:
@@ -921,9 +923,10 @@ def read_results_csv(path):
     """Parse a results CSV, one line at a time, into run columns.  A row that
     is malformed, has an infinite regret (off mode's NaN is accepted), an
     episode outside 1..MAX_TABLE_CELLS or an earlier row's (algo, seed,
-    episode) raises ConfigError naming file:line; finite regrets too far
-    apart for the plot's scale, or too large for their mean over the runs
-    to be a float, raise it naming the file."""
+    episode), and a regret mode a run does not write, raise ConfigError
+    naming file:line; finite regrets too far apart for the plot's scale, or
+    too large for their mean over the runs to be a float, raise it naming
+    the file."""
     mode = "expected"
     env_name = ""
     runs = {}  # (algo, seed) -> episodes, regrets and line numbers in file order
@@ -936,6 +939,11 @@ def read_results_csv(path):
         if line.startswith("#"):
             if line.startswith("# regret_mode="):
                 mode = line.partition("=")[2].strip()
+                if mode not in REGRET_MODES[1:]:  # the modes a run writes
+                    raise ConfigError(
+                        f"{path}:{lineno}: regret mode must be one of "
+                        f"{REGRET_MODES[1:]}, got {mode!r}"
+                    )
             continue
         if not header_seen:
             if line != CSV_HEADER:

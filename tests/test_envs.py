@@ -1,6 +1,8 @@
 """Environment models: builders, sampling, structure checks, diagnostics."""
 
+import math
 import re
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from hsilab.envs import (
     EnvModel,
     SampleRng,
     _draw_categorical,
+    _pick,
     build_controlled_drift_instance,
     build_hard_instance_flat_emission,
     build_hard_instance_groups,
@@ -136,6 +139,74 @@ def test_draw_categorical_fallback_skips_zero_mass():
     assert _draw_categorical(row, _FixedDraw(0.9999999999999999)) == 1
     assert _draw_categorical([0.0, 0.0], _FixedDraw(0.5)) == 0
     assert _draw_categorical(row, _FixedDraw(0.3)) == 1
+
+
+# The reference for ``_pick``: the categorical draw and its fallback as
+# ``envs`` wrote them before the scan was shared, kept verbatim.
+def draw_categorical_reference(p, gen):
+    """One sample from a probability row using a single ``gen.random()``
+    draw (``gen`` is a numpy Generator or a ``BlockStream``).
+
+    When rounding leaves the row's running sum at or below the draw, the
+    sample is the last index with positive mass, never a zero-mass one.
+    """
+    u = gen.random()
+    row = p.tolist() if isinstance(p, np.ndarray) else p
+    acc = 0.0
+    for idx, w in enumerate(row):
+        acc += w
+        if u < acc:
+            return idx
+    return _last_positive(row)
+
+
+def _last_positive(row):
+    """The last index of a row with positive mass (0 when there is none):
+    the draw for a uniform at or above the row's running sum."""
+    for idx in range(len(row) - 1, 0, -1):
+        if row[idx] > 0.0:
+            return idx
+    return 0
+
+
+@st.composite
+def _rows_and_uniforms(draw):
+    """A probability row that sums to exactly 1 (dyadic masses), to about 1
+    (normalised weights), to just under 1, or is all zero, with a tail of
+    zero-mass entries, and a uniform at 0, at or just below one of the
+    row's running sums, at 1 - 2**-53, or anywhere in [0, 1)."""
+    n = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["dyadic", "normalised", "short", "zero"]))
+    if kind == "zero":
+        row = [0.0] * n
+    elif kind == "dyadic":
+        cuts = draw(st.lists(st.integers(0, 64), min_size=n - 1, max_size=n - 1))
+        cuts.sort()
+        row = [(b - a) / 64 for a, b in zip([0, *cuts], [*cuts, 64])]
+    else:
+        weights = draw(st.lists(st.integers(0, 1000), min_size=n, max_size=n))
+        weights[-1] = weights[-1] or 1
+        row = [w / sum(weights) for w in weights]
+        while kind == "short" and list(accumulate(row))[-1] >= 1.0:
+            row[-1] -= 2**-53  # exact: row[-1] >= 1/6000
+    row += [0.0] * draw(st.integers(0, 3))
+    sums = list(accumulate(row))  # the running sums, as the scan adds them
+    edges = [0.0, 1.0 - 2**-53, *sums, *(math.nextafter(x, 0.0) for x in sums)]
+    edges = [x for x in edges if x < 1.0]  # Generator.random() is below 1
+    u = draw(st.sampled_from(edges) | st.floats(0.0, 1.0, exclude_max=True))
+    return row, u
+
+
+@given(_rows_and_uniforms())
+@settings(max_examples=400, deadline=None)
+def test_pick_equals_the_running_sum_reference(case):
+    # _pick is the one scan behind every categorical draw; the reference is
+    # the scan _draw_categorical ran before it, so a faster pick (a bisect
+    # over cumulative rows) must land on the same index for every uniform
+    row, u = case
+    want = draw_categorical_reference(row, _FixedDraw(u))
+    assert _pick(row, u) == want
+    assert _draw_categorical(np.array(row), _FixedDraw(u)) == want
 
 
 # -- two-group hard instance ------------------------------------------------------

@@ -1497,6 +1497,36 @@ def _assert_plot_refuses(bad, message):
     assert not svg.exists()
 
 
+def test_cli_plot_refuses_an_unknown_regret_mode(tmp_path):
+    # write_results_csv writes expected, realized or off; any other mode was
+    # drawn into the SVG title and hsilab plot exited 0
+    bad = tmp_path / "mode.csv"
+    bad.write_text(
+        f"# regret_mode=bogus<x>\n{CSV_HEADER}\na,e,0,1,0,0,0.5\n", encoding="utf-8"
+    )
+    _assert_plot_refuses(
+        bad,
+        f"{bad}:1: regret mode must be one of ('expected', 'realized', 'off'), "
+        "got 'bogus<x>'",
+    )
+
+
+@pytest.mark.parametrize("command", ["run", "oracle"])
+@pytest.mark.parametrize("cap", [0, -3])
+def test_cli_refuses_an_oracle_cap_below_one(tmp_path, command, cap):
+    # with regret-mode = off, oracle-cap = 0 ran to exit 0, and hsilab oracle
+    # ended in a belief-tree size error that did not name the config
+    extra = f"regret-mode = off\noracle-cap = {cap}\n"
+    cfg = _write(tmp_path, GROUPS_CFG.replace("seeds = 0,1\n", "seeds = 0,1\n" + extra))
+    out = tmp_path / "out"
+    args = ["run", cfg, "-o", str(out)] if command == "run" else ["oracle", cfg]
+    proc = _hsilab_warnings_as_errors(*args)
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: {cfg}: oracle-cap must be >= 1, got {cap}\n"
+    assert proc.stdout == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "regrets, message",
     [
