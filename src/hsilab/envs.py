@@ -12,13 +12,17 @@ every (step, query set), a table E[o, u] whose columns (one per joint value
 The model is also the one place that decides how likely a step's feedback
 is in each state: ``EnvModel.evidence_stack`` caches per step the evidence
 kernels of every query set in one array, and ``EnvModel.evidence`` is a
-view of one query set's block.  Likewise ``_pick`` is the one categorical
-scan of a uniform over a row, and ``_blocks`` the one way a generator's
-draws are served from blocks (each ``SampleRng`` stream, the uniform
-baseline's pairs).
+view of one query set's block.  Likewise every categorical draw is one
+``bisect_right`` of a uniform on a cumulative row (``_cumulative``) built
+once and kept: the initial and product-form rows in ``sampling_rows``, a
+joint-form row and an emission column on their first draw.  ``_blocks`` is
+the one way a generator's draws are served from blocks (each
+``SampleRng`` stream, the uniform baseline's pairs).
 """
 
 import hashlib
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import islice
@@ -94,26 +98,47 @@ class SampleRng:
             setattr(self, label, BlockStream(derive_generator(int(seed), label)))
 
 
+def _cumulative(row):
+    """A probability row (a list) made ready for ``_bisect``: its running
+    sums in an ``array('d')``, added in order as a scan adds them, and the
+    index a uniform selects when no running sum exceeds it, the last index
+    with positive mass (0 when there is none).  Each stored sum is the
+    largest so far, so the array stays sorted when the validation tolerance
+    lets a mass dip below 0, and the first stored sum above ``u`` is still
+    the first running sum above it."""
+    sums, acc, top, last = array("d"), 0.0, -np.inf, 0
+    for idx, w in enumerate(row):
+        acc += w
+        if acc > top:
+            top = acc
+        sums.append(top)
+        if w > 0.0:
+            last = idx
+    return sums, last
+
+
+def _bisect(cumulative, u):
+    """The index a uniform ``u`` selects in a ``_cumulative`` row: the first
+    whose running sum exceeds ``u``, else the row's fallback."""
+    sums, last = cumulative
+    idx = bisect_right(sums, u)
+    return idx if idx < len(sums) else last
+
+
 def _pick(row, u):
     """The index a uniform ``u`` selects in a probability row (a list): the
     first whose running sum exceeds ``u``.  When rounding leaves the running
     sum at or below ``u``, it is the last index with positive mass (0 when
-    there is none), never a zero-mass one."""
-    acc = 0.0
-    for idx, w in enumerate(row):
-        acc += w
-        if u < acc:
-            return idx
-    for idx in range(len(row) - 1, 0, -1):
-        if row[idx] > 0.0:
-            return idx
-    return 0
+    there is none), never a zero-mass one.  It is ``_bisect`` of the row's
+    ``_cumulative``, the draw the samplers make on their kept rows."""
+    return _bisect(_cumulative(row), u)
 
 
 def _draw_categorical(p, gen):
     """One sample from a probability row using a single ``gen.random()``
     draw (``gen`` is a numpy Generator or a ``BlockStream``), picked by
-    ``_pick``."""
+    ``_pick``.  The agents draw this way from rows that change between
+    draws; the env samplers bisect their kept rows."""
     u = gen.random()
     return _pick(p.tolist() if isinstance(p, np.ndarray) else p, u)
 
@@ -135,8 +160,8 @@ class EnvModel:
     ``emissions`` maps (h, query) -> (n_obs, n_hidden) column-stochastic
     tables, for models whose class_tag is Class2; otherwise None.
     Per-query value codes, per-step evidence stacks, the evidence row of
-    each fitting feedback and the samplers' list rows are cached on first
-    use.
+    each fitting feedback and the samplers' cumulative rows are cached on
+    first use.
     """
 
     name: str
@@ -151,9 +176,12 @@ class EnvModel:
     _joint_cache: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     _codes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _evidence: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _blocks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _evidence_slices: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _index: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _rows: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _joint_rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _emission_rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _hidden: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n_states(self):
@@ -313,16 +341,37 @@ class EnvModel:
         return codes
 
     def sampling_rows(self):
-        """The initial distribution, in product form the (H-1, d, V, A, V)
-        transition rows (else None), and the (S, d) state vectors, as
-        nested Python lists of floats and ints, built once and cached, so
-        each draw and each revealed value reads a Python number without
-        converting a row.  Joint tables stay arrays: as lists, one at
-        MAX_TABLE_CELLS would take more than 4 GiB."""
+        """The ``_cumulative`` initial row, in product form the (H-1, d, V,
+        A) nested lists of ``_cumulative`` transition rows (else None), and
+        the (S, d) state vectors as nested lists of ints, built once and
+        cached, so each draw and each revealed value reads Python objects
+        without converting a row.  Joint-form rows are cumulated only as
+        they are drawn (``joint_row``)."""
         if self._rows is None:
-            product = None if self.product is None else self.product.tolist()
-            self._rows = (self.initial.tolist(), product, self.state_vectors.tolist())
+            product = None
+            if self.product is not None:
+                product = [
+                    [[[_cumulative(row) for row in cell] for cell in sub] for sub in step]
+                    for step in self.product.tolist()
+                ]
+            self._rows = (
+                _cumulative(self.initial.tolist()), product, self.state_vectors.tolist()
+            )
         return self._rows
+
+    def joint_row(self, h, s, a):
+        """The ``_cumulative`` joint transition row of (step h, state s,
+        action a), built on its first draw and kept in step h's table of
+        S x A slots.  The cache holds only rows that were drawn, so it never
+        holds more doubles than the joint table."""
+        slots = self._joint_rows.get(h)
+        if slots is None:
+            slots = self._joint_rows[h] = [None] * (self.n_states * self.dims.n_actions)
+        at = s * self.dims.n_actions + a
+        row = slots[at]
+        if row is None:
+            row = slots[at] = _cumulative(self.joint[h - 1, s, a].tolist())
+        return row
 
     def evidence_stack(self, h):
         """Evidence kernels of step-h feedback under every query set, stacked
@@ -344,7 +393,7 @@ class EnvModel:
             stack = np.zeros((len(qsets) * R, S))
             cols = np.arange(S)
             for qi, query in enumerate(qsets):
-                self._blocks[query] = slice(qi * R, qi * R + R)
+                self._evidence_slices[query] = slice(qi * R, qi * R + R)
                 vcode, hcode = self.query_codes(query)
                 rows = qi * R + vcode * n_obs + np.arange(n_obs)[:, None]
                 if self.emissions:
@@ -366,7 +415,7 @@ class EnvModel:
         elsewhere, so rows line up with each node's ``PolicyGraph.children``.
         """
         stack = self.evidence_stack(h)  # fills the query sets' blocks
-        return stack[self._blocks[query]]
+        return stack[self._evidence_slices[query]]
 
     def evidence_index(self, h, feedback):
         """Row of the step-h evidence kernel that one step's feedback
@@ -399,7 +448,7 @@ class EnvModel:
 
 def sample_initial(m, rng):
     """Draw the episode's first state index."""
-    return _draw_categorical(m.sampling_rows()[0], rng.init)
+    return _bisect(m.sampling_rows()[0], rng.init.random())
 
 
 def transition(m, h, s, a, rng):
@@ -408,9 +457,9 @@ def transition(m, h, s, a, rng):
     Product-form models consume one transition draw per sub-state, taken
     together (the same doubles, in order, as d scalar draws), joint
     models one draw total; the count never depends on the sampled values.
-    Each sub-state's value is ``_pick`` of its row and its own double, as
-    ``_draw_categorical`` would draw it, and the values are encoded
-    little-endian as ``encode_state``.
+    Each draw is ``_bisect`` of a kept cumulative row: a sub-state's row
+    from ``sampling_rows``, whose values are encoded little-endian as
+    ``encode_state``, or the joint row from ``joint_row``.
     """
     dims = m.dims
     if not 1 <= h <= dims.horizon - 1:
@@ -422,10 +471,10 @@ def transition(m, h, s, a, rng):
         draws = rng.transition.take(dims.d)
         code, weight = 0, 1
         for sub_rows, v, u in zip(rows, vectors[s], draws):
-            code += _pick(sub_rows[v][a], u) * weight
+            code += _bisect(sub_rows[v][a], u) * weight
             weight *= V
         return code
-    return _draw_categorical(m.joint[h - 1, s, a], rng.transition)
+    return _bisect(m.joint_row(h, s, a), rng.transition.random())
 
 
 def reward(m, h, s, a, rng):
@@ -437,22 +486,34 @@ def reward(m, h, s, a, rng):
 def emit_observation(m, h, s, q, rng):
     """Draw the partial observation for step h under query set q.
 
-    The symbol depends only on the sub-states the query leaves hidden.
-    A query that is not one of the model's query sets (sorted tuples of
-    distinct sub-state indices) has no emission table and raises
-    UnsupportedFeedbackError.
+    The symbol depends only on the sub-states the query leaves hidden: it
+    is ``_bisect`` of the emission column of their value code, cumulated on
+    its first draw and kept per (step, query, hidden-value code).  A query
+    that is not one of the model's query sets (sorted tuples of distinct
+    sub-state indices) has no emission table and raises
+    UnsupportedFeedbackError, on every call and before anything is cached.
     """
-    if m.class_tag != "Class2" or not m.emissions:
-        raise UnsupportedFeedbackError(
-            f"model {m.name!r} ({m.class_tag}) emits no partial observations"
-        )
-    try:
-        table = m.emissions[(h, q)]
-    except KeyError:
-        raise UnsupportedFeedbackError(
-            f"model {m.name!r} has no emission table for step {h}, query {q}"
-        ) from None
-    return _draw_categorical(table[:, m.query_codes(q)[1][s]], rng.emission)
+    key = (h, q)
+    columns = m._emission_rows.get(key)
+    if columns is None:
+        if m.class_tag != "Class2" or not m.emissions:
+            raise UnsupportedFeedbackError(
+                f"model {m.name!r} ({m.class_tag}) emits no partial observations"
+            )
+        if key not in m.emissions:
+            raise UnsupportedFeedbackError(
+                f"model {m.name!r} has no emission table for step {h}, query {q}"
+            )
+        hidden = m._hidden.get(q)
+        if hidden is None:
+            hidden = m._hidden[q] = m.query_codes(q)[1].tolist()
+        columns = m._emission_rows[key] = (hidden, [None] * m.dims.n_hidden)
+    hidden, slots = columns
+    code = hidden[s]
+    column = slots[code]
+    if column is None:
+        column = slots[code] = _cumulative(m.emissions[key][:, code].tolist())
+    return _bisect(column, rng.emission.random())
 
 
 # -- hard-instance builders ---------------------------------------------------

@@ -923,11 +923,12 @@ def read_results_csv(path):
     """Parse a results CSV, one line at a time, into run columns.  A row that
     is malformed, has an infinite regret (off mode's NaN is accepted), an
     episode outside 1..MAX_TABLE_CELLS or an earlier row's (algo, seed,
-    episode), and a regret mode a run does not write, raise ConfigError
-    naming file:line; finite regrets too far apart for the plot's scale, or
-    too large for their mean over the runs to be a float, raise it naming
-    the file."""
-    mode = "expected"
+    episode), a regret mode a run does not write, and a second regret mode
+    line raise ConfigError naming file:line; finite regrets too far apart
+    for the plot's scale, or too large for their mean over the runs to be a
+    float, and a file with no regret mode line (checked after the rows)
+    raise it naming the file."""
+    mode = None
     env_name = ""
     runs = {}  # (algo, seed) -> episodes, regrets and line numbers in file order
     lo, hi = 0.0, -math.inf
@@ -938,6 +939,11 @@ def read_results_csv(path):
             continue
         if line.startswith("#"):
             if line.startswith("# regret_mode="):
+                if mode is not None:
+                    raise ConfigError(
+                        f"{path}:{lineno}: second '# regret_mode=' line; "
+                        "a results CSV has one"
+                    )
                 mode = line.partition("=")[2].strip()
                 if mode not in REGRET_MODES[1:]:  # the modes a run writes
                     raise ConfigError(
@@ -1000,6 +1006,8 @@ def read_results_csv(path):
             f"{path}: regrets from {lo!r} to {hi!r} over {len(columns)} runs "
             "overflow the plot's scale"
         )
+    if mode is None:
+        raise ConfigError(f"{path}: no '# regret_mode=' line; a results CSV has one")
     return CsvData(regret_mode=mode, env_name=env_name, runs=columns)
 
 

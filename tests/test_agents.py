@@ -40,15 +40,14 @@ from hsilab.envs import (
     BLOCK_DRAWS,
     EnvModel,
     SampleRng,
-    _draw_categorical,
     build_hard_instance_flat_emission,
     build_hard_instance_groups,
     derive_generator,
-    emit_observation,
     random_independent_model,
 )
 from hsilab.oracle import optimal_value
 from policy_reference import random_hidden_observation_model
+from sampling_reference import draw_categorical_reference, emit_observation_reference
 
 
 # ---------------------------------------------------------------------------
@@ -801,12 +800,13 @@ def test_run_episode_single_step_horizon():
 
 
 def run_episode_reference(agent, env, k, rng):
-    """``run_episode`` as it read the model before the samplers' cached list
-    rows: a numpy state-vector row per step, numpy reward means and
-    array-indexed product rows.  The loop must produce the same traces
-    and leave every stream in the same state."""
+    """``run_episode`` as it read the model before the samplers' cached
+    rows: a numpy state-vector row per step, numpy reward means, and the
+    reference scan on array-indexed initial, transition and emission rows.
+    The loop must produce the same traces and leave every stream in the
+    same state."""
     agent.begin_episode(k)
-    s = _draw_categorical(env.initial, rng.init)
+    s = draw_categorical_reference(env.initial, rng.init)
     trace = EpisodeTrace(episode=k)
     H = env.dims.horizon
     emits = env.class_tag == "Class2"
@@ -815,19 +815,19 @@ def run_episode_reference(agent, env, k, rng):
         r = 1.0 if rng.reward.random() < env.rewards[h - 1, s, action] else 0.0
         vec = env.state_vectors[s]
         hsi = tuple((i, int(vec[i])) for i in query)
-        obs = emit_observation(env, h, s, query, rng) if emits else None
+        obs = emit_observation_reference(env, h, s, query, rng) if emits else None
         fb = Feedback(query=tuple(query), hsi=hsi, observation=obs, reward=r)
         agent.observe(h, action, fb)
         trace.append(StepRecord(h=h, action=action, feedback=fb))
         if h < H:
             if env.transition_form == "product":
                 nxt = [
-                    _draw_categorical(env.product[h - 1, i, v, action], rng.transition)
+                    draw_categorical_reference(env.product[h - 1, i, v, action], rng.transition)
                     for i, v in enumerate(env.state_vectors[s].tolist())
                 ]
                 s = encode_state(nxt, env.dims.alphabet_size)
             else:
-                s = _draw_categorical(env.joint[h - 1, s, action], rng.transition)
+                s = draw_categorical_reference(env.joint[h - 1, s, action], rng.transition)
     agent.end_episode(trace)
     return trace
 

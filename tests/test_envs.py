@@ -31,6 +31,7 @@ from hsilab.envs import (
     check_groups_same_substate,
     controlled_drift_candidates,
     derive_generator,
+    emit_observation,
     estimate_cross_covariance,
     groups_state_vectors,
     min_partial_singular_value,
@@ -42,6 +43,7 @@ from hsilab.envs import (
     tree_stay_action,
 )
 from policy_reference import random_hidden_observation_model
+from sampling_reference import draw_categorical_reference, emit_observation_reference
 
 
 # -- randomness plumbing --------------------------------------------------------
@@ -139,34 +141,6 @@ def test_draw_categorical_fallback_skips_zero_mass():
     assert _draw_categorical(row, _FixedDraw(0.9999999999999999)) == 1
     assert _draw_categorical([0.0, 0.0], _FixedDraw(0.5)) == 0
     assert _draw_categorical(row, _FixedDraw(0.3)) == 1
-
-
-# The reference for ``_pick``: the categorical draw and its fallback as
-# ``envs`` wrote them before the scan was shared, kept verbatim.
-def draw_categorical_reference(p, gen):
-    """One sample from a probability row using a single ``gen.random()``
-    draw (``gen`` is a numpy Generator or a ``BlockStream``).
-
-    When rounding leaves the row's running sum at or below the draw, the
-    sample is the last index with positive mass, never a zero-mass one.
-    """
-    u = gen.random()
-    row = p.tolist() if isinstance(p, np.ndarray) else p
-    acc = 0.0
-    for idx, w in enumerate(row):
-        acc += w
-        if u < acc:
-            return idx
-    return _last_positive(row)
-
-
-def _last_positive(row):
-    """The last index of a row with positive mass (0 when there is none):
-    the draw for a uniform at or above the row's running sum."""
-    for idx in range(len(row) - 1, 0, -1):
-        if row[idx] > 0.0:
-            return idx
-    return 0
 
 
 @st.composite
@@ -424,11 +398,11 @@ def test_product_transition_sampling_frequencies():
 
 def product_transition_reference(m, h, s, a, rng):
     """Reference for the product-form ``transition``: one scalar
-    ``_draw_categorical`` per sub-state on the model's array rows, then
-    ``encode_state``."""
+    ``draw_categorical_reference`` per sub-state on the model's array rows,
+    then ``encode_state``."""
     vec = m.state_vectors[s]
     nxt = [
-        _draw_categorical(m.product[h - 1, i, vec[i], a], rng.transition)
+        draw_categorical_reference(m.product[h - 1, i, vec[i], a], rng.transition)
         for i in range(m.dims.d)
     ]
     return encode_state(nxt, m.dims.alphabet_size)
@@ -456,7 +430,7 @@ def test_product_sampling_draws_the_reference_stream(d, V, H, A, seed):
     actions = np.random.default_rng(seed).integers(A, size=(20, H))
     for episode in range(20):
         s = sample_initial(m, rng)
-        assert s == _draw_categorical(m.initial, ref.init)
+        assert s == draw_categorical_reference(m.initial, ref.init)
         for h in range(1, H):
             a = int(actions[episode, h - 1])
             nxt = transition(m, h, s, a, rng)
@@ -483,8 +457,10 @@ class _ScriptedDraws:
 
 
 class _ScriptedRng:
-    def __init__(self, values):
-        self.transition = _ScriptedDraws(values)
+    def __init__(self, transition=(), init=(), emission=()):
+        self.transition = _ScriptedDraws(transition)
+        self.init = _ScriptedDraws(init)
+        self.emission = _ScriptedDraws(emission)
 
 
 @st.composite
@@ -529,6 +505,132 @@ def test_product_transition_fallback_equals_the_reference(case):
     rng, ref = _ScriptedRng(uniforms), _ScriptedRng(uniforms)
     assert transition(m, 1, s, a, rng) == product_transition_reference(m, 1, s, a, ref)
     assert rng.transition.used == ref.transition.used == m.dims.d
+
+
+def _short_row(draw, n):
+    """n masses from {0, 1/4, 1/2, 1}, normalised, the last positive one cut
+    so the row sums to just under 1, and maybe one zero mass turned to
+    -1e-13: all within the validation tolerance."""
+    row = np.array(draw(st.lists(
+        st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=n, max_size=n
+    ).filter(any)))
+    row /= row.sum()
+    row[np.flatnonzero(row)[-1]] -= draw(st.sampled_from([0.0, 2.0**-52, 2.0**-45, 1e-13]))
+    zeros = np.flatnonzero(row == 0.0).tolist()
+    if zeros and draw(st.booleans()):
+        row[draw(st.sampled_from(zeros))] = -1e-13
+    return row
+
+
+def _edge_uniform(draw, row):
+    """A uniform at 0, at or just below one of the row's running sums, at
+    or above its total, or anywhere in [0, 1)."""
+    sums = list(accumulate(row))  # the running sums, as the scan adds them
+    edges = [0.0, 1.0 - 2**-53, math.nextafter(sums[-1], 1.0), *sums]
+    edges += [math.nextafter(x, 0.0) for x in sums]
+    edges = [x for x in edges if 0.0 <= x < 1.0]  # as Generator.random() draws
+    return draw(st.sampled_from(edges) | st.floats(0.0, 1.0, exclude_max=True))
+
+
+def _reference_row(m, label, h, s, x):
+    """The row the reference scan draws from for one sampler call."""
+    if label == "init":
+        return m.initial
+    if label == "transition":
+        return m.joint[h - 1, s, x]
+    return m.emissions[(h, x)][:, m.query_codes(x)[1][s]]
+
+
+@st.composite
+def _kept_row_draws(draw):
+    """A joint-form model, Generic or Class2, whose initial row, transition
+    rows and emission columns are ``_short_row``s, and sampler calls on it,
+    each made twice (so one builds its kept row and one reads it) with
+    ``_edge_uniform``s of the row it draws from."""
+    d, V, A, H = (draw(st.integers(lo, hi)) for lo, hi in ((1, 2), (2, 3), (1, 2), (2, 3)))
+    emits = draw(st.booleans())
+    dims = Dims(d, V, 1, H, A, n_observations=draw(st.integers(1, 3)) if emits else 0)
+    S = dims.n_states
+    joint = np.array(
+        [_short_row(draw, S) for _ in range((H - 1) * S * A)]
+    ).reshape(H - 1, S, A, S)
+    emissions = {
+        key: np.array([_short_row(draw, dims.n_observations) for _ in range(dims.n_hidden)]).T
+        for key in ((h, q) for h in range(1, H + 1) for q in dims.query_sets())
+    } if emits else None
+    m = EnvModel.from_joint(
+        "short", dims, "Class2" if emits else "Generic", _short_row(draw, S), joint,
+        np.zeros((H, S, A)), emissions=emissions,
+    )
+    labels = ["init", "transition"] + ["emission"] * emits
+    calls = []
+    for _ in range(draw(st.integers(1, 8))):
+        label = draw(st.sampled_from(labels))
+        h = draw(st.integers(1, H - (label == "transition")))
+        s = draw(st.integers(0, S - 1))
+        x = draw(st.integers(0, A - 1) if label == "transition" else st.sampled_from(dims.query_sets()))
+        row = _reference_row(m, label, h, s, x).tolist()
+        calls += [((label, h, s, x), _edge_uniform(draw, row)) for _ in range(2)]
+    return m, draw(st.permutations(calls)), draw(st.integers(0, 2**32 - 1))
+
+
+@given(_kept_row_draws())
+@settings(max_examples=150, deadline=None)
+def test_kept_rows_draw_the_reference_scan(case):
+    # every sampler bisects a cumulative row it builds on the row's first
+    # draw and keeps: the building draw and every later one must pick the
+    # reference scan's index, at and just below each running sum and at or
+    # above the total, and take the same draws from every stream; the joint
+    # and emission caches hold only the rows that were drawn
+    m, calls, seed = case
+    samplers = {"init": sample_initial, "transition": transition, "emission": emit_observation}
+    scripts = {label: [u for (lbl, *_), u in calls if lbl == label] for label in samplers}
+    rng, ref = _ScriptedRng(**scripts), _ScriptedRng(**scripts)
+    for (label, h, s, x), _ in calls:
+        args = (m, rng) if label == "init" else (m, h, s, x, rng)
+        want = draw_categorical_reference(
+            _reference_row(m, label, h, s, x), getattr(ref, label)
+        )
+        assert samplers[label](*args) == want
+    for label, script in scripts.items():
+        assert getattr(rng, label).used == getattr(ref, label).used == len(script)
+    A = m.dims.n_actions
+    assert {
+        (h, at // A, at % A)
+        for h, slots in m._joint_rows.items()
+        for at, row in enumerate(slots)
+        if row is not None
+    } == {(h, s, a) for (label, h, s, a), _ in calls if label == "transition"}
+    assert all(len(slots) == m.n_states * A for slots in m._joint_rows.values())
+    assert {
+        (h, q, code)
+        for (h, q), (_, slots) in m._emission_rows.items()
+        for code, column in enumerate(slots)
+        if column is not None
+    } == {
+        (h, q, m.query_codes(q)[1][s])
+        for (label, h, s, q), _ in calls
+        if label == "emission"
+    }
+    # whole episodes on the generator streams, over kept and new rows
+    H, emits = m.dims.horizon, bool(m.emissions)
+    rng, ref = SampleRng(seed), SampleRng(seed)
+    gen = np.random.default_rng(seed)
+    for _ in range(4):
+        s = sample_initial(m, rng)
+        assert s == draw_categorical_reference(m.initial, ref.init)
+        for h in range(1, H + 1):
+            if emits:
+                q = (int(gen.integers(m.dims.d)),)
+                assert emit_observation(m, h, s, q, rng) == emit_observation_reference(
+                    m, h, s, q, ref
+                )
+            if h < H:
+                a = int(gen.integers(A))
+                nxt = transition(m, h, s, a, rng)
+                assert nxt == draw_categorical_reference(m.joint[h - 1, s, a], ref.transition)
+                s = nxt
+        assert _stream_states(rng) == _stream_states(ref)
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(0, 3))
@@ -624,27 +726,26 @@ def test_reward_is_bernoulli_with_known_mean():
 
 def test_emit_requires_emission_model():
     m = build_hard_instance_groups(2, 0.1)
-    from hsilab.envs import emit_observation
-
-    with pytest.raises(UnsupportedFeedbackError):
-        emit_observation(m, 1, 0, (0,), SampleRng(0))
+    for _ in range(2):  # nothing is cached, so it raises on every call
+        with pytest.raises(UnsupportedFeedbackError):
+            emit_observation(m, 1, 0, (0,), SampleRng(0))
+    assert m._emission_rows == {} and m._hidden == {}
 
 
 def test_emit_refuses_a_query_that_is_not_a_query_set():
     # the emission lookup is the query's one check: an unsorted, repeated or
-    # out-of-range query has no table
-    from hsilab.envs import emit_observation
-
+    # out-of-range query has no table, on every call, and is never cached
     dims = Dims(d=3, alphabet_size=2, d_query=2, horizon=2, n_actions=2,
                 n_observations=2)
     m = random_hidden_observation_model(np.random.default_rng(0), dims)
     assert emit_observation(m, 1, 0, (0, 1), SampleRng(0)) in (0, 1)
-    for query in ((1, 0), (0, 0), (5,)):
+    for query in ((1, 0), (0, 0), (5,)) * 2:
         with pytest.raises(UnsupportedFeedbackError, match=re.escape(
             f"model 'random-hidden-obs' has no emission table for step 1, "
             f"query {query}"
         )):
             emit_observation(m, 1, 0, query, SampleRng(0))
+    assert list(m._emission_rows) == [(1, (0, 1))] and list(m._hidden) == [(0, 1)]
 
 
 def test_sample_initial_respects_point_mass():

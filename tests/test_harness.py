@@ -1511,6 +1511,28 @@ def test_cli_plot_refuses_an_unknown_regret_mode(tmp_path):
     )
 
 
+def test_cli_plot_refuses_a_second_regret_mode(tmp_path):
+    # the reader kept the last mode line, so a CSV naming two modes was
+    # titled with the second and hsilab plot exited 0
+    bad = tmp_path / "twice.csv"
+    bad.write_text(
+        f"# regret_mode=expected\n{CSV_HEADER}\na,e,0,1,0,0,0.5\n# regret_mode=realized\n",
+        encoding="utf-8",
+    )
+    _assert_plot_refuses(bad, f"{bad}:4: second '# regret_mode=' line; a results CSV has one")
+
+
+def test_cli_plot_refuses_a_csv_without_a_regret_mode(tmp_path):
+    # the reader assumed expected, so a CSV that lost its mode line was
+    # titled as expected regret and hsilab plot exited 0; the check comes
+    # after the rows, so a bad row is still refused with its own line
+    bad = tmp_path / "nomode.csv"
+    bad.write_text(f"{CSV_HEADER}\na,e,0,1,0,0,0.5\n", encoding="utf-8")
+    _assert_plot_refuses(bad, f"{bad}: no '# regret_mode=' line; a results CSV has one")
+    bad.write_text(f"{CSV_HEADER}\na,e,0,1,0,0,0.5\na,e,0,2,0,0,inf\n", encoding="utf-8")
+    _assert_plot_refuses(bad, f"{bad}:3: regret must be finite, got inf")
+
+
 @pytest.mark.parametrize("command", ["run", "oracle"])
 @pytest.mark.parametrize("cap", [0, -3])
 def test_cli_refuses_an_oracle_cap_below_one(tmp_path, command, cap):
