@@ -13,10 +13,8 @@ __version__ = "0.1.0"
 from .core import (
     ConfigError,
     Dims,
-    EpisodeTrace,
     Feedback,
     OracleSizeError,
-    StepRecord,
     UnsupportedFeedbackError,
     decode_state,
     encode_state,
@@ -87,7 +85,6 @@ __all__ = [
     "ConfigError",
     "Dims",
     "EnvModel",
-    "EpisodeTrace",
     "EpsilonGreedySequenceAgent",
     "ExperimentConfig",
     "Feedback",
@@ -102,7 +99,6 @@ __all__ = [
     "ResultsTable",
     "SampleRng",
     "ScheduleError",
-    "StepRecord",
     "UniformRandomAgent",
     "UnsupportedFeedbackError",
     "VerificationFailure",

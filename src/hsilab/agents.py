@@ -27,7 +27,7 @@ from functools import partial
 
 import numpy as np
 
-from .core import EpisodeTrace, Feedback, StepRecord, encode_state
+from .core import Feedback, encode_state
 from .envs import (
     BLOCK_DRAWS,
     _blocks,
@@ -345,16 +345,18 @@ class UniformMarkovPolicy:
 
 
 def run_episode(agent, env, k, rng):
-    """One episode of the query/act/observe protocol.
+    """One episode of the query/act/observe protocol; returns the episode's
+    reward, the step rewards added to 0.0 in step order.
 
     The agent sees the environment only through Feedback records; each
     step's revealed values arrive after the step's action.  Each step's
-    ``Feedback`` and ``StepRecord`` are built positionally; both are
-    slotted, which makes them cheap to build once per step.
+    ``Feedback`` is built positionally and is slotted, which makes it cheap
+    to build once per step; it is the only per-step object the loop builds.
+    ``end_episode`` receives the episode's reward.
     """
     agent.begin_episode(k)
     s = sample_initial(env, rng)
-    trace = EpisodeTrace(episode=k)
+    total = 0.0
     H = env.dims.horizon
     emits = env.class_tag == "Class2"
     vectors = env.sampling_rows()[2]
@@ -364,13 +366,12 @@ def run_episode(agent, env, k, rng):
         vec = vectors[s]
         hsi = tuple([(i, vec[i]) for i in query])
         obs = emit_observation(env, h, s, query, rng) if emits else None
-        fb = Feedback(tuple(query), hsi, obs, r)
-        agent.observe(h, action, fb)
-        trace.append(StepRecord(h, action, fb))
+        agent.observe(h, action, Feedback(tuple(query), hsi, obs, r))
+        total += r
         if h < H:
             s = transition(env, h, s, action, rng)
-    agent.end_episode(trace)
-    return trace
+    agent.end_episode(total)
+    return total
 
 
 class _OptimisticQAgent:
@@ -474,11 +475,11 @@ class _OptimisticQAgent:
         self._prev_code = code
         self._prev_action = action
 
-    def end_episode(self, trace):
+    def end_episode(self, total):
         ph, pcode, pact, prew = self._pending
         self.qt.record(ph, self._qset, pcode, pact, prew, None)
         self._pending = None
-        self._last_total = trace.total_reward
+        self._last_total = total
 
     def _start_episode_common(self, qset):
         self._qset = self.qt.ensure(qset)
@@ -564,9 +565,9 @@ class OpmllAgent(_OptimisticQAgent):
         self.selection_log.append((k, self.ws.leader, qset))
         self._start_episode_common(qset)
 
-    def end_episode(self, trace):
-        super().end_episode(trace)
-        self._block_rewards.append(trace.total_reward)
+    def end_episode(self, total):
+        super().end_episode(total)
+        self._block_rewards.append(total)
         self._block_sets.append(self._qset)
 
 
@@ -601,7 +602,7 @@ class UniformRandomAgent:
     def observe(self, h, action, fb):
         pass
 
-    def end_episode(self, trace):
+    def end_episode(self, total):
         pass
 
 
@@ -626,7 +627,7 @@ class FixedPolicyAgent:
         self._prev_code = encode_state(fb.values(), self.dims.alphabet_size)
         self._prev_action = action
 
-    def end_episode(self, trace):
+    def end_episode(self, total):
         pass
 
 
@@ -692,6 +693,6 @@ class EpsilonGreedySequenceAgent:
     def observe(self, h, action, fb):
         pass
 
-    def end_episode(self, trace):
-        self.totals[self._seq] += trace.total_reward
+    def end_episode(self, total):
+        self.totals[self._seq] += total
         self.counts[self._seq] += 1

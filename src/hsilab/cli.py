@@ -10,6 +10,8 @@ import argparse
 import os
 import sys
 
+import numpy as np
+
 from .core import ConfigError, OracleSizeError
 from . import harness, oracle
 
@@ -110,6 +112,14 @@ def _cmd_verify(args):
 
 def _cmd_plot(args):
     data = harness.read_results_csv(args.csv)
+    # only an off-mode run writes nan regrets; the plot names that mode alone
+    if data.regret_mode != "off" and data.runs and all(
+        np.isnan(regrets).all() for *_, regrets in data.runs
+    ):
+        raise ConfigError(
+            f"{args.csv}: every regret is nan, though the file declares "
+            f"regret mode {data.regret_mode!r}"
+        )
     harness.emit_plot_svg(data, args.output)
     print(f"wrote {args.output}")
     return 0

@@ -1,5 +1,5 @@
-"""Shared vocabulary: dimensions, sub-state vector codecs, feedback records
-and the package's exceptions.
+"""Shared vocabulary: dimensions, sub-state vector codecs, the per-step
+feedback record and the package's exceptions.
 
 A state is a length-``d`` vector of sub-state values, each value in
 ``range(alphabet_size)``.  States are stored flat as integers via a
@@ -7,7 +7,7 @@ little-endian mixed-radix code: index = sum_i v[i] * alphabet_size**i.
 Query sets are sorted tuples of sub-state indices.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 
@@ -140,26 +140,3 @@ class Feedback:
     def values(self):
         """Just the revealed values of ``hsi``, in query order."""
         return tuple(v for _, v in self.hsi)
-
-
-@dataclass(slots=True)
-class StepRecord:
-    """One step of an episode trace as the agent experienced it; slotted,
-    like ``Feedback``."""
-
-    h: int
-    action: int
-    feedback: Feedback
-
-
-@dataclass
-class EpisodeTrace:
-    """A full episode: per-step records plus the realized return."""
-
-    episode: int = 0
-    steps: list = field(default_factory=list)
-    total_reward: float = 0.0
-
-    def append(self, record):
-        self.steps.append(record)
-        self.total_reward += record.feedback.reward

@@ -181,7 +181,6 @@ class EnvModel:
     _rows: tuple | None = field(default=None, init=False, repr=False, compare=False)
     _joint_rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _emission_rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _hidden: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n_states(self):
@@ -504,10 +503,9 @@ def emit_observation(m, h, s, q, rng):
             raise UnsupportedFeedbackError(
                 f"model {m.name!r} has no emission table for step {h}, query {q}"
             )
-        hidden = m._hidden.get(q)
-        if hidden is None:
-            hidden = m._hidden[q] = m.query_codes(q)[1].tolist()
-        columns = m._emission_rows[key] = (hidden, [None] * m.dims.n_hidden)
+        columns = m._emission_rows[key] = (
+            m.query_codes(q)[1].tolist(), [None] * m.dims.n_hidden
+        )
     hidden, slots = columns
     code = hidden[s]
     column = slots[code]

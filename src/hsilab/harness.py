@@ -646,8 +646,7 @@ def _execute_run(spec, env, cfg, seed, caches):
     rewards = np.empty(cfg.n_episodes)
     values = np.empty(cfg.n_episodes) if caches else None
     for k in range(1, cfg.n_episodes + 1):
-        trace = run_episode(agent, env, k, env_rng)
-        rewards[k - 1] = trace.total_reward
+        rewards[k - 1] = run_episode(agent, env, k, env_rng)
         if caches:
             values[k - 1] = _policy_value(env, agent.episode_policy, *caches)
     violations = getattr(agent, "invariant_violations", [])

@@ -19,16 +19,17 @@ child under the row a step's feedback selects
 (``EnvModel.evidence_index``).
 
 Candidates are scored in one batched pass per episode
-(``feedback_log_likelihood``): the trace is checked against the played
-policy once, then the forward filter (Rabiner 1989) runs for every
-candidate of the class at once (``CandidateFilter``), on the rows each step
-reads from every candidate's own tables, stacked along a leading candidate
-axis.  The scores depend only on the walked (step, action, query, kernel
-row) sequence, and a run's episodes repeat few of them, so the filter keeps
-each sequence's scores in a memo of at most ``LIKELIHOOD_MEMO_SIZE`` (4096)
-entries and runs once per distinct sequence; past the bound it scores without storing.  Each step's
-kernel row is read through ``EnvModel.evidence_index``, which caches the
-row of every feedback that fits.
+(``feedback_log_likelihood``) on the walk the agent took: the (step,
+action, query, kernel row) of each step, recorded as the agent moved its
+policy.  The forward filter (Rabiner 1989) runs for every candidate of the
+class at once (``CandidateFilter``), on the rows each step reads from every
+candidate's own tables, stacked along a leading candidate axis.  The scores
+depend only on the walk, and a run's episodes repeat few walks, so the
+filter keeps each walk's scores in a memo of at most
+``LIKELIHOOD_MEMO_SIZE`` (4096) entries and runs once per distinct walk;
+past the bound it scores without storing.  The agent reads each step's
+kernel row once, through ``EnvModel.evidence_index``, which caches the row
+of every feedback that fits.
 
 The optimistic step is a max over surviving candidates of each one's own
 optimum, so each candidate's best policy is planned once, before the first
@@ -144,43 +145,32 @@ class CandidateFilter:
         self.memo = {}
 
 
-def feedback_log_likelihood(cfilter, policy, trace):
-    """Exact log-probability of a trace's feedback under every candidate of
-    a class, given the policy that played it: a float64 array with one entry
-    per candidate of ``cfilter`` (a ``CandidateFilter``).
+def feedback_log_likelihood(cfilter, steps):
+    """Exact log-probability of one episode's feedback under every candidate
+    of a class: a float64 array with one entry per candidate of ``cfilter``
+    (a ``CandidateFilter``).
 
-    Scores only the queried values and emitted symbols; realized rewards are
-    excluded.  The trace is walked against the policy once: a trace whose
-    actions or queries disagree with the policy at the reached node scores
-    -inf for every candidate, and feedback that does not fit the class
-    raises UnsupportedFeedbackError.  Then the forward filter runs for all
-    candidates at once, on each step's rows of every candidate's own tables
-    stacked along a leading candidate axis, with each candidate's arithmetic
-    exactly that of a filter run alone: condition on the step's kernel row,
-    add the log of the conditioning mass, and transition, except after the
-    last step.  A candidate whose mass reaches zero scores -inf.
+    ``steps`` is the episode's walk, a tuple with one (h, action, query,
+    row) per step, where row is the evidence-kernel row the step's feedback
+    selects (``EnvModel.evidence_index``), as ``PorsAgent.observe`` records
+    it.  Scores only the queried values and emitted symbols; realized
+    rewards are excluded.  The forward filter runs for all candidates at
+    once, on each step's rows of every candidate's own tables stacked along
+    a leading candidate axis, with each candidate's arithmetic exactly that
+    of a filter run alone: condition on the step's kernel row, add the log
+    of the conditioning mass, and transition, except after the last step.
+    A candidate whose mass reaches zero scores -inf.
 
-    The walked (h, action, query, row) steps fix the scores, so they are
-    looked up in ``cfilter.memo`` first; a new sequence is scored and, while
-    the memo holds fewer than ``LIKELIHOOD_MEMO_SIZE`` entries, stored.
-    Scores from the filter or the memo are read-only.
+    The walk fixes the scores, so it is looked up in ``cfilter.memo``
+    first; a new walk is scored and, while the memo holds fewer than
+    ``LIKELIHOOD_MEMO_SIZE`` entries, stored.  Scores from the filter or
+    the memo are read-only.
     """
     cands = cfilter.candidates
-    first = cands[0]
-    steps = []
-    node = 0
-    for rec in trace.steps:
-        query = tuple(rec.feedback.query)
-        if (rec.action, query) != (policy.actions[node], policy.queries[node]):
-            return np.full(len(cands), -np.inf)
-        row = first.evidence_index(rec.h, rec.feedback)
-        node = policy.children[node][row]
-        steps.append((rec.h, rec.action, query, row))
-    steps = tuple(steps)
     scores = cfilter.memo.get(steps)
     if scores is not None:
         return scores
-    H = first.dims.horizon
+    H = cands[0].dims.horizon
     totals = [0.0] * len(cands)
     p = np.stack([np.asarray(m.initial, float) for m in cands])
     for h, action, query, row in steps:
@@ -327,7 +317,10 @@ class PorsAgent:
     play the best plan of the most optimistic survivor, and fold the
     episode's feedback into every candidate's score with one batched
     ``feedback_log_likelihood`` call, which runs the filter once per
-    distinct feedback path.
+    distinct walk.  ``observe`` moves the policy to the child under the
+    step's kernel row and records the step's (h, action, query, row), the
+    walk that call scores; feedback that does not fit the class raises
+    UnsupportedFeedbackError there.
     Planning is deterministic, so the agent holds no rng.
     """
 
@@ -346,6 +339,7 @@ class PorsAgent:
         self.plan_log = []
         self.episode_policy = None
         self._node = 0
+        self._steps = []
 
     def begin_episode(self, episode):
         conf = ConfidenceSet(_screen(self.loglik, self.beta))
@@ -354,6 +348,7 @@ class PorsAgent:
         self.plan_log.append(best)
         self.episode_policy = self.context.plans[best].policy
         self._node = 0
+        self._steps = []
 
     def act(self, h):
         policy = self.episode_policy
@@ -361,9 +356,8 @@ class PorsAgent:
 
     def observe(self, h, action, feedback):
         row = self.context.filter.candidates[0].evidence_index(h, feedback)
+        self._steps.append((h, action, feedback.query, row))
         self._node = self.episode_policy.children[self._node][row]
 
-    def end_episode(self, trace):
-        self.loglik += feedback_log_likelihood(
-            self.context.filter, self.episode_policy, trace
-        )
+    def end_episode(self, total):
+        self.loglik += feedback_log_likelihood(self.context.filter, tuple(self._steps))

@@ -17,7 +17,10 @@ symbol paths, which ``pors.evaluate_policy_value`` computes by pushing
 Markov episode policy, which ``oracle.evaluate_markov_policy`` computes by
 pushing (state, action) joints.  ``trace_log_likelihood`` is the exact
 filter of one model on its own, which ``pors.feedback_log_likelihood`` runs
-for a whole class at once.
+for a whole class at once, on the walk ``walked_steps_reference`` reads
+off a trace.  A trace is one (h, action, Feedback) per step, as
+``Recorder`` sees them arrive at an agent's ``observe``; ``play_policy``
+records the trace of one episode of a policy graph.
 """
 
 from itertools import product
@@ -25,7 +28,7 @@ import math
 
 import numpy as np
 
-from hsilab.agents import MarkovEpisodePolicy
+from hsilab.agents import MarkovEpisodePolicy, run_episode
 from hsilab.core import Feedback, encode_state
 from hsilab.envs import EnvModel
 from hsilab.pors import PolicyGraph, evaluate_policy_value
@@ -225,23 +228,103 @@ def random_hidden_observation_model(gen, dims):
 def trace_log_likelihood(m, trace):
     """Log-probability of an episode's feedback sequence under the model.
 
-    Accumulates the conditioning mass of each step's feedback through the
-    exact filter; the last step conditions without transitioning.  Returns
-    -inf for impossible traces.  Realized rewards are not part of the
-    evidence.
+    ``trace`` holds one (h, action, Feedback) per step.  Accumulates the
+    conditioning mass of each step's feedback through the exact filter;
+    the last step conditions without transitioning.  Returns -inf for
+    impossible traces.  Realized rewards are not part of the evidence.
     """
     p = np.array(m.initial, dtype=float)
     total = 0.0
     H = m.dims.horizon
-    for rec in trace.steps:
-        row = m.evidence(rec.h, tuple(rec.feedback.query))[
-            m.evidence_index(rec.h, rec.feedback)
-        ]
+    for h, action, fb in trace:
+        row = m.evidence(h, tuple(fb.query))[m.evidence_index(h, fb)]
         post = p * row
         mass = float(post.sum())
         if mass == 0.0:
             return float("-inf")
         total += math.log(mass)
-        if rec.h < H:
-            p = (post / mass) @ m.joint_transitions()[rec.h - 1, :, rec.action, :]
+        if h < H:
+            p = (post / mass) @ m.joint_transitions()[h - 1, :, action, :]
     return total
+
+
+def walked_steps_reference(model, policy, trace):
+    """The walk ``pors.feedback_log_likelihood`` scores: one (h, action,
+    query, kernel row) per step of a trace of (h, action, Feedback),
+    stepping the policy graph from its root under each step's row.  The
+    trace must be the policy's: each step's action and query must be the
+    ones the reached node plays."""
+    steps = []
+    node = 0
+    for h, action, fb in trace:
+        query = tuple(fb.query)
+        assert (action, query) == (policy.actions[node], policy.queries[node]), (
+            f"step {h} leaves the policy"
+        )
+        row = model.evidence_index(h, fb)
+        node = policy.children[node][row]
+        steps.append((h, action, query, row))
+    return tuple(steps)
+
+
+class Recorder:
+    """Wraps an agent and records the episode's (h, action, Feedback) steps
+    as ``observe`` receives them, and the reward ``end_episode`` receives;
+    ``run_episode`` keeps no step records."""
+
+    def __init__(self, agent):
+        self.agent = agent
+        self.steps = []
+        self.total = None
+
+    def begin_episode(self, k):
+        self.steps = []
+        self.total = None
+        self.agent.begin_episode(k)
+
+    def act(self, h):
+        return self.agent.act(h)
+
+    def observe(self, h, action, fb):
+        self.steps.append((h, action, fb))
+        self.agent.observe(h, action, fb)
+
+    def end_episode(self, total):
+        self.total = total
+        self.agent.end_episode(total)
+
+
+def recorded_episode(agent, env, k, rng, run=run_episode):
+    """One episode of the agent under ``run`` (``run_episode`` or a
+    reference loop with its signature): the returned reward, which must be
+    the one the agent's ``end_episode`` received, and the (h, action,
+    Feedback) steps the agent observed."""
+    recorder = Recorder(agent)
+    total = run(recorder, env, k, rng)
+    assert type(recorder.total) is float and recorder.total == total
+    return total, recorder.steps
+
+
+class _PolicyPlayer:
+    """Plays a policy graph, stepping it under each feedback's kernel row."""
+
+    def __init__(self, env, policy):
+        self.env, self.policy, self.node = env, policy, 0
+
+    def begin_episode(self, k):
+        self.node = 0
+
+    def act(self, h):
+        return self.policy.actions[self.node], self.policy.queries[self.node]
+
+    def observe(self, h, action, fb):
+        row = self.env.evidence_index(h, fb)
+        self.node = self.policy.children[self.node][row]
+
+    def end_episode(self, total):
+        pass
+
+
+def play_policy(env, policy, episode, rng):
+    """The (h, action, Feedback) steps of one episode of a policy graph."""
+    return recorded_episode(_PolicyPlayer(env, policy), env, episode, rng)[1]

@@ -56,7 +56,12 @@ from hsilab.harness import (
     write_results_csv,
 )
 from hsilab.serialize import dump_candidates
-from policy_reference import full_history_policies, random_hidden_observation_model
+from policy_reference import (
+    full_history_policies,
+    play_policy,
+    random_hidden_observation_model,
+    walked_steps_reference,
+)
 
 
 def _gate(number, label, ok, detail):
@@ -274,7 +279,7 @@ def test_gate_03_uniform_baseline_regret():
     rng = SampleRng(0)
     total = 0.0
     for k in range(1, 100001):
-        total += run_episode(agent, env, k, rng).total_reward
+        total += run_episode(agent, env, k, rng)
     elapsed = time.perf_counter() - t0
     regret = 0.6 - total / 100000
     ok = abs(regret - 0.0875) <= 0.005 and elapsed < 30.0
@@ -430,26 +435,6 @@ def test_gate_09_confidence_learner_sublinear(pors_suite):
 # 10. the likelihood engine agrees with a brute-force sum over state paths
 
 
-def _play_tree_policy(env, policy, episode, rng):
-    class _Player:
-        def __init__(self):
-            self.node = 0
-
-        def begin_episode(self, k):
-            self.node = 0
-
-        def act(self, h):
-            return policy.actions[self.node], policy.queries[self.node]
-
-        def observe(self, h, action, fb):
-            self.node = policy.children[self.node][env.evidence_index(h, fb)]
-
-        def end_episode(self, trace):
-            pass
-
-    return run_episode(_Player(), env, episode, rng)
-
-
 def _transition_prob(model, h, s, a, t):
     """P_h(t | s, a), from the per-sub-state factors in product form."""
     if model.product is None:
@@ -462,25 +447,24 @@ def _transition_prob(model, h, s, a, t):
 
 
 def _brute_force_log_likelihood(model, trace):
-    """Log-probability of a trace's feedback: the sum, over every sequence
-    of hidden states, of the path probability times each step's chance of
-    revealing the recorded values and emitting the recorded symbol."""
+    """Log-probability of a trace's feedback, one (h, action, Feedback) per
+    step: the sum, over every sequence of hidden states, of the path
+    probability times each step's chance of revealing the recorded values
+    and emitting the recorded symbol."""
     sv = model.state_vectors
     V = model.dims.alphabet_size
-    steps = trace.steps
     total = 0.0
-    for path in itertools.product(range(model.n_states), repeat=len(steps)):
+    for path in itertools.product(range(model.n_states), repeat=len(trace)):
         prob = model.initial[path[0]]
-        for k, (rec, s) in enumerate(zip(steps, path)):
-            fb = rec.feedback
+        for k, ((h, action, fb), s) in enumerate(zip(trace, path)):
             if any(sv[s, i] != v for i, v in fb.hsi):
                 prob = 0.0
                 break
             hidden = [sv[s, i] for i in range(model.dims.d) if i not in fb.query]
             code = sum(int(v) * V**j for j, v in enumerate(hidden))
-            prob *= model.emissions[(rec.h, tuple(fb.query))][fb.observation, code]
-            if k + 1 < len(steps):
-                prob *= _transition_prob(model, rec.h, s, rec.action, path[k + 1])
+            prob *= model.emissions[(h, tuple(fb.query))][fb.observation, code]
+            if k + 1 < len(trace):
+                prob *= _transition_prob(model, h, s, action, path[k + 1])
         total += prob
     return math.log(total) if total > 0.0 else -math.inf
 
@@ -499,8 +483,9 @@ def test_gate_10_likelihood_engines_agree():
         else:
             model = random_hidden_observation_model(gen, dims)
         policy = policies[int(gen.integers(len(policies)))]
-        trace = _play_tree_policy(model, policy, i + 1, rng)
-        a = feedback_log_likelihood(CandidateFilter([model]), policy, trace)[0]
+        trace = play_policy(model, policy, i + 1, rng)
+        steps = walked_steps_reference(model, policy, trace)
+        a = feedback_log_likelihood(CandidateFilter([model]), steps)[0]
         b = _brute_force_log_likelihood(model, trace)
         assert np.isfinite(a) and np.isfinite(b)
         worst = max(worst, abs(a - b))

@@ -30,9 +30,7 @@ from hsilab.agents import (
 )
 from hsilab.core import (
     Dims,
-    EpisodeTrace,
     Feedback,
-    StepRecord,
     decode_state,
     encode_state,
 )
@@ -46,7 +44,7 @@ from hsilab.envs import (
     random_independent_model,
 )
 from hsilab.oracle import optimal_value
-from policy_reference import random_hidden_observation_model
+from policy_reference import random_hidden_observation_model, recorded_episode
 from sampling_reference import draw_categorical_reference, emit_observation_reference
 
 
@@ -402,8 +400,7 @@ def _run_optll(env, n_episodes, seed):
     agent = OptllAgent(env.dims, n_episodes, derive_generator(seed, "agent"))
     rng_env = SampleRng(seed)
     rewards = [
-        run_episode(agent, env, k, rng_env).total_reward
-        for k in range(1, n_episodes + 1)
+        run_episode(agent, env, k, rng_env) for k in range(1, n_episodes + 1)
     ]
     return agent, rewards
 
@@ -749,10 +746,10 @@ class _SpyAgent:
         return 0, (0,)
 
     def observe(self, h, action, fb):
-        self.calls.append(("observe", h, fb.hsi))
+        self.calls.append(("observe", h, action, fb))
 
-    def end_episode(self, trace):
-        self.calls.append(("end", trace.episode))
+    def end_episode(self, total):
+        self.calls.append(("end", total))
 
 
 def test_run_episode_reveals_values_after_the_action():
@@ -766,16 +763,15 @@ def test_run_episode_reveals_values_after_the_action():
         "walk", dims, "Generic", np.array([1.0, 0.0]), joint, rewards
     )
     spy = _SpyAgent()
-    trace = run_episode(spy, env, 4, SampleRng(0))
+    assert run_episode(spy, env, 4, SampleRng(0)) == 0.0
     assert spy.calls == [
         ("begin", 4),
         ("act", 1),
-        ("observe", 1, ((0, 0),)),
+        ("observe", 1, 0, Feedback((0,), ((0, 0),), None, 0.0)),
         ("act", 2),
-        ("observe", 2, ((0, 1),)),
-        ("end", 4),
+        ("observe", 2, 0, Feedback((0,), ((0, 1),), None, 0.0)),
+        ("end", 0.0),
     ]
-    assert len(trace.steps) == 2
 
 
 def test_run_episode_single_step_horizon():
@@ -792,22 +788,22 @@ def test_run_episode_single_step_horizon():
         rewards,
     )
     match = FixedPolicyAgent(dims, MarkovEpisodePolicy.from_sequence((0,), (0,), 2, 2))
-    trace = run_episode(match, env, 1, SampleRng(3))
-    assert len(trace.steps) == 1
-    assert trace.total_reward == 1.0  # reward mean 1 is deterministic
+    total, trace = recorded_episode(match, env, 1, SampleRng(3))
+    assert len(trace) == 1
+    assert total == 1.0  # reward mean 1 is deterministic
     miss = FixedPolicyAgent(dims, MarkovEpisodePolicy.from_sequence((1,), (0,), 2, 2))
-    assert run_episode(miss, env, 1, SampleRng(3)).total_reward == 0.0
+    assert run_episode(miss, env, 1, SampleRng(3)) == 0.0
 
 
 def run_episode_reference(agent, env, k, rng):
     """``run_episode`` as it read the model before the samplers' cached
     rows: a numpy state-vector row per step, numpy reward means, and the
     reference scan on array-indexed initial, transition and emission rows.
-    The loop must produce the same traces and leave every stream in the
-    same state."""
+    The loop must hand the agent the same feedback, return the same
+    episode reward and leave every stream in the same state."""
     agent.begin_episode(k)
     s = draw_categorical_reference(env.initial, rng.init)
-    trace = EpisodeTrace(episode=k)
+    total = 0.0
     H = env.dims.horizon
     emits = env.class_tag == "Class2"
     for h in range(1, H + 1):
@@ -818,7 +814,7 @@ def run_episode_reference(agent, env, k, rng):
         obs = emit_observation_reference(env, h, s, query, rng) if emits else None
         fb = Feedback(query=tuple(query), hsi=hsi, observation=obs, reward=r)
         agent.observe(h, action, fb)
-        trace.append(StepRecord(h=h, action=action, feedback=fb))
+        total += fb.reward
         if h < H:
             if env.transition_form == "product":
                 nxt = [
@@ -828,8 +824,8 @@ def run_episode_reference(agent, env, k, rng):
                 s = encode_state(nxt, env.dims.alphabet_size)
             else:
                 s = draw_categorical_reference(env.joint[h - 1, s, action], rng.transition)
-    agent.end_episode(trace)
-    return trace
+    agent.end_episode(total)
+    return total
 
 
 @st.composite
@@ -914,10 +910,13 @@ def test_run_episode_equals_the_array_indexing_reference(env, kind, seed):
     ref_agent = _episode_agent(kind, env.dims, seed, reference=True)
     rng, ref = SampleRng(seed), SampleRng(seed)
     for k in range(1, 9):
-        trace = run_episode(agent, env, k, rng)
-        assert trace == run_episode_reference(ref_agent, env, k, ref)
-        for step in trace.steps:
-            assert all(type(v) is int for _, v in step.feedback.hsi)
+        total, trace = recorded_episode(agent, env, k, rng)
+        ref_total, ref_trace = recorded_episode(
+            ref_agent, env, k, ref, run=run_episode_reference
+        )
+        assert (total, trace) == (ref_total, ref_trace)
+        for _, _, fb in trace:
+            assert all(type(v) is int for _, v in fb.hsi)
     for label in SampleRng.STREAMS:
         # equal generator states pin the blocks drawn, and the next double
         # the position within the block
@@ -933,7 +932,7 @@ def test_uniform_agent_reward_mean_on_groups():
     total = 0.0
     n = 20000
     for k in range(1, n + 1):
-        total += run_episode(agent, env, k, rng_env).total_reward
+        total += run_episode(agent, env, k, rng_env)
     # oracle value of the uniform policy on this instance is 0.5125
     assert abs(total / n - 0.5125) < 0.01
 
@@ -963,9 +962,9 @@ def test_fixed_agent_plays_its_policy_at_every_step():
         dims, MarkovEpisodePolicy.from_sequence((0, 1, 1, 0), (1,), 2, 2)
     )
     for k in range(1, 6):
-        trace = run_episode(replay, env, k, rng)
-        assert [rec.action for rec in trace.steps] == [0, 1, 1, 0]
-        assert all(rec.feedback.query == (1,) for rec in trace.steps)
+        _, trace = recorded_episode(replay, env, k, rng)
+        assert [action for _, action, _ in trace] == [0, 1, 1, 0]
+        assert all(fb.query == (1,) for _, _, fb in trace)
     # a policy whose actions depend on the previous step's feedback
     decisions = np.array(
         [[[(h + code + prev) % 2 for prev in range(2)] for code in range(2)]
@@ -974,11 +973,11 @@ def test_fixed_agent_plays_its_policy_at_every_step():
     policy = MarkovEpisodePolicy((0,), 1, decisions, 2)
     reactive = FixedPolicyAgent(dims, policy)
     for k in range(1, 21):
-        steps = run_episode(reactive, env, k, rng).steps
-        assert steps[0].action == 1
-        for prev, rec in zip(steps, steps[1:]):
-            code = encode_state(prev.feedback.values(), dims.alphabet_size)
-            assert rec.action == decisions[rec.h - 2, code, prev.action]
+        _, steps = recorded_episode(reactive, env, k, rng)
+        assert steps[0][1] == 1
+        for (_, prev_action, prev_fb), (h, action, _) in zip(steps, steps[1:]):
+            code = encode_state(prev_fb.values(), dims.alphabet_size)
+            assert action == decisions[h - 2, code, prev_action]
 
 
 def test_markov_policy_action_matrix_is_one_hot_of_decisions():
@@ -1064,7 +1063,7 @@ def test_best_sequence_is_the_first_argmax_of_the_masked_means(
     assert agent.best_sequence() == 0
     for k, total in enumerate(totals, start=1):
         agent.begin_episode(k)
-        agent.end_episode(EpisodeTrace(episode=k, total_reward=float(min(total, H))))
+        agent.end_episode(float(min(total, H)))
         means = masked_means()
         best = agent.best_sequence()
         assert best == int(np.argmax(means))
@@ -1085,5 +1084,5 @@ def test_sequence_agent_builds_each_policy_once():
         )
         assert policy.key() == fresh.key()
         assert [agent.act(h) for h in range(1, 4)] == [(a, fresh.query) for a in actions]
-        agent.end_episode(EpisodeTrace(episode=k))
+        agent.end_episode(0.0)
     assert len(seen) == agent.n_seq  # every one of the 8 sequences replayed

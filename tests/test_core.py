@@ -1,4 +1,4 @@
-"""State encoding, dimension bookkeeping, trace containers, and the
+"""State encoding, dimension bookkeeping, the feedback record, and the
 package's export list."""
 
 import ast
@@ -9,9 +9,7 @@ from hypothesis import given, strategies as st
 
 from hsilab.core import (
     Dims,
-    EpisodeTrace,
     Feedback,
-    StepRecord,
     decode_state,
     encode_state,
 )
@@ -98,29 +96,12 @@ def test_extract_hsi_order_and_values():
         extract_hsi([1, 0], (2,))
 
 
-def test_trace_accumulates_total():
-    trace = EpisodeTrace(episode=4)
-    for h, r in enumerate([0.25, 0.5, 1.0], start=1):
-        trace.append(
-            StepRecord(
-                h, 0, Feedback(query=(0,), hsi=((0, 1),), observation=None,
-                               reward=r)
-            )
-        )
-    assert len(trace.steps) == 3
-    assert trace.total_reward == pytest.approx(1.75)
-    assert trace.steps[1].feedback.values() == (1,)
-
-
-def test_step_records_are_slotted_and_positional():
+def test_feedback_is_slotted_and_positional():
     fb = Feedback((0,), ((0, 1),), 2, 1.0)
     assert fb == Feedback(query=(0,), hsi=((0, 1),), observation=2, reward=1.0)
-    rec = StepRecord(1, 0, fb)
-    assert rec == StepRecord(h=1, action=0, feedback=fb)
-    for record in (fb, rec):
-        assert not hasattr(record, "__dict__")
-        with pytest.raises(AttributeError):
-            record.note = "extra"
+    assert not hasattr(fb, "__dict__")
+    with pytest.raises(AttributeError):
+        fb.note = "extra"
 
 
 def test_package_exports_exactly_the_public_names_it_imports():

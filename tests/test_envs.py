@@ -729,7 +729,7 @@ def test_emit_requires_emission_model():
     for _ in range(2):  # nothing is cached, so it raises on every call
         with pytest.raises(UnsupportedFeedbackError):
             emit_observation(m, 1, 0, (0,), SampleRng(0))
-    assert m._emission_rows == {} and m._hidden == {}
+    assert m._emission_rows == {} and m._codes == {}
 
 
 def test_emit_refuses_a_query_that_is_not_a_query_set():
@@ -745,7 +745,7 @@ def test_emit_refuses_a_query_that_is_not_a_query_set():
             f"query {query}"
         )):
             emit_observation(m, 1, 0, query, SampleRng(0))
-    assert list(m._emission_rows) == [(1, (0, 1))] and list(m._hidden) == [(0, 1)]
+    assert list(m._emission_rows) == [(1, (0, 1))] and list(m._codes) == [(0, 1)]
 
 
 def test_sample_initial_respects_point_mass():

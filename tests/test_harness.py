@@ -1533,6 +1533,23 @@ def test_cli_plot_refuses_a_csv_without_a_regret_mode(tmp_path):
     _assert_plot_refuses(bad, f"{bad}:3: regret must be finite, got inf")
 
 
+@pytest.mark.parametrize("mode", ["expected", "realized", "off"])
+def test_cli_plot_of_all_nan_regrets_names_the_file_and_its_mode(tmp_path, mode):
+    # an off-mode run's CSV relabelled: in expected or realized mode the
+    # refusal blamed "regret reporting was off", a mode the file does not
+    # declare, and named no file
+    bad = write_results_csv(_seeded_table("off", 3), tmp_path / "allnan.csv")
+    text = bad.read_text(encoding="utf-8")
+    assert text.startswith("# regret_mode=off\n")
+    bad.write_text(text.replace("=off", f"={mode}", 1), encoding="utf-8")
+    if mode == "off":
+        _assert_plot_refuses(bad, "no regret data to plot (regret reporting was off)")
+    else:
+        _assert_plot_refuses(
+            bad, f"{bad}: every regret is nan, though the file declares regret mode '{mode}'"
+        )
+
+
 @pytest.mark.parametrize("command", ["run", "oracle"])
 @pytest.mark.parametrize("cap", [0, -3])
 def test_cli_refuses_an_oracle_cap_below_one(tmp_path, command, cap):

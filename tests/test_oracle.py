@@ -8,10 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from hsilab.core import (
     Dims,
-    EpisodeTrace,
     Feedback,
     OracleSizeError,
-    StepRecord,
 )
 from hsilab.envs import (
     SampleRng,
@@ -258,13 +256,12 @@ def test_trace_log_likelihood_conditions_then_transitions():
     # queried value 1 at position 0 then action 0, which keeps sub-state 0
     # with probability 0.8: the second step's value is 1 w.p. 0.8
     m = build_controlled_drift_instance(0.8, 0.7, 0.8)
-    first = StepRecord(1, 0, Feedback((0,), ((0, 1),), 0, 0.0))
-    p_first = np.exp(trace_log_likelihood(m, EpisodeTrace(steps=[first])))
+    first = (1, 0, Feedback((0,), ((0, 1),), 0, 0.0))
+    p_first = np.exp(trace_log_likelihood(m, [first]))
     p_stay = 0.0
     for o2 in range(2):
-        second = StepRecord(2, 0, Feedback((0,), ((0, 1),), o2, 0.0))
-        trace = EpisodeTrace(steps=[first, second])
-        p_stay += np.exp(trace_log_likelihood(m, trace))
+        second = (2, 0, Feedback((0,), ((0, 1),), o2, 0.0))
+        p_stay += np.exp(trace_log_likelihood(m, [first, second]))
     assert p_stay / p_first == pytest.approx(0.8, abs=1e-12)
 
 
@@ -272,26 +269,20 @@ def test_trace_log_likelihood_simple_exact():
     m = build_controlled_drift_instance(1.0, 1.0, 1.0)
     # deterministic dynamics, perfect emissions: a consistent trace has
     # likelihood = P(initial pair) = 1/4
-    steps = [
-        StepRecord(1, 0, Feedback(query=(0,), hsi=((0, 0),), observation=0,
-                                  reward=0.0)),
-        StepRecord(2, 0, Feedback(query=(0,), hsi=((0, 0),), observation=0,
-                                  reward=1.0)),
+    trace = [
+        (1, 0, Feedback(query=(0,), hsi=((0, 0),), observation=0, reward=0.0)),
+        (2, 0, Feedback(query=(0,), hsi=((0, 0),), observation=0, reward=1.0)),
     ]
-    trace = EpisodeTrace(episode=1, steps=steps, total_reward=1.0)
     assert trace_log_likelihood(m, trace) == pytest.approx(np.log(0.25))
 
 
 def test_trace_log_likelihood_zero_probability_is_minus_inf():
     m = build_controlled_drift_instance(1.0, 1.0, 1.0)
-    steps = [
-        StepRecord(1, 0, Feedback(query=(0,), hsi=((0, 0),), observation=0,
-                                  reward=0.0)),
+    trace = [
+        (1, 0, Feedback(query=(0,), hsi=((0, 0),), observation=0, reward=0.0)),
         # impossible: sub-state 0 cannot flip under action 0 when stay=1
-        StepRecord(2, 0, Feedback(query=(0,), hsi=((0, 1),), observation=0,
-                                  reward=0.0)),
+        (2, 0, Feedback(query=(0,), hsi=((0, 1),), observation=0, reward=0.0)),
     ]
-    trace = EpisodeTrace(episode=1, steps=steps, total_reward=0.0)
     assert trace_log_likelihood(m, trace) == float("-inf")
 
 
@@ -302,14 +293,11 @@ def test_trace_likelihoods_normalize_over_feedback_space():
         for o1 in range(2):
             for v2 in range(2):
                 for o2 in range(2):
-                    steps = [
-                        StepRecord(1, 1, Feedback((0,), ((0, v1),), o1, 0.0)),
-                        StepRecord(2, 0, Feedback((1,), ((1, v2),), o2, 0.0)),
+                    trace = [
+                        (1, 1, Feedback((0,), ((0, v1),), o1, 0.0)),
+                        (2, 0, Feedback((1,), ((1, v2),), o2, 0.0)),
                     ]
-                    ll = trace_log_likelihood(
-                        m, EpisodeTrace(episode=1, steps=steps)
-                    )
-                    total += np.exp(ll)
+                    total += np.exp(trace_log_likelihood(m, trace))
     assert total == pytest.approx(1.0, abs=1e-12)
 
 
@@ -336,7 +324,7 @@ def test_markov_policy_value_matches_sampling():
     env_rng = SampleRng(4)
     n = 20000
     mean = np.mean(
-        [run_episode(agent, m, k, env_rng).total_reward for k in range(1, n + 1)]
+        [run_episode(agent, m, k, env_rng) for k in range(1, n + 1)]
     )
     pol = UniformMarkovPolicy((0,), m.dims.n_query_values, m.dims.n_actions)
     exact = evaluate_markov_policy(m, pol)

@@ -11,15 +11,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hsilab import pors
 from hsilab.core import (
     ConfigError,
     Dims,
-    EpisodeTrace,
     Feedback,
-    StepRecord,
     UnsupportedFeedbackError,
 )
 from hsilab.envs import (
@@ -52,10 +50,13 @@ from policy_reference import (
     first_best_policy,
     full_history_policies,
     level_node_counts,
+    play_policy,
     played_tree,
     random_hidden_observation_model,
+    recorded_episode,
     trace_log_likelihood,
     tree_policy,
+    walked_steps_reference,
 )
 
 
@@ -65,17 +66,17 @@ DRIFT_DIMS = Dims(
 
 
 def _trace_for(policy, feedback_path, reward=0.0):
-    """Build a policy-consistent trace from per-step (value_code, obs) pairs
-    on a one-value-query, binary-alphabet model, whose kernel row is
-    ``value_code * n_obs + obs``."""
-    trace = EpisodeTrace(episode=1)
+    """Build a policy-consistent trace, one (h, action, Feedback) per step,
+    from per-step (value_code, obs) pairs on a one-value-query,
+    binary-alphabet model, whose kernel row is ``value_code * n_obs +
+    obs``."""
+    trace = []
     node = 0
     for h, (vcode, obs) in enumerate(feedback_path, start=1):
         action = policy.actions[node]
         query = policy.queries[node]
         hsi = tuple((pos, (vcode // 2**i) % 2) for i, pos in enumerate(query))
-        fb = Feedback(query=query, hsi=hsi, observation=obs, reward=reward)
-        trace.append(StepRecord(h=h, action=action, feedback=fb))
+        trace.append((h, action, Feedback(query, hsi, obs, reward)))
         n_obs = len(policy.children[node]) // 2
         node = policy.children[node][vcode * n_obs + (obs or 0)]
     return trace
@@ -138,8 +139,10 @@ def test_tree_child_indexing():
 
 
 def _score(model, policy, trace):
-    """One model's feedback log-likelihood, scored as a class of one."""
-    return feedback_log_likelihood(CandidateFilter([model]), policy, trace)[0]
+    """One model's feedback log-likelihood, scored as a class of one on the
+    policy's walk through the trace."""
+    steps = walked_steps_reference(model, policy, trace)
+    return feedback_log_likelihood(CandidateFilter([model]), steps)[0]
 
 
 def _coin_env():
@@ -199,44 +202,23 @@ def test_likelihood_normalizes_over_feedback_paths():
         assert abs(mass - 1.0) < 1e-9
 
 
-def _off_policy(trace, h, action=None, query=None):
-    """The trace with step h's action or query changed."""
-    steps = list(trace.steps)
-    rec = steps[h - 1]
-    fb = rec.feedback
-    if query is not None:
-        values = [v for _, v in fb.hsi]
-        fb = Feedback(query, tuple(zip(query, values)), fb.observation, fb.reward)
-    steps[h - 1] = StepRecord(h, rec.action if action is None else action, fb)
-    return EpisodeTrace(episode=trace.episode, steps=steps)
-
-
-def test_likelihood_rejects_policy_inconsistent_traces():
-    cfilter = CandidateFilter(controlled_drift_candidates())
-    policy = full_history_policies(DRIFT_DIMS)[0]
-    trace = _trace_for(policy, [(0, 0), (0, 0)])
-    # every candidate scores -inf once the recorded action or query leaves
-    # the policy's choice, at either step
-    for h in (1, 2):
-        for bad in (
-            _off_policy(trace, h, action=1 - trace.steps[h - 1].action),
-            _off_policy(trace, h, query=(1,)),
-        ):
-            scores = feedback_log_likelihood(cfilter, policy, bad)
-            assert scores.tolist() == [-math.inf] * 8
-
-
 def test_likelihood_rejects_feedback_that_does_not_fit():
-    cfilter = CandidateFilter(controlled_drift_candidates())
-    policy = full_history_policies(DRIFT_DIMS)[0]
+    # the agent reads each step's kernel row as it walks its policy, and
+    # that walk is what the likelihood scores: a symbol the class cannot
+    # emit is refused there, and no score moves
+    context = PlanningContext.build(controlled_drift_candidates())
+    agent = PorsAgent(context, 10)
+    name = context.filter.candidates[0].name
     for obs in (None, 2):
-        trace = _trace_for(policy, [(0, 0), (0, obs)])
-        message = (
-            f"observation {obs!r} at step 2 does not fit model "
-            f"{cfilter.candidates[0].name!r} (Class2)"
-        )
+        agent.begin_episode(1)
+        action, query = agent.act(1)
+        agent.observe(1, action, Feedback(query, ((query[0], 0),), 0, 0.0))
+        action, query = agent.act(2)
+        bad = Feedback(query, ((query[0], 0),), obs, 0.0)
+        message = f"observation {obs!r} at step 2 does not fit model {name!r} (Class2)"
         with pytest.raises(UnsupportedFeedbackError, match=re.escape(message)):
-            feedback_log_likelihood(cfilter, policy, trace)
+            agent.observe(2, action, bad)
+    assert agent.loglik.tolist() == [0.0] * 8
 
 
 def test_likelihood_impossible_feedback_is_minus_inf():
@@ -255,8 +237,9 @@ def test_likelihood_matches_filter_oracle_on_played_traces():
     agent = PorsAgent(context, 40)
     env_rng = SampleRng(12)
     for k in range(1, 21):
-        trace = run_episode(agent, truth, k, env_rng)
-        ours = feedback_log_likelihood(context.filter, agent.episode_policy, trace)
+        _, trace = recorded_episode(agent, truth, k, env_rng)
+        steps = walked_steps_reference(truth, agent.episode_policy, trace)
+        ours = feedback_log_likelihood(context.filter, steps)
         reference = [trace_log_likelihood(cand, trace) for cand in candidates]
         assert ours.tolist() == reference
 
@@ -287,27 +270,16 @@ def _draw_class(draw):
     return models, tree_policy(dims, choices)
 
 
-def _draw_bent(draw, trace):
-    """The trace bent away from the policy's action or query at one step."""
-    h = draw(st.integers(1, len(trace.steps)))
-    rec = trace.steps[h - 1]
-    if draw(st.booleans()):
-        return _off_policy(trace, h, action=1 - rec.action)
-    return _off_policy(trace, h, query=(1 - rec.feedback.query[0],))
-
-
 @st.composite
 def _scored_classes(draw):
-    """A drawn class and policy (``_draw_class``), a trace the policy played
-    on a drawn model, and the scores every candidate must get.  Half the
-    traces are bent away from the policy's action or query at one step;
-    those score -inf throughout."""
+    """A drawn class and policy (``_draw_class``), the policy's walk through
+    a trace it played on a drawn model, and the scores every candidate must
+    get."""
     models, policy = _draw_class(draw)
     player = models[draw(st.integers(0, len(models) - 1))]
-    trace = _play_policy(player, policy, 1, SampleRng(draw(st.integers(0, 999))))
-    if not draw(st.booleans()):
-        return models, policy, trace, [trace_log_likelihood(m, trace) for m in models]
-    return models, policy, _draw_bent(draw, trace), [-math.inf] * len(models)
+    trace = play_policy(player, policy, 1, SampleRng(draw(st.integers(0, 999))))
+    steps = walked_steps_reference(player, policy, trace)
+    return models, steps, [trace_log_likelihood(m, trace) for m in models]
 
 
 @settings(max_examples=150, deadline=None)
@@ -315,18 +287,17 @@ def _scored_classes(draw):
 def test_batched_likelihood_is_bit_identical_to_per_model_filter(drawn):
     # the batched pass must give every candidate exactly the score its own
     # filter gives, zero-mass candidates included
-    models, policy, trace, want = drawn
-    scores = feedback_log_likelihood(CandidateFilter(models), policy, trace)
+    models, steps, want = drawn
+    scores = feedback_log_likelihood(CandidateFilter(models), steps)
     assert scores.dtype == np.float64
     assert scores.tolist() == want
 
 
 @st.composite
 def _repeated_traces(draw):
-    """A drawn class and policy, a memo bound, and 1-12 (trace, on-policy)
-    pairs: traces the policy played on drawn models from four seeds, so
-    feedback paths repeat, some of them repeated outright, and a quarter
-    bent off the policy."""
+    """A drawn class and policy, a memo bound, and 1-12 traces the policy
+    played on drawn models from four seeds, so feedback paths repeat, some
+    of them repeated outright."""
     models, policy = _draw_class(draw)
     bound = draw(st.sampled_from([0, 1, 2, 3, pors.LIKELIHOOD_MEMO_SIZE]))
     traces = []
@@ -335,19 +306,12 @@ def _repeated_traces(draw):
             traces.append(traces[draw(st.integers(0, len(traces) - 1))])
             continue
         player = models[draw(st.integers(0, len(models) - 1))]
-        trace = _play_policy(player, policy, 1, SampleRng(draw(st.integers(0, 3))))
-        if draw(st.integers(0, 3)) == 0:
-            traces.append((_draw_bent(draw, trace), False))
-        else:
-            traces.append((trace, True))
+        traces.append(play_policy(player, policy, 1, SampleRng(draw(st.integers(0, 3)))))
     return models, policy, bound, traces
 
 
 def _feedback_path(trace):
-    return tuple(
-        (r.h, r.action, r.feedback.query, r.feedback.hsi, r.feedback.observation)
-        for r in trace.steps
-    )
+    return tuple((h, action, fb.query, fb.hsi, fb.observation) for h, action, fb in trace)
 
 
 @settings(max_examples=150, deadline=None)
@@ -355,21 +319,18 @@ def _feedback_path(trace):
 def test_likelihood_memo_answers_as_the_filter_and_stays_bounded(drawn):
     # one filter scores every trace: a memo hit, a miss and a miss past the
     # bound must all give each candidate exactly its own filter's score; the
-    # memo holds each distinct on-policy feedback path until it is full, and
-    # never an off-policy trace
+    # memo holds each distinct feedback path until it is full
     models, policy, bound, traces = drawn
     cfilter = CandidateFilter(models)
     paths = set()
     with mock.patch.object(pors, "LIKELIHOOD_MEMO_SIZE", bound):
-        for trace, on_policy in traces:
-            scores = feedback_log_likelihood(cfilter, policy, trace)
-            if on_policy:
-                want = [trace_log_likelihood(m, trace) for m in models]
-                assert scores.tolist() == want
-                assert not scores.flags.writeable
-                paths.add(_feedback_path(trace))
-            else:
-                assert scores.tolist() == [-math.inf] * len(models)
+        for trace in traces:
+            steps = walked_steps_reference(models[0], policy, trace)
+            scores = feedback_log_likelihood(cfilter, steps)
+            want = [trace_log_likelihood(m, trace) for m in models]
+            assert scores.tolist() == want
+            assert not scores.flags.writeable
+            paths.add(_feedback_path(trace))
             assert len(cfilter.memo) == min(bound, len(paths))
 
 
@@ -391,7 +352,8 @@ def build_confidence_set(candidates, traces, policies, beta):
         raise ValueError(f"beta must be nonnegative, got {beta}")
     loglik = np.zeros(len(candidates))
     for trace, policy in zip(traces, policies):
-        loglik = loglik + feedback_log_likelihood(cfilter, policy, trace)
+        steps = walked_steps_reference(cfilter.candidates[0], policy, trace)
+        loglik = loglik + feedback_log_likelihood(cfilter, steps)
     return ConfidenceSet(_screen(loglik, beta)), loglik
 
 
@@ -412,7 +374,7 @@ def test_confidence_set_keeps_best_and_screens_rest():
     rng = SampleRng(3)
     agent_traces = []
     for k in range(1, 61):
-        trace = _play_policy(truth, policy, k, rng)
+        trace = play_policy(truth, policy, k, rng)
         agent_traces.append(trace)
     conf_tight, _ = build_confidence_set(
         candidates, agent_traces, [policy] * len(agent_traces), beta=1.0
@@ -425,35 +387,13 @@ def test_confidence_set_keeps_best_and_screens_rest():
     assert conf_loose.indices == (0, 1)
 
 
-def _play_policy(env, policy, episode, rng):
-    class _Player:
-        def __init__(self):
-            self.node = 0
-
-        def begin_episode(self, k):
-            self.node = 0
-
-        def act(self, h):
-            return policy.actions[self.node], policy.queries[self.node]
-
-        def observe(self, h, action, fb):
-            self.node = policy.children[self.node][env.evidence_index(h, fb)]
-
-        def end_episode(self, trace):
-            pass
-
-    return run_episode(_Player(), env, episode, rng)
-
-
 def test_confidence_set_never_empty():
-    truth = build_controlled_drift_instance()
-    policies = full_history_policies(truth.dims)
-    policy = policies[0]
-    trace = _trace_for(policy, [(0, 0), (0, 0)])
-    # force a policy-inconsistent trace: -inf for the only candidate
-    rec = trace.steps[0]
-    trace.steps[0] = StepRecord(h=1, action=1 - rec.action, feedback=rec.feedback)
-    conf, loglik = build_confidence_set([truth], [trace], [policy], beta=0.0)
+    coin = _coin_env()
+    policy = full_history_policies(coin.dims)[0]
+    # impossible feedback: after the deterministic collapse to state 0, a
+    # step-2 value of 1 scores -inf for the only candidate
+    trace = _trace_for(policy, [(0, 0), (1, 0)])
+    conf, loglik = build_confidence_set([coin], [trace], [policy], beta=0.0)
     assert conf.indices == (0,)
     assert loglik[0] == -math.inf
 
@@ -841,10 +781,62 @@ def test_agent_batch_and_incremental_likelihoods_agree():
     env_rng = SampleRng(9)
     traces, played = [], []
     for k in range(1, 31):
-        traces.append(run_episode(agent, truth, k, env_rng))
+        traces.append(recorded_episode(agent, truth, k, env_rng)[1])
         played.append(agent.episode_policy)
     _, batch = build_confidence_set(candidates, traces, played, beta=agent.beta)
     np.testing.assert_array_equal(batch, agent.loglik)
+
+
+_DRIFT_PLANS = {}
+
+
+def _fresh_drift_context(horizon, members):
+    """The drift candidates ``members`` at this horizon as a class, with an
+    empty filter memo; each horizon's plans are built once."""
+    if horizon not in _DRIFT_PLANS:
+        candidates = controlled_drift_candidates(horizon=horizon)
+        _DRIFT_PLANS[horizon] = PlanningContext.build(candidates)
+    built = _DRIFT_PLANS[horizon]
+    return PlanningContext(
+        CandidateFilter([built.filter.candidates[i] for i in members]),
+        [built.plans[i] for i in members],
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(2, 4),
+    st.lists(st.integers(0, 7), min_size=1, max_size=8, unique=True),
+    st.integers(0, 7),
+    st.sampled_from([None, 0.0, 2.0]),
+    st.integers(0, 2**16),
+)
+# at horizon 4, candidate 3's plan moves between queries (0,) and (1,)
+@example(horizon=4, members=[3], truth=7, beta=None, seed=0)
+def test_agent_scores_the_walk_the_reference_reads_off_its_trace(
+    horizon, members, truth, beta, seed
+):
+    # the agent records its own walk as it steps its policy; that walk must
+    # be the one a reference reads off the observed trace by stepping the
+    # played graph, the scores must be each model's own filter summed over
+    # episodes, bit for bit, and the memo must key the distinct walks in
+    # the order they were first played
+    context = _fresh_drift_context(horizon, members)
+    candidates = context.filter.candidates
+    truth = controlled_drift_candidates(horizon=horizon)[truth]
+    agent = PorsAgent(context, 40, beta=beta)
+    env_rng = SampleRng(seed)
+    loglik = np.zeros(len(candidates))
+    walks = []
+    for k in range(1, 41):
+        _, trace = recorded_episode(agent, truth, k, env_rng)
+        steps = walked_steps_reference(truth, agent.episode_policy, trace)
+        assert tuple(agent._steps) == steps
+        loglik += [trace_log_likelihood(m, trace) for m in candidates]
+        if steps not in walks:
+            walks.append(steps)
+    assert agent.loglik.tolist() == loglik.tolist()
+    assert list(context.filter.memo) == walks[: pors.LIKELIHOOD_MEMO_SIZE]
 
 
 def test_agent_is_deterministic_and_ignores_rng():
