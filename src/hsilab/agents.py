@@ -352,6 +352,8 @@ def run_episode(agent, env, k, rng):
     step's revealed values arrive after the step's action.  Each step's
     ``Feedback`` is built positionally and is slotted, which makes it cheap
     to build once per step; it is the only per-step object the loop builds.
+    Its ``hsi`` is the model's kept tuple for the (query, state) pair
+    (``EnvModel.revealed``), so no step rebuilds the pairs.
     ``end_episode`` receives the episode's reward.
     """
     agent.begin_episode(k)
@@ -359,14 +361,13 @@ def run_episode(agent, env, k, rng):
     total = 0.0
     H = env.dims.horizon
     emits = env.class_tag == "Class2"
-    vectors = env.sampling_rows()[2]
     for h in range(1, H + 1):
         action, query = agent.act(h)
+        query = tuple(query)
         r = reward(env, h, s, action, rng)
-        vec = vectors[s]
-        hsi = tuple([(i, vec[i]) for i in query])
+        hsi = env.revealed(query, s)
         obs = emit_observation(env, h, s, query, rng) if emits else None
-        agent.observe(h, action, Feedback(tuple(query), hsi, obs, r))
+        agent.observe(h, action, Feedback(query, hsi, obs, r))
         total += r
         if h < H:
             s = transition(env, h, s, action, rng)
@@ -414,11 +415,12 @@ class _OptimisticQAgent:
                 est = est + (succ[i] @ v_next) / nn[i]
             np.minimum(est + bonus[i], float(H), out=q[i])
             v_next = q[i].max(axis=1)
-        if q.min() < 0.0 or q.max() > H:
+        # every Q row is written through the clamp at H; only the floor can fail
+        if q.min() < 0.0:
             self.invariant_violations.extend(
                 f"episode {self.episode}: Q outside [0, {H}] at step {h}"
                 for h in range(H, 0, -1)
-                if (q[h - 1] < 0.0).any() or (q[h - 1] > H).any()
+                if (q[h - 1] < 0.0).any()
             )
 
     def _build_policy(self, qset):
@@ -637,9 +639,12 @@ class EpsilonGreedySequenceAgent:
     (ties -> lowest sequence index).  The sequence index is the big-endian
     action code, so lexicographically earlier sequences break ties.
 
-    ``totals`` and ``counts`` are the bandit's only statistics; a
-    sequence's total is 0 wherever its count is 0.  Each sequence's actions
-    and episode policy are built on its first play and reused after."""
+    ``totals`` and ``counts`` are the bandit's statistics; a sequence's
+    total is 0 wherever its count is 0.  ``end_episode`` keeps the greedy
+    choice and its mean up to date from the one sequence it updated, and
+    rescans every mean only when the leader's own mean falls.  Each
+    sequence's actions and episode policy are built on its first play and
+    reused after."""
 
     def __init__(self, dims, rng, epsilon=0.25):
         n_seq = dims.n_actions**dims.horizon
@@ -651,6 +656,7 @@ class EpsilonGreedySequenceAgent:
         self.n_seq = n_seq
         self.totals = np.zeros(n_seq)
         self.counts = np.zeros(n_seq, dtype=np.int64)
+        self._best, self._best_mean = 0, 0.0  # every mean starts at 0
         self.episode_policy = None
         self._seq = None
         self._played = {}  # sequence index -> (actions, MarkovEpisodePolicy)
@@ -664,8 +670,7 @@ class EpsilonGreedySequenceAgent:
         return tuple(reversed(out))
 
     def best_sequence(self):
-        # an unplayed sequence's mean is its zero total over 1
-        return int((self.totals / np.maximum(self.counts, 1)).argmax())
+        return self._best
 
     def begin_episode(self, k):
         if self.rng.random() < self.epsilon:
@@ -694,5 +699,16 @@ class EpsilonGreedySequenceAgent:
         pass
 
     def end_episode(self, total):
-        self.totals[self._seq] += total
-        self.counts[self._seq] += 1
+        j = self._seq
+        self.totals[j] += total
+        self.counts[j] += 1
+        mean = self.totals[j] / self.counts[j]
+        if j == self._best:
+            if mean < self._best_mean:
+                # an unplayed sequence's mean is its zero total over 1
+                means = self.totals / np.maximum(self.counts, 1)
+                self._best = best = int(means.argmax())
+                mean = means[best]
+            self._best_mean = mean
+        elif mean > self._best_mean or (mean == self._best_mean and j < self._best):
+            self._best, self._best_mean = j, mean

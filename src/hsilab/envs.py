@@ -160,8 +160,8 @@ class EnvModel:
     ``emissions`` maps (h, query) -> (n_obs, n_hidden) column-stochastic
     tables, for models whose class_tag is Class2; otherwise None.
     Per-query value codes, per-step evidence stacks, the evidence row of
-    each fitting feedback and the samplers' cumulative rows are cached on
-    first use.
+    each fitting feedback, the samplers' cumulative rows and each drawn
+    (query, state)'s revealed pairs are cached on first use.
     """
 
     name: str
@@ -180,6 +180,7 @@ class EnvModel:
     _index: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _rows: tuple | None = field(default=None, init=False, repr=False, compare=False)
     _joint_rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _revealed: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _emission_rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -371,6 +372,21 @@ class EnvModel:
         if row is None:
             row = slots[at] = _cumulative(self.joint[h - 1, s, a].tolist())
         return row
+
+    def revealed(self, query, s):
+        """The ``(index, value)`` pairs that query set ``query`` (a tuple)
+        reveals of state s, as Python ints in query order, built on first
+        use and kept in that query's list of S slots.  The cache holds only
+        pairs that were drawn; an index outside the state vector raises
+        IndexError on every call and fills no slot."""
+        slots = self._revealed.get(query)
+        if slots is None:
+            slots = self._revealed[query] = [None] * self.n_states
+        pairs = slots[s]
+        if pairs is None:
+            vec = self.sampling_rows()[2][s]
+            pairs = slots[s] = tuple([(i, vec[i]) for i in query])
+        return pairs
 
     def evidence_stack(self, h):
         """Evidence kernels of step-h feedback under every query set, stacked

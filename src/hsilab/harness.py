@@ -49,7 +49,6 @@ from .envs import (
     check_groups_combination,
     check_groups_same_substate,
     derive_generator,
-    groups_state_vectors,
     min_partial_singular_value,
     random_independent_model,
 )
@@ -721,17 +720,23 @@ class VerificationReport:
 
 
 def _verify_groups(params, m):
+    """Checks the state vectors of the model itself: group a holds the
+    states whose step-H reward means exceed 1/2 (1/2 + epsilon, with
+    epsilon > 0), group b the rest, each in state order."""
     d = params["d"]
     d_query = params["d-query"]
-    group_a, group_b = groups_state_vectors(d, d_query)
+    in_a = (m.rewards[-1] > 0.5).any(axis=1).tolist()
+    vectors = [tuple(vec) for vec in m.state_vectors.tolist()]  # Python ints
+    group_a = [vec for vec, a in zip(vectors, in_a) if a]
+    group_b = [vec for vec, a in zip(vectors, in_a) if not a]
     checks = []
     ok, failures = check_groups_same_substate(group_a, group_b)
     detail = (
         f"every cross-group pair of the {len(group_a)}+{len(group_b)} vectors "
         "shares a (position, value) entry"
         if ok
-        else "no shared entry for pairs: "
-        + "; ".join(f"{a} vs {b}" for a, b in failures[:5])
+        else "no (position, value) entry shared with the other group: "
+        + "; ".join(str(vec) for vec in failures[:5])
     )
     checks.append(CheckResult("shared-sub-state", ok, detail))
     ok2, failures2 = check_groups_combination(group_a, group_b, d_query)
@@ -804,8 +809,7 @@ def _verify_tree(params, m):
 
 
 # Each verifier checks an env's parameters and the model built from them:
-# load_config passes the env it built, verify_instance builds one (groups
-# checks its own state vectors and needs no model).
+# load_config passes the env it built, verify_instance builds one.
 _VERIFIERS = {
     "groups": _verify_groups,
     "flat-emission": _verify_flat_emission,
@@ -840,9 +844,11 @@ def verify_instance(name, params=None):
         )
     kv = {key: (str(value), None) for key, value in (params or {}).items()}
     resolved = _typed_params(kv, _VERIFY_SCHEMAS[name], f"verify {name}", "<params>")
+    # no groups check reads epsilon, so the groups model is built with
+    # the verify default the other instances use
+    build = dict(resolved, epsilon=0.1) if name == "groups" else resolved
     try:
-        m = None if name == "groups" else _build(name, resolved)
-        return _VERIFIERS[name](resolved, m)
+        return _VERIFIERS[name](resolved, _build(name, build))
     except ValueError as exc:
         raise ConfigError(f"<params>: cannot verify {name}: {exc}") from exc
 
@@ -1048,7 +1054,12 @@ def emit_plot_svg(table, path):
         raise ConfigError("no rows to plot")
     plotted = [regrets for lines in series.values() for _, regrets in lines]
     if not plotted:
-        raise ConfigError("no regret data to plot (regret reporting was off)")
+        if table.regret_mode == "off":
+            raise ConfigError("no regret data to plot (regret reporting was off)")
+        raise ConfigError(
+            "no regret data to plot: every regret is nan, though the table "
+            f"declares regret mode {table.regret_mode!r}"
+        )
 
     width, height = 760, 480
     left, right, top, bottom = 72, 180, 48, 56

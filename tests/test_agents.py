@@ -1027,13 +1027,22 @@ def test_sequence_agent_rejects_huge_spaces():
         EpsilonGreedySequenceAgent(dims, np.random.default_rng(0))
 
 
+def _play(agent, seq, total):
+    """End an episode of sequence ``seq`` with reward ``total``."""
+    agent._seq = seq
+    agent.end_episode(total)
+
+
 def test_sequence_agent_greedy_choice_and_ties():
     dims = Dims(d=1, alphabet_size=2, d_query=1, horizon=2, n_actions=2)
     agent = EpsilonGreedySequenceAgent(dims, np.random.default_rng(0), epsilon=0.0)
     assert agent.best_sequence() == 0  # fresh table: ties break low
-    agent.totals[2] = 3.0
-    agent.counts[2] = 2
-    agent.counts[0] = 5  # mean 0 despite visits
+    for _ in range(5):
+        _play(agent, 0, 0.0)  # mean 0 despite visits
+    _play(agent, 2, 1.0)
+    _play(agent, 2, 2.0)
+    assert agent.totals.tolist() == [0.0, 0.0, 3.0, 0.0]
+    assert agent.counts.tolist() == [5, 0, 2, 0]
     assert agent.best_sequence() == 2
     agent.begin_episode(1)
     assert agent._seq == 2  # epsilon=0 always exploits
@@ -1068,6 +1077,49 @@ def test_best_sequence_is_the_first_argmax_of_the_masked_means(
         best = agent.best_sequence()
         assert best == int(np.argmax(means))
         assert means[:best].max(initial=-1.0) < means[best] == means.max()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 8),
+    st.sampled_from([0.0, 0.05, 0.5, 1.0]),
+    st.integers(0, 2**16),
+    st.lists(st.integers(0, 8), max_size=200),
+)
+def test_kept_best_sequence_follows_falls_and_ties_over_many_sequences(
+    H, epsilon, seed, rewards
+):
+    # up to 256 sequences; a greedy play of the leader with a low reward
+    # makes its mean fall, and small integer totals make ties common, so
+    # the kept leader must be rescanned and must move to a lower tied index
+    dims = Dims(d=1, alphabet_size=2, d_query=1, horizon=H, n_actions=2)
+    agent = EpsilonGreedySequenceAgent(dims, np.random.default_rng(seed), epsilon)
+    for k, r in enumerate(rewards, start=1):
+        agent.begin_episode(k)
+        agent.end_episode(float(min(r, H)))
+        means = agent.totals / np.maximum(agent.counts, 1)
+        assert agent.best_sequence() == int(means.argmax())
+
+
+def test_kept_best_sequence_rescans_when_the_leader_falls():
+    dims = Dims(d=1, alphabet_size=2, d_query=1, horizon=8, n_actions=2)
+    agent = EpsilonGreedySequenceAgent(dims, np.random.default_rng(0), epsilon=0.0)
+    _play(agent, 200, 3.0)
+    _play(agent, 7, 2.0)
+    _play(agent, 100, 2.0)
+    assert agent.best_sequence() == 200
+    _play(agent, 200, 0.0)  # 1.5: the leader falls below 7 and 100
+    assert agent.best_sequence() == 7  # the lowest of the tied means
+    _play(agent, 5, 2.0)  # a lower index ties the leader's mean
+    assert agent.best_sequence() == 5
+    _play(agent, 9, 2.0)  # a higher index that ties does not move it
+    assert agent.best_sequence() == 5
+    _play(agent, 5, 2.0)  # the leader's mean holds, so it stays
+    assert agent.best_sequence() == 5
+    _play(agent, 5, 0.0)  # 4/3: the leader falls, and 7 leads the ties at 2
+    assert agent.best_sequence() == 7
+    agent.begin_episode(1)
+    assert agent._seq == 7  # epsilon=0 plays the kept leader
 
 
 def test_sequence_agent_builds_each_policy_once():

@@ -633,6 +633,41 @@ def test_kept_rows_draw_the_reference_scan(case):
         assert _stream_states(rng) == _stream_states(ref)
 
 
+@given(
+    st.sampled_from([1, 2]),
+    st.lists(
+        st.tuples(st.lists(st.integers(0, 2), max_size=3), st.integers(0, 7)),
+        max_size=30,
+    ),
+)
+@settings(max_examples=60, deadline=None)
+def test_revealed_keeps_the_drawn_pairs(d_query, calls):
+    # the kept tuple is the comprehension over the state's vector, as Python
+    # ints, built once per (query, state); slots that were never drawn stay
+    # empty, and an index outside the vector raises on every call
+    m = build_hard_instance_groups(3, 0.1, d_query)
+    calls = [(tuple(query), s % m.n_states) for query, s in calls]
+    first = {}
+    for query, s in calls:
+        pairs = m.revealed(query, s)
+        vec = m.state_vectors[s]
+        assert pairs == tuple([(i, int(vec[i])) for i in query])
+        assert all(type(v) is int for _, v in pairs)
+        assert pairs is first.setdefault((query, s), pairs)
+        assert m.revealed(query, s) is pairs
+    assert {
+        (query, s)
+        for query, slots in m._revealed.items()
+        for s, pairs in enumerate(slots)
+        if pairs is not None
+    } == set(first)
+    assert all(len(slots) == m.n_states for slots in m._revealed.values())
+    for _ in range(2):
+        with pytest.raises(IndexError):
+            m.revealed((0, 3), 1)
+    assert all(pairs is None for pairs in m._revealed[(0, 3)])
+
+
 @given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(0, 3))
 @settings(max_examples=50, deadline=None)
 def test_generator_vector_draw_equals_scalar_draws(seed, n, offset):

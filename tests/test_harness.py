@@ -1279,6 +1279,25 @@ def test_verify_groups_passes():
     assert "PASS" in text and "FAIL" not in text
 
 
+@pytest.mark.parametrize("d_query", [1, 2])
+def test_verify_groups_checks_the_model_it_is_given(d_query):
+    # the verifier reads the vectors of the model it is given, not the
+    # construction's vectors for d and d-query
+    m = envs.build_hard_instance_groups(3, 0.1, d_query)
+    params = {"d": 3, "d-query": d_query}
+    assert harness._verify_groups(params, m).passed
+    n_a = len(envs.groups_state_vectors(3, d_query)[0])
+    # no group-a vector holds 1 at position 0, 0 at position 1 or 0 at 2
+    m.state_vectors[n_a] = (1, 0, 0)
+    report = harness._verify_groups(params, m)
+    assert not report.passed
+    shared = report.checks[0]
+    assert (shared.name, shared.passed) == ("shared-sub-state", False)
+    assert shared.detail == (
+        "no (position, value) entry shared with the other group: (1, 0, 0)"
+    )
+
+
 def test_verify_accepts_string_params():
     report = verify_instance("groups", {"d": "3", "d-query": "2"})
     assert report.passed
@@ -1548,6 +1567,28 @@ def test_cli_plot_of_all_nan_regrets_names_the_file_and_its_mode(tmp_path, mode)
         _assert_plot_refuses(
             bad, f"{bad}: every regret is nan, though the file declares regret mode '{mode}'"
         )
+
+
+@pytest.mark.parametrize("mode", ["expected", "realized", "off"])
+def test_plot_of_all_nan_regrets_names_the_declared_mode(tmp_path, mode):
+    # only an off-mode table is refused as "regret reporting was off"; an
+    # expected- or realized-mode table whose regrets are all nan names its mode
+    bad = write_results_csv(_seeded_table("off", 3), tmp_path / "allnan.csv")
+    bad.write_text(
+        bad.read_text(encoding="utf-8").replace("=off", f"={mode}", 1), encoding="utf-8"
+    )
+    out = tmp_path / "allnan.svg"
+    if mode == "off":
+        message = "no regret data to plot (regret reporting was off)"
+    else:
+        message = (
+            "no regret data to plot: every regret is nan, though the table "
+            f"declares regret mode '{mode}'"
+        )
+    with pytest.raises(ConfigError) as err:
+        emit_plot_svg(read_results_csv(bad), out)
+    assert str(err.value) == message
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["run", "oracle"])
