@@ -125,22 +125,17 @@ def _bisect(cumulative, u):
     return idx if idx < len(sums) else last
 
 
-def _pick(row, u):
-    """The index a uniform ``u`` selects in a probability row (a list): the
-    first whose running sum exceeds ``u``.  When rounding leaves the running
-    sum at or below ``u``, it is the last index with positive mass (0 when
-    there is none), never a zero-mass one.  It is ``_bisect`` of the row's
-    ``_cumulative``, the draw the samplers make on their kept rows."""
-    return _bisect(_cumulative(row), u)
-
-
 def _draw_categorical(p, gen):
-    """One sample from a probability row using a single ``gen.random()``
-    draw (``gen`` is a numpy Generator or a ``BlockStream``), picked by
-    ``_pick``.  The agents draw this way from rows that change between
-    draws; the env samplers bisect their kept rows."""
+    """One sample from a probability row (an array or a list) using a single
+    ``gen.random()`` draw ``u`` (``gen`` is a numpy Generator or a
+    ``BlockStream``): the first index whose running sum exceeds ``u``.  When
+    rounding leaves the running sum at or below ``u``, it is the last index
+    with positive mass (0 when there is none), never a zero-mass one.  It is
+    ``_bisect`` of the row's ``_cumulative``, built per draw: the agents draw
+    this way from rows that change between draws, while the env samplers
+    bisect their kept rows."""
     u = gen.random()
-    return _pick(p.tolist() if isinstance(p, np.ndarray) else p, u)
+    return _bisect(_cumulative(p.tolist() if isinstance(p, np.ndarray) else p), u)
 
 
 def canonical_state_vectors(dims):

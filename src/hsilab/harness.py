@@ -14,8 +14,10 @@ A config file is sectioned key/value text::
     c-bonus = 1.0
 
 Every section is resolved by ``_typed_params`` against a schema of typed
-keys; ``_ENV_BUILDERS`` names the one function that builds each env and
-``_AGENT_BUILDERS`` the one that builds each algorithm's agent.
+keys (``tuple`` keys take comma-separated ints); ``_ENV_BUILDERS`` names the
+one function that builds each env and ``_AGENT_BUILDERS`` the one that
+builds each algorithm's agent.  The config, and every model, candidates and
+results CSV file, is read by ``serialize.read_lines``.
 
 ``load_config`` decides everything a run needs before any run starts: it
 builds the env, runs its structural verification when the config sets
@@ -68,7 +70,7 @@ from .pors import (
     PorsAgent,
     evaluate_policy_value,
 )
-from .serialize import load_candidates, load_model, parse_sections
+from .serialize import load_candidates, load_model, parse_sections, parse_value, read_lines
 from . import oracle
 
 MASTER_SEED_ENV_VAR = "HSILAB_MASTER_SEED"
@@ -126,20 +128,6 @@ def _section_kv(section, source):
     return out
 
 
-def _parse_typed(raw, kind, what, source, lineno=None):
-    where = f"{source}:{lineno}: " if lineno else f"{source}: "
-    try:
-        if kind is bool:
-            if raw not in ("on", "off"):
-                raise ValueError
-            return raw == "on"
-        return kind(raw)
-    except (TypeError, ValueError):
-        raise ConfigError(
-            f"{where}{what} must be {kind.__name__}, got {raw!r}"
-        ) from None
-
-
 def _reject_unknown(kv, where, source):
     if kv:
         key = next(iter(kv))
@@ -148,19 +136,16 @@ def _reject_unknown(kv, where, source):
         raise ConfigError(f"{at}: unknown {where} key {key!r}")
 
 
-def _typed_params(kv, schema, where, source, bare=False):
-    """Resolve a key/value section against {key: (type, default)}; defaults
-    of REQUIRED mark mandatory keys.  With bare, a badly typed value is
-    reported by its key alone, without section or line, as [experiment]
-    settings are."""
+def _typed_params(kv, schema, where, source):
+    """Resolve a key/value section against {key: (kind, default)}, each value
+    read by ``serialize.parse_value``, so a badly typed one is refused as
+    ``source:line: {where} {key} must be ...``; defaults of REQUIRED mark
+    mandatory keys."""
     out = {}
     for key, (kind, default) in schema.items():
         if key in kv:
             raw, lineno = kv.pop(key)
-            if bare:
-                out[key] = _parse_typed(raw, kind, key, source)
-            else:
-                out[key] = _parse_typed(raw, kind, f"{where} {key}", source, lineno)
+            out[key] = parse_value(raw, kind, f"{where} {key}", source, lineno)
         elif default is REQUIRED:
             raise ConfigError(f"{source}: {where} requires key {key!r}")
         else:
@@ -173,7 +158,7 @@ REQUIRED = object()
 
 _EXPERIMENT_SCHEMA = {
     "episodes": (int, REQUIRED),
-    "seeds": (str, REQUIRED),
+    "seeds": (tuple, REQUIRED),
     "master-seed": (int, 0),
     "regret-mode": (str, "auto"),
     "output-dir": (str, "results"),
@@ -229,7 +214,7 @@ _ALGO_SCHEMAS = {
         "delta": (float, 0.05),
     },
     "epsilon-greedy-seq": {"epsilon": (float, 0.25)},
-    "fixed": {"actions": (str, REQUIRED), "query": (str, REQUIRED)},
+    "fixed": {"actions": (tuple, REQUIRED), "query": (tuple, REQUIRED)},
 }
 
 # Allowed values of numeric algorithm parameters, checked when the config
@@ -288,7 +273,7 @@ def build_env(env_kind, env_params, source="<config>"):
     ``envs.MAX_TABLE_CELLS`` before allocating them) raises ConfigError."""
     try:
         return _build(env_kind, env_params)
-    except (ValueError, OSError) as exc:
+    except ValueError as exc:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(f"{source}: cannot build env {env_kind}: {exc}") from exc
@@ -333,16 +318,18 @@ def load_config(path):
     checked, pors planning contexts and fixed policies made and kept on
     their ``AlgoSpec``) before any run starts.  A failed verification
     raises VerificationFailure."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
     source = str(path)
-    sections = parse_sections(text, source)
     exp = env_sec = None
     algo_secs = []
-    for sec in sections:
+    header_args = {"experiment": set(), "env": {"builder"}, "algo": {"name", "label"}}
+    for sec in parse_sections(read_lines(path, "config"), source):
+        if sec.name not in header_args:
+            raise ConfigError(f"{source}:{sec.line}: unknown section [{sec.name}]")
+        unknown = [key for key in sec.args if key not in header_args[sec.name]]
+        if unknown:
+            raise ConfigError(
+                f"{source}:{sec.line}: unknown [{sec.name}] header argument {unknown[0]}="
+            )
         if sec.name == "experiment":
             if exp is not None:
                 raise ConfigError(f"{source}:{sec.line}: duplicate [experiment]")
@@ -351,10 +338,8 @@ def load_config(path):
             if env_sec is not None:
                 raise ConfigError(f"{source}:{sec.line}: duplicate [env]")
             env_sec = sec
-        elif sec.name == "algo":
-            algo_secs.append(sec)
         else:
-            raise ConfigError(f"{source}:{sec.line}: unknown section [{sec.name}]")
+            algo_secs.append(sec)
     if exp is None:
         raise ConfigError(f"{source}: missing [experiment] section")
     if env_sec is None:
@@ -362,19 +347,12 @@ def load_config(path):
     if not algo_secs:
         raise ConfigError(f"{source}: need at least one [algo ...] section")
 
-    ex = _typed_params(
-        _section_kv(exp, source), _EXPERIMENT_SCHEMA, "[experiment]", source, bare=True
-    )
+    ex = _typed_params(_section_kv(exp, source), _EXPERIMENT_SCHEMA, "[experiment]", source)
     if ex["episodes"] < 1:
         raise ConfigError(f"{source}: episodes must be >= 1, got {ex['episodes']}")
     if ex["oracle-cap"] < 1:
         raise ConfigError(f"{source}: oracle-cap must be >= 1, got {ex['oracle-cap']}")
-    try:
-        seeds = tuple(int(s) for s in ex["seeds"].split(","))
-    except ValueError:
-        raise ConfigError(
-            f"{source}: seeds must be comma-separated integers, got {ex['seeds']!r}"
-        ) from None
+    seeds = ex["seeds"]
     if len(set(seeds)) != len(seeds):
         raise ConfigError(f"{source}: duplicate seeds in {seeds}")
     n_rows = ex["episodes"] * len(seeds) * len(algo_secs)
@@ -386,9 +364,7 @@ def load_config(path):
     master_seed = ex["master-seed"]
     env_override = os.environ.get(MASTER_SEED_ENV_VAR)
     if env_override is not None:
-        master_seed = _parse_typed(
-            env_override, int, MASTER_SEED_ENV_VAR, source
-        )
+        master_seed = parse_value(env_override, int, MASTER_SEED_ENV_VAR, source)
     if ex["regret-mode"] not in REGRET_MODES:
         raise ConfigError(
             f"{source}: regret-mode must be one of {REGRET_MODES}, "
@@ -443,13 +419,7 @@ def load_config(path):
         spec = AlgoSpec(kind=kind, label=label, params=params)
         _check_compatibility(spec, env_model, source)
         if kind == "pors":
-            cand_path = params["candidates"]
-            try:
-                cands = load_candidates(cand_path)
-            except (OSError, UnicodeDecodeError) as exc:
-                raise ConfigError(
-                    f"{source}: cannot read candidates {cand_path}: {exc}"
-                ) from exc
+            cands = load_candidates(params["candidates"])
             for cand in cands:
                 if cand.dims != env_model.dims:
                     raise ConfigError(
@@ -478,13 +448,7 @@ def load_config(path):
 
 def _fixed_policy(spec, dims, source):
     """Constant open-loop policy from a fixed-agent spec."""
-    try:
-        actions = [int(a) for a in spec.params["actions"].split(",")]
-        query = tuple(int(i) for i in spec.params["query"].split(","))
-    except ValueError:
-        raise ConfigError(
-            f"{source}: fixed agent actions/query must be comma-separated ints"
-        ) from None
+    actions, query = list(spec.params["actions"]), spec.params["query"]
     if len(actions) == 1:
         actions = actions * dims.horizon
     if len(actions) != dims.horizon:
@@ -909,36 +873,23 @@ class CsvData:
         return iter(self.runs)
 
 
-def _csv_lines(path):
-    """(number, line) per line of a UTF-8 file, as ``str.splitlines`` splits it."""
-    lineno = 0
-    try:
-        with open(path, "rb") as fh:
-            for physical in fh:
-                for line in physical.decode("utf-8").splitlines():
-                    lineno += 1
-                    yield lineno, line
-    except OSError as exc:
-        raise ConfigError(f"cannot read CSV {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}:{lineno + 1}: {exc}") from None
-
-
 def read_results_csv(path):
-    """Parse a results CSV, one line at a time, into run columns.  A row that
-    is malformed, has an infinite regret (off mode's NaN is accepted), an
-    episode outside 1..MAX_TABLE_CELLS or an earlier row's (algo, seed,
-    episode), a regret mode a run does not write, and a second regret mode
-    line raise ConfigError naming file:line; finite regrets too far apart
-    for the plot's scale, or too large for their mean over the runs to be a
-    float, and a file with no regret mode line (checked after the rows)
-    raise it naming the file."""
+    """Parse a results CSV, read by ``serialize.read_lines``, into run
+    columns.  A row that is malformed, has an infinite regret, an episode
+    outside 1..MAX_TABLE_CELLS, another env than the first row's or an
+    earlier row's (algo, seed, episode), a regret mode a run does not write
+    and a second regret mode line raise ConfigError naming file:line, and so
+    does, once the mode is known after the rows, the first row whose regret
+    is NaN in expected or realized mode or finite in off mode: only an off
+    run writes NaN.  Finite regrets too far apart for the plot's scale, or
+    too large for their mean over the runs to be a float, and a file with
+    no regret mode line raise it naming the file."""
     mode = None
     env_name = ""
     runs = {}  # (algo, seed) -> episodes, regrets and line numbers in file order
     lo, hi = 0.0, -math.inf
     header_seen = False
-    for lineno, line in _csv_lines(path):
+    for lineno, line in read_lines(path, "CSV"):
         line = line.strip()
         if not line:
             continue
@@ -979,18 +930,24 @@ def read_results_csv(path):
             )
         if math.isinf(regret):
             raise ConfigError(f"{path}:{lineno}: regret must be finite, got {regret}")
+        if parts[1] != env_name:
+            if runs:
+                raise ConfigError(
+                    f"{path}:{lineno}: env {parts[1]!r} differs from the first "
+                    f"row's env {env_name!r}"
+                )
+            env_name = parts[1]
         lo = regret if regret < lo else lo  # a NaN changes neither
         hi = regret if regret > hi else hi
         run = runs.get((parts[0], seed))
         if run is None:
-            env_name = env_name if runs else parts[1]  # the first row's
             run = runs[parts[0], seed] = (array("q"), array("d"), array("q"))
         run[0].append(episode)
         run[1].append(regret)
         run[2].append(lineno)
     if not header_seen:
         raise ConfigError(f"{path}: missing CSV header")
-    columns, repeats = [], []
+    columns, repeats, misfits = [], [], []
     for algo, seed in sorted(runs):
         episodes, regrets, lines = map(np.asarray, runs.pop((algo, seed)))
         order = np.argsort(episodes, kind="stable")  # equal episodes keep file order
@@ -998,11 +955,20 @@ def read_results_csv(path):
         if repeated.size:
             i = repeated.min()
             repeats.append((int(lines[i]), algo, seed, int(episodes[i])))
+        misfit = np.flatnonzero(np.isnan(regrets) != (mode == "off"))
+        if mode is not None and misfit.size:
+            misfits.append((int(lines[misfit[0]]), float(regrets[misfit[0]])))
         columns.append((algo, seed, episodes[order], regrets[order]))
     if repeats:
         line, algo, seed, episode = min(repeats)
         raise ConfigError(
             f"{path}:{line}: repeats episode {episode} of algo {algo!r}, seed {seed}"
+        )
+    if misfits:
+        line, regret = min(misfits)
+        want = "nan" if mode == "off" else "finite"
+        raise ConfigError(
+            f"{path}:{line}: regret must be {want} in regret mode {mode!r}, got {regret}"
         )
     # lo, hi: min(0, *regrets) and max(regrets) as min() and max() take them;
     # max(hi - lo, -lo) bounds the plot's span and, times the runs, its sums
@@ -1037,29 +1003,22 @@ def emit_plot_svg(table, path):
     algorithm, faint per-seed traces plus a solid mean line.
 
     ``table`` is a ``ResultsTable`` or a ``CsvData``; both supply
-    per-(algo, seed) episode and regret columns.  NaN regrets are dropped;
-    a line of more than ``MAX_PLOT_POINTS`` points keeps evenly spaced ones,
-    and only those are formatted.  The mean line's value at an episode is
-    the mean over the seeds that have a regret there, taken only at the
-    episodes the line keeps."""
-    series = {}  # algo -> [(episodes, regrets) per seed with any regret]
+    per-(algo, seed) episode and regret columns, which are NaN in off mode
+    alone, and an off-mode table is refused.  A line of more than
+    ``MAX_PLOT_POINTS`` points keeps evenly spaced ones, and only those are
+    formatted.  The mean line's value at an episode is the mean over the
+    seeds that have a regret there (a run may stop early or skip
+    episodes), taken only at the episodes the line keeps."""
+    series = {}  # algo -> [(episodes, regrets) per seed]
     max_x = -math.inf
     for algo, _seed, episodes, regrets in table.regret_columns():
         max_x = max(max_x, int(episodes[-1]))
-        kept = ~np.isnan(regrets)
-        lines = series.setdefault(algo, [])
-        if kept.any():
-            lines.append((episodes[kept], regrets[kept]))
+        series.setdefault(algo, []).append((episodes, regrets))
     if not series:
         raise ConfigError("no rows to plot")
+    if table.regret_mode == "off":
+        raise ConfigError("no regret data to plot (regret reporting was off)")
     plotted = [regrets for lines in series.values() for _, regrets in lines]
-    if not plotted:
-        if table.regret_mode == "off":
-            raise ConfigError("no regret data to plot (regret reporting was off)")
-        raise ConfigError(
-            "no regret data to plot: every regret is nan, though the table "
-            f"declares regret mode {table.regret_mode!r}"
-        )
 
     width, height = 760, 480
     left, right, top, bottom = 72, 180, 48, 56
@@ -1139,20 +1098,15 @@ def emit_plot_svg(table, path):
         for episodes, regrets in lines:
             keep = _decimate(len(episodes))
             parts.append(polyline(episodes[keep], regrets[keep], color, 0.25, 1))
-        if lines:
-            union = np.unique(np.concatenate([episodes for episodes, _ in lines]))
-            mean_episodes = union[_decimate(len(union))]
-            grids = []  # per seed, its regret at each kept episode it has
-            for episodes, regrets in lines:
-                pos = np.searchsorted(episodes, mean_episodes).clip(max=len(episodes) - 1)
-                hit = episodes[pos] == mean_episodes
-                grids.append(
-                    dict(zip(mean_episodes[hit].tolist(), regrets[pos[hit]].tolist()))
-                )
-            means = [
-                np.mean([g[e] for g in grids if e in g]) for e in mean_episodes.tolist()
-            ]
-            parts.append(polyline(mean_episodes, np.array(means), color, 1.0, 2))
+        union = np.unique(np.concatenate([episodes for episodes, _ in lines]))
+        mean_episodes = union[_decimate(len(union))]
+        grids = []  # per seed, its regret at each kept episode it has
+        for episodes, regrets in lines:
+            pos = np.searchsorted(episodes, mean_episodes).clip(max=len(episodes) - 1)
+            hit = episodes[pos] == mean_episodes
+            grids.append(dict(zip(mean_episodes[hit].tolist(), regrets[pos[hit]].tolist())))
+        means = [np.mean([g[e] for g in grids if e in g]) for e in mean_episodes.tolist()]
+        parts.append(polyline(mean_episodes, np.array(means), color, 1.0, 2))
         ly = top + 16 + 18 * idx
         lx = left + plot_w + 16
         parts.append(

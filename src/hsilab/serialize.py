@@ -25,6 +25,10 @@ several models back to back, each starting at its [model] section.  The
 loader refuses a header whose tables would exceed ``envs.MAX_TABLE_CELLS``
 cells before it allocates any of them, and re-validates every model
 invariant.
+
+Every file hsilab reads (configs, models, candidate lists and results CSVs)
+goes through ``read_lines``, and every typed value it reads off one goes
+through ``parse_value``, so each fault is refused in one wording.
 """
 
 import math
@@ -67,17 +71,63 @@ def format_row(values):
     return " ".join(FLOAT_FMT % v for v in np.asarray(values, dtype=float))
 
 
-def parse_sections(text, source="<string>"):
-    """Split sectioned text into Section records, tracking line numbers."""
+def read_lines(path, what):
+    """(number, line) per line of a UTF-8 file, as ``str.splitlines`` splits
+    it, read one physical line at a time.  A file that cannot be opened or
+    read raises ConfigError ``cannot read {what} {path}: ...``, a byte that
+    is not UTF-8 one naming ``{path}:{line}``."""
+    lineno = 0
+    try:
+        with open(path, "rb") as fh:
+            for physical in fh:
+                for line in physical.decode("utf-8").splitlines():
+                    lineno += 1
+                    yield lineno, line
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}:{lineno + 1}: {exc}") from None
+
+
+def parse_value(raw, kind, what, source, lineno=None):
+    """``raw`` read as ``kind``: ``bool`` takes on/off, ``tuple`` takes
+    comma-separated ints, any other kind is called on it.  A value it does
+    not take raises ConfigError naming ``source:lineno`` (``source`` alone
+    without a line) and ``what``."""
+    where = f"{source}:{lineno}: " if lineno else f"{source}: "
+    try:
+        if kind is bool:
+            if raw not in ("on", "off"):
+                raise ValueError
+            return raw == "on"
+        if kind is tuple:
+            return tuple(int(tok) for tok in raw.split(","))
+        return kind(raw)
+    except (TypeError, ValueError):
+        name = "comma-separated ints" if kind is tuple else kind.__name__
+        raise ConfigError(f"{where}{what} must be {name}, got {raw!r}") from None
+
+
+def parse_sections(lines, source="<string>"):
+    """Split ``(number, line)`` pairs, as ``read_lines`` yields them, into
+    Section records.  A line that is neither blank, a comment, a section
+    header nor ``key = value``, data before the first header and a header
+    that repeats an argument raise ConfigError naming ``source:line``."""
     sections = []
     current = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in lines:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         m = _SECTION_RE.match(line)
         if m:
-            args = dict(_ARG_RE.findall(m.group(2)))
+            args = {}
+            for key, value in _ARG_RE.findall(m.group(2)):
+                if key in args:
+                    raise ConfigError(
+                        f"{source}:{lineno}: [{m.group(1)}] header repeats {key}="
+                    )
+                args[key] = value
             current = Section(name=m.group(1), args=args, rows=[], line=lineno)
             sections.append(current)
             continue
@@ -349,12 +399,7 @@ def _build_model(sections, source):
             h = _int_arg(sec, "h", source)
             if "q" not in sec.args:
                 raise ConfigError(f"{source}:{sec.line}: [emissions] needs q=")
-            try:
-                q = tuple(int(tok) for tok in sec.args["q"].split(","))
-            except ValueError:
-                raise ConfigError(
-                    f"{source}:{sec.line}: bad query list q={sec.args['q']!r}"
-                ) from None
+            q = parse_value(sec.args["q"], tuple, "[emissions] q", source, sec.line)
             if (h, q) in emissions:
                 raise ConfigError(f"{source}:{sec.line}: duplicate emissions h={h} q={q}")
             emissions[(h, q)] = _indexed_rows(
@@ -381,15 +426,23 @@ def _build_model(sections, source):
 
 def loads_model(text, source="<string>"):
     """Parse text holding exactly one model."""
-    models = loads_candidates(text, source)
+    return _one_model(enumerate(text.splitlines(), 1), source)
+
+
+def loads_candidates(text, source="<string>"):
+    """Parse text holding one or more models, in text order."""
+    return _models(enumerate(text.splitlines(), 1), source)
+
+
+def _one_model(lines, source):
+    models = _models(lines, source)
     if len(models) != 1:
         raise ConfigError(f"{source}:1: expected exactly one model, found {len(models)}")
     return models[0]
 
 
-def loads_candidates(text, source="<string>"):
-    """Parse a file of one or more models, in file order."""
-    sections = parse_sections(text, source)
+def _models(lines, source):
+    sections = parse_sections(lines, source)
     if not sections:
         raise ConfigError(f"{source}:1: no sections found")
     if sections[0].name != "model":
@@ -420,16 +473,11 @@ def dump_candidates(models, path):
 
 
 def load_model(path):
-    """Read one model file; a file that is not UTF-8 raises a ValueError
-    that names it."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"{path}: {exc}") from exc
-    return loads_model(text, source=str(path))
+    """Read one model file through ``read_lines``, so a file that cannot be
+    read or is not UTF-8 raises ConfigError."""
+    return _one_model(read_lines(path, "model"), str(path))
 
 
 def load_candidates(path):
-    with open(path, encoding="utf-8") as fh:
-        return loads_candidates(fh.read(), source=str(path))
+    """Read a candidate-class file of one or more models, in file order."""
+    return _models(read_lines(path, "candidates"), str(path))

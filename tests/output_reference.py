@@ -83,19 +83,20 @@ def rows_to_columns(rows):
 
 def read_results_csv_reference(path):
     """Parse a results CSV.  Besides malformed lines, a row is refused
-    (ConfigError naming file:line) when its regret is infinite (the NaN of
-    off mode is accepted), its episode lies outside 1..MAX_TABLE_CELLS, or
-    it repeats an (algo, seed, episode) of an earlier row.  A file is
-    refused (ConfigError naming it) when its finite regrets are too far
-    apart for the plot's scale, or too large for its mean over the runs,
-    to be a float."""
+    (ConfigError naming file:line) when its regret is infinite, its episode
+    lies outside 1..MAX_TABLE_CELLS, its env is not the first row's, or it
+    repeats an (algo, seed, episode) of an earlier row; once all rows are
+    read, so is the first row whose regret is NaN outside off mode or
+    finite in off mode.  A file is refused (ConfigError naming it) when its
+    finite regrets are too far apart for the plot's scale, or too large for
+    its mean over the runs, to be a float."""
     try:
         with open(path, encoding="utf-8") as fh:
             raw = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read CSV {path}: {exc}") from exc
     mode = "expected"
-    rows = []
+    rows, linenos = [], []
     seen = set()
     header_seen = False
     for lineno, line in enumerate(raw.splitlines(), start=1):
@@ -137,6 +138,11 @@ def read_results_csv_reference(path):
             )
         if math.isinf(regret):
             raise ConfigError(f"{path}:{lineno}: regret must be finite, got {regret}")
+        if rows and row[1] != rows[0][1]:
+            raise ConfigError(
+                f"{path}:{lineno}: env {row[1]!r} differs from the first "
+                f"row's env {rows[0][1]!r}"
+            )
         if (algo, seed, episode) in seen:
             raise ConfigError(
                 f"{path}:{lineno}: repeats episode {episode} of algo {algo!r}, "
@@ -144,8 +150,16 @@ def read_results_csv_reference(path):
             )
         seen.add((algo, seed, episode))
         rows.append(row)
+        linenos.append(lineno)
     if not header_seen:
         raise ConfigError(f"{path}: missing CSV header")
+    for lineno, row in zip(linenos, rows):
+        if math.isnan(row[6]) != (mode == "off"):
+            want = "nan" if mode == "off" else "finite"
+            raise ConfigError(
+                f"{path}:{lineno}: regret must be {want} in regret mode {mode!r}, "
+                f"got {row[6]}"
+            )
     regrets = [row[6] for row in rows if not math.isnan(row[6])]
     if regrets:
         # the plot spans min(0, lo)..hi and sums up to one regret per run;

@@ -21,7 +21,6 @@ from hsilab.envs import (
     EnvModel,
     SampleRng,
     _draw_categorical,
-    _pick,
     build_controlled_drift_instance,
     build_hard_instance_flat_emission,
     build_hard_instance_groups,
@@ -174,12 +173,12 @@ def _rows_and_uniforms(draw):
 @given(_rows_and_uniforms())
 @settings(max_examples=400, deadline=None)
 def test_pick_equals_the_running_sum_reference(case):
-    # _pick is the one scan behind every categorical draw; the reference is
-    # the scan _draw_categorical ran before it, so a faster pick (a bisect
-    # over cumulative rows) must land on the same index for every uniform
+    # the reference is the scan _draw_categorical ran before it bisected a
+    # cumulative row, so the bisect must land on the same index for every
+    # uniform, from a list row as from an array row
     row, u = case
     want = draw_categorical_reference(row, _FixedDraw(u))
-    assert _pick(row, u) == want
+    assert _draw_categorical(row, _FixedDraw(u)) == want
     assert _draw_categorical(np.array(row), _FixedDraw(u)) == want
 
 

@@ -128,6 +128,72 @@ def test_load_config_requires_sections(tmp_path):
         load_config(str(tmp_path / "missing.cfg"))
 
 
+@pytest.mark.parametrize(
+    "old, new, lineno, message",
+    [
+        ("episodes = 10", "episodes = x", 4, "[experiment] episodes must be int, got 'x'"),
+        (
+            "seeds = 0,1",
+            "seeds = 0,a",
+            5,
+            "[experiment] seeds must be comma-separated ints, got '0,a'",
+        ),
+        (
+            "seeds = 0,1",
+            "seeds = 0,1\nmaster-seed = 1.5",
+            6,
+            "[experiment] master-seed must be int, got '1.5'",
+        ),
+        (
+            "[algo name=op-tll label=tll]",
+            "[algo name=fixed label=f]\nactions = 0,x\nquery = 0",
+            14,
+            "algo fixed actions must be comma-separated ints, got '0,x'",
+        ),
+        (
+            "[algo name=op-tll label=tll]",
+            "[algo name=fixed label=f]\nactions = 0\nquery = ",
+            15,
+            "algo fixed query must be comma-separated ints, got ''",
+        ),
+    ],
+    ids=["episodes", "seeds", "master-seed", "fixed-actions", "fixed-query"],
+)
+def test_config_type_errors_name_the_line(tmp_path, old, new, lineno, message):
+    # [experiment] values, seeds and a fixed agent's actions and query named
+    # no line
+    assert old in GROUPS_CFG
+    path = _write(tmp_path, GROUPS_CFG.replace(old, new))
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert str(err.value) == f"{path}:{lineno}: {message}"
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("[env builder=groups]", "[env builder=groups bulder=tree]",
+         "7: unknown [env] header argument bulder="),
+        ("[algo name=uniform label=uni]", "[algo name=uniform lable=mine]",
+         "11: unknown [algo] header argument lable="),
+        ("[experiment]", "[experiment episodes=3]",
+         "3: unknown [experiment] header argument episodes="),
+        ("[algo name=op-tll label=tll]", "[algo name=op-tll name=uniform label=x]",
+         "13: [algo] header repeats name="),
+        ("[env builder=groups]", "[env builder=groups builder=tree]",
+         "7: [env] header repeats builder="),
+    ],
+    ids=["env-typo", "algo-typo", "experiment-argument", "algo-repeated", "env-repeated"],
+)
+def test_config_refuses_unknown_and_repeated_header_arguments(tmp_path, old, new, message):
+    # a misspelled argument was ignored, and a repeated name= ran the last
+    # value: [algo name=op-tll name=uniform label=x] ran uniform under label x
+    path = _write(tmp_path, GROUPS_CFG.replace(old, new))
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert str(err.value) == f"{path}:{message}"
+
+
 def test_env_builders_take_their_schema_keys():
     """Each builder is called with its schema's keys as keywords ('-' read
     as '_'); the verifiers build through the same table with their own
@@ -1136,8 +1202,7 @@ def test_writers_equal_the_row_wise_references(tmp_path, mode, n_episodes):
 
 
 def test_replot_of_ragged_csv_equals_the_reference(tmp_path):
-    # seeds that stop early, a seed with no regret at all and NaN regrets
-    # inside a line: each mean point averages the seeds that have it
+    # seeds that stop early: each mean point averages the seeds that have it
     table = _seeded_table("realized", 2500)
     csv = write_results_csv(table, tmp_path / "results.csv")
     kept = []
@@ -1147,8 +1212,6 @@ def test_replot_of_ragged_csv_equals_the_reference(tmp_path):
             algo, seed, episode = parts[0], int(parts[2]), int(parts[3])
             if seed == 3 and episode > 1700 or algo == "a" and seed == 0 and episode > 10:
                 continue
-            if seed == 11 and episode % 7 == 0 or algo == "b%d" and seed == 0:
-                line = ",".join(parts[:6] + ["nan\n"])
         kept.append(line)
     ragged = tmp_path / "ragged.csv"
     ragged.write_text("".join(kept), encoding="utf-8")
@@ -1202,7 +1265,10 @@ def test_csv_is_read_into_columns(tmp_path):
     assert sum(len(episodes) for *_, episodes, _ in data.regret_columns()) == 100_000
 
 
-_FAULTS = ["none", "header", "columns", "malformed", "episode", "inf", "repeat", "overflow"]
+_FAULTS = [
+    "none", "header", "columns", "malformed", "episode",
+    "inf", "repeat", "overflow", "env", "regret",
+]
 
 
 @settings(max_examples=150, deadline=None)
@@ -1213,10 +1279,9 @@ _FAULTS = ["none", "header", "columns", "malformed", "episode", "inf", "repeat",
     draw=st.data(),
 )
 def test_read_csv_equals_the_row_wise_reference(mode, n_episodes, fault, draw):
-    # written CSVs with shuffled rows, runs cut short, NaN regrets, mixed
-    # line ends and at most one fault: both readers refuse a faulted file
-    # with the same message, and the columns are the reference's rows,
-    # grouped and sorted
+    # written CSVs with shuffled rows, runs cut short, mixed line ends and at
+    # most one fault: both readers refuse a faulted file with the same
+    # message, and the columns are the reference's rows, grouped and sorted
     with tempfile.TemporaryDirectory() as tmp:
         path = pathlib.Path(tmp) / "results.csv"
         write_results_csv(_seeded_table(mode, n_episodes), path)
@@ -1228,8 +1293,6 @@ def test_read_csv_equals_the_row_wise_reference(mode, n_episodes, fault, draw):
         cut = dict(zip(runs, draw.draw(last)))
         body = [",".join(parts) for parts in rows if int(parts[3]) <= cut[parts[0], parts[2]]]
         body = draw.draw(st.permutations(body))
-        for lineno in draw.draw(st.sets(st.integers(1, len(body)))):
-            _set_field(body, lineno, 6, "nan")
         at = draw.draw(st.integers(1, len(body)))
         if fault == "header":
             lines[start - 1] = "algo,env"
@@ -1248,6 +1311,10 @@ def test_read_csv_equals_the_row_wise_reference(mode, n_episodes, fault, draw):
                 body.insert(draw.draw(st.integers(0, len(body))), copied)
         elif fault == "overflow":
             _set_field(body, at, 6, draw.draw(st.sampled_from(["1e308", "-1e308"])))
+        elif fault == "env":
+            _set_field(body, at, 1, "other-env")
+        elif fault == "regret":  # only an off-mode run writes nan regrets
+            _set_field(body, at, 6, "0.5" if mode == "off" else "nan")
         out = lines[:start] + body + lines[stop:]
         # line ends str.splitlines splits at, as the row-wise reader numbered them
         ends = st.sampled_from(["\n", "\r\n", "\r", "\x0c\n", "\u2028"])
@@ -1552,42 +1619,70 @@ def test_cli_plot_refuses_a_csv_without_a_regret_mode(tmp_path):
     _assert_plot_refuses(bad, f"{bad}:3: regret must be finite, got inf")
 
 
+@pytest.mark.parametrize(
+    "mode, regret", [("expected", "nan"), ("realized", "nan"), ("off", "0.5")]
+)
+def test_cli_plot_refuses_a_regret_its_mode_does_not_write(tmp_path, mode, regret):
+    # one nan among finite regrets was skipped, so the mean point at its
+    # episode was the other seed's value alone, and an off-mode file's finite
+    # regrets were plotted; the mode line may follow the rows, and the first
+    # such row in file order is named
+    fill = "nan" if mode == "off" else "0.5"
+    rows = [f"a,e,{seed},{episode},0,0,{fill}" for seed in (1, 0) for episode in (1, 2)]
+    rows[1] = rows[1].rpartition(",")[0] + f",{regret}"  # seed 1, episode 2
+    rows[2] = rows[2].rpartition(",")[0] + f",{regret}"  # seed 0, episode 1
+    bad = tmp_path / "mode.csv"
+    bad.write_text("\n".join([CSV_HEADER, *rows, f"# regret_mode={mode}"]) + "\n")
+    want = "nan" if mode == "off" else "finite"
+    _assert_plot_refuses(
+        bad, f"{bad}:3: regret must be {want} in regret mode '{mode}', got {regret}"
+    )
+
+
+def test_cli_plot_refuses_a_csv_that_mixes_envs(tmp_path):
+    # the SVG was titled with the first row's env alone and hsilab plot exited 0
+    bad = tmp_path / "mixed.csv"
+    bad.write_text(
+        f"# regret_mode=expected\n{CSV_HEADER}\na,envA,0,1,0,0,0.5\na,envB,1,1,0,0,0.7\n"
+    )
+    _assert_plot_refuses(bad, f"{bad}:4: env 'envB' differs from the first row's env 'envA'")
+
+
 @pytest.mark.parametrize("mode", ["expected", "realized", "off"])
 def test_cli_plot_of_all_nan_regrets_names_the_file_and_its_mode(tmp_path, mode):
     # an off-mode run's CSV relabelled: in expected or realized mode the
     # refusal blamed "regret reporting was off", a mode the file does not
-    # declare, and named no file
+    # declare, and named no file; the reader now refuses its first row
     bad = write_results_csv(_seeded_table("off", 3), tmp_path / "allnan.csv")
     text = bad.read_text(encoding="utf-8")
-    assert text.startswith("# regret_mode=off\n")
+    assert text.startswith(f"# regret_mode=off\n{CSV_HEADER}\n")
     bad.write_text(text.replace("=off", f"={mode}", 1), encoding="utf-8")
     if mode == "off":
         _assert_plot_refuses(bad, "no regret data to plot (regret reporting was off)")
     else:
         _assert_plot_refuses(
-            bad, f"{bad}: every regret is nan, though the file declares regret mode '{mode}'"
+            bad, f"{bad}:3: regret must be finite in regret mode '{mode}', got nan"
         )
 
 
 @pytest.mark.parametrize("mode", ["expected", "realized", "off"])
 def test_plot_of_all_nan_regrets_names_the_declared_mode(tmp_path, mode):
-    # only an off-mode table is refused as "regret reporting was off"; an
-    # expected- or realized-mode table whose regrets are all nan names its mode
+    # only an off-mode table is refused as "regret reporting was off"; the
+    # reader refuses an expected- or realized-mode file's nan regrets, naming
+    # the first row and the declared mode
     bad = write_results_csv(_seeded_table("off", 3), tmp_path / "allnan.csv")
     bad.write_text(
         bad.read_text(encoding="utf-8").replace("=off", f"={mode}", 1), encoding="utf-8"
     )
     out = tmp_path / "allnan.svg"
-    if mode == "off":
-        message = "no regret data to plot (regret reporting was off)"
-    else:
-        message = (
-            "no regret data to plot: every regret is nan, though the table "
-            f"declares regret mode '{mode}'"
-        )
     with pytest.raises(ConfigError) as err:
         emit_plot_svg(read_results_csv(bad), out)
-    assert str(err.value) == message
+    if mode == "off":
+        assert str(err.value) == "no regret data to plot (regret reporting was off)"
+    else:
+        assert str(err.value) == (
+            f"{bad}:3: regret must be finite in regret mode '{mode}', got nan"
+        )
     assert not out.exists()
 
 
@@ -1628,14 +1723,9 @@ def test_cli_plot_refuses_regrets_that_overflow_the_scale(tmp_path, regrets, mes
     _assert_plot_refuses(bad, f"{bad}: {message} overflow the plot's scale")
 
 
-@pytest.mark.parametrize(
-    "target", ["plot-csv", "run-config", "oracle-config", "run-candidates", "run-model"]
-)
-def test_cli_refuses_non_utf8_input_without_traceback(tmp_path, target):
-    # a 0xff byte in any of these files ended in a UnicodeDecodeError traceback
-    # (or, for a model file, in an error that named only the config); the CSV
-    # is read line by line, so its error names the line, past the first 8 KiB
-    # too
+def _input_files(tmp_path):
+    """Per input target: the file, the line a fault goes into, what the
+    reader calls the file, and the hsilab arguments that read it."""
     cands = tmp_path / "cands.cfg"
     dump_candidates(controlled_drift_candidates(), cands)
     cfg = tmp_path / "drift.cfg"
@@ -1656,30 +1746,58 @@ def test_cli_refuses_non_utf8_input_without_traceback(tmp_path, target):
     rows = "".join(f"a,e,0,{episode},0,0,0.5\n" for episode in range(1, 1001))
     csv.write_text(f"# regret_mode=expected\n{CSV_HEADER}\n{rows}", encoding="utf-8")
     assert csv.stat().st_size > 8192
-    bad, lineno, args, source = {
-        "plot-csv": (csv, 900, ["plot", csv, "-o", tmp_path / "plot.svg"], f"{csv}:900"),
-        "run-config": (cfg, 2, ["run", cfg, "-o", tmp_path / "out"], f"cannot read config {cfg}"),
-        "oracle-config": (cfg, 2, ["oracle", cfg], f"cannot read config {cfg}"),
-        "run-candidates": (
-            cands, 2, ["run", cfg, "-o", tmp_path / "out"], f"{cfg}: cannot read candidates {cands}"
-        ),
-        "run-model": (
-            model, 2, ["run", model_cfg, "-o", tmp_path / "out"],
-            f"{model_cfg}: cannot build env file: {model}",
-        ),
-    }[target]
-    data = bad.read_bytes()
-    at = sum(len(line) for line in data.splitlines(keepends=True)[: lineno - 1])
-    bad.write_bytes(data[:at] + b"\xff" + data[at:])
+    run = ["run", cfg, "-o", tmp_path / "out"]
+    return {
+        "plot-csv": (csv, 900, "CSV", ["plot", csv, "-o", tmp_path / "plot.svg"]),
+        "run-config": (cfg, 2, "config", run),
+        "oracle-config": (cfg, 3, "config", ["oracle", cfg]),
+        "run-candidates": (cands, 4, "candidates", run),
+        "run-model": (model, 5, "model", ["run", model_cfg, "-o", tmp_path / "out"]),
+    }
+
+
+def _assert_refused_without_output(tmp_path, args, message):
+    """``hsilab`` under ``-W error`` exits 1 with exactly this one error line
+    and writes nothing."""
     proc = _hsilab_warnings_as_errors(*map(str, args))
     assert proc.returncode == 1
-    position = 0 if bad == csv else at  # a CSV line, or the whole file
-    assert proc.stderr == (
-        f"error: {source}: 'utf-8' codec can't decode byte 0xff in position {position}: "
-        "invalid start byte\n"
-    )
-    assert "Traceback" not in proc.stderr
+    assert proc.stderr == f"error: {message}\n"
+    assert proc.stdout == ""
     assert not (tmp_path / "plot.svg").exists() and not (tmp_path / "out").exists()
+
+
+_INPUT_TARGETS = ["plot-csv", "run-config", "oracle-config", "run-candidates", "run-model"]
+
+
+@pytest.mark.parametrize("target", _INPUT_TARGETS)
+def test_cli_refuses_non_utf8_input_without_traceback(tmp_path, target):
+    # a 0xff byte in any of these files ended in a UnicodeDecodeError traceback;
+    # later each reader worded it its own way (a config, candidates or model
+    # file named no line). Every file is read line by line, so the error names
+    # the line, past the first 8 KiB too, and the byte's position in it
+    bad, lineno, _what, args = _input_files(tmp_path)[target]
+    data = bad.read_bytes()
+    at = sum(len(line) for line in data.splitlines(keepends=True)[: lineno - 1]) + 3
+    bad.write_bytes(data[:at] + b"\xff" + data[at:])
+    _assert_refused_without_output(
+        tmp_path,
+        args,
+        f"{bad}:{lineno}: 'utf-8' codec can't decode byte 0xff in position 3: "
+        "invalid start byte",
+    )
+
+
+@pytest.mark.parametrize("target", _INPUT_TARGETS)
+def test_cli_refuses_missing_input_without_traceback(tmp_path, target):
+    # a missing candidates or model file was named after its config, and a
+    # missing model was worded as an env that could not be built
+    bad, _lineno, what, args = _input_files(tmp_path)[target]
+    bad.unlink()
+    _assert_refused_without_output(
+        tmp_path,
+        args,
+        f"cannot read {what} {bad}: [Errno 2] No such file or directory: '{bad}'",
+    )
 
 
 def test_cli_run_rejects_file_model_with_nan(tmp_path, capsys):

@@ -106,11 +106,43 @@ def test_candidates_text_is_concatenation():
     assert len(loads_candidates(text)) == 2
 
 
+def _numbered(text):
+    return enumerate(text.splitlines(), 1)
+
+
 def test_parse_sections_line_numbers_in_errors():
     with pytest.raises(ConfigError, match="cfg:3"):
-        parse_sections("[model]\nname = x\nbroken line\n", source="cfg")
+        parse_sections(_numbered("[model]\nname = x\nbroken line\n"), source="cfg")
     with pytest.raises(ConfigError, match="cfg:1"):
-        parse_sections("orphan = 1\n", source="cfg")
+        parse_sections(_numbered("orphan = 1\n"), source="cfg")
+
+
+@pytest.mark.parametrize(
+    "header, message",
+    [
+        ("[rewards h=1]", "[rewards] header repeats h="),
+        ("[emissions h=2 q=1]", "[emissions] header repeats q="),
+    ],
+    ids=["rewards", "emissions"],
+)
+def test_a_repeated_header_argument_is_refused_at_its_line(header, message):
+    # the last value was kept, so [rewards h=1 h=2] read as the step-2 rewards
+    text = dumps_model(build_controlled_drift_instance())
+    line = text.splitlines().index(header) + 1
+    repeated = header[:-1] + " " + header[1:-1].split()[-1] + "]"
+    with pytest.raises(ConfigError) as err:
+        loads_model(text.replace(header, repeated, 1), source="m")
+    assert str(err.value) == f"m:{line}: {message}"
+
+
+def test_a_bad_emission_query_is_refused_as_a_typed_value():
+    text = dumps_model(build_controlled_drift_instance())
+    line = text.splitlines().index("[emissions h=1 q=1]") + 1
+    with pytest.raises(ConfigError) as err:
+        loads_model(text.replace("h=1 q=1]", "h=1 q=1,x]", 1), source="m")
+    assert str(err.value) == (
+        f"m:{line}: [emissions] q must be comma-separated ints, got '1,x'"
+    )
 
 
 def test_loads_model_requires_exactly_one_model():
